@@ -15,8 +15,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, diagnostics, features, ingest, scenarios, sim, twins
 from .glm import (
     INTERCEPT,
@@ -29,7 +27,6 @@ from .glm import (
 )
 from .report import (
     ModelColumn,
-    RunManifest,
     build_manifest,
     describe_document,
     fit_document,
@@ -78,12 +75,6 @@ def _split(text: str | None) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def _subset(d: ingest.Dataset, rows: np.ndarray) -> ingest.Dataset:
-    return ingest.Dataset(
-        records=tuple(d.records[i] for i in rows), source_label=d.source_label
-    )
-
-
 def _fit_column(sub: ingest.Dataset, spec: ModelSpec, label: str, baseline_mode: str,
                 cache: dict) -> ModelColumn:
     """Fit one model on a pre-subset dataset and attach its diagnostics."""
@@ -121,7 +112,7 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool,
     values stay comparable.
     """
     dm = build_design(d, spec)
-    sub = _subset(d, dm.row_index)
+    sub = d.take(dm.row_index)
     specs: list[tuple[str, ModelSpec]] = []
     if stepwise:
         for j in range(len(spec.predictors) + 1):
@@ -133,10 +124,6 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool,
         _fit_column(sub, s, label, baseline_mode, cache) for label, s in specs
     ]
     return columns, dm.excluded_rows
-
-
-def _write_manifested_csv(path: Path, text: str, manifest: RunManifest) -> None:
-    write_text_document(path, text, manifest)
 
 
 def _option_echo(args: argparse.Namespace, skip=("out_dir", "func", "command")) -> dict:
@@ -177,22 +164,25 @@ def cmd_describe(args) -> int:
 # ---------------------------------------------------------------- features
 
 
-def _build_features(args) -> tuple[ingest.Dataset, features.FeatureReport]:
+def _build_features(
+    args,
+) -> tuple[ingest.Dataset, features.FeatureReport, features.AllocationIndex]:
     allocations = features.load_allocations(args.allocations, args.delimiter)
     observations = features.load_observations(args.observations, args.delimiter)
     abuse = features.load_abuse(args.abuse, args.delimiter)
+    index = features.AllocationIndex(allocations)
     table, rep = features.build_provider_table(
-        allocations, observations, abuse, source_label=args.source_label
+        index, observations, abuse, source_label=args.source_label
     )
     if args.enrichment:
         rows = features.load_enrichment(args.enrichment, args.delimiter)
         merge_cols = [c for c in ingest.OPTIONAL_COLUMNS if c != "twin_id"]
         table = features.merge_enrichment(table, rows, merge_cols)
-    return table, rep
+    return table, rep, index
 
 
 def cmd_features(args) -> int:
-    table, rep = _build_features(args)
+    table, rep, _index = _build_features(args)
     inputs = [args.allocations, args.observations, args.abuse]
     if args.enrichment:
         inputs.append(args.enrichment)
@@ -256,10 +246,7 @@ def _match(args, d: ingest.Dataset) -> list[twins.TwinPairing]:
     if unknown:
         raise ValueError(f"seed ids not in dataset: {unknown[:5]}")
     seed_set = set(seed_ids)
-    S = ingest.Dataset(
-        records=tuple(r for r in d if r.provider_id in seed_set),
-        source_label=d.source_label,
-    )
+    S = d.take([pid in seed_set for pid in d.provider_ids()])
     cfg = twins.MatchingConfig(
         variables=_split(args.match_vars) or twins.DEFAULT_MATCH_VARIABLES,
         standardize=args.standardize,
@@ -279,7 +266,7 @@ def cmd_twins(args) -> int:
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifested_csv(out / "pairings.csv", _pairings_csv(pairings, args.delimiter), manifest)
+    write_text_document(out / "pairings.csv", _pairings_csv(pairings, args.delimiter), manifest)
     return 0
 
 
@@ -317,32 +304,7 @@ def cmd_fit(args) -> int:
     )
     write_json_document(
         out / "assessment.json",
-        {
-            "models": [
-                {
-                    "model": c.label,
-                    "dispersion": None
-                    if c.dispersion is None
-                    else {
-                        "phi_hat": c.dispersion.phi_hat,
-                        "chi_square": c.dispersion.chi_square,
-                        "df": c.dispersion.df,
-                    },
-                    "assessments": [
-                        {
-                            "baseline_kind": a.baseline_kind,
-                            "pseudo_r2": a.pseudo_r2,
-                            "deviance_model": a.deviance_model,
-                            "deviance_baseline": a.deviance_baseline,
-                            "phi_hat": a.phi_hat,
-                            "k_penalty": a.k_penalty,
-                        }
-                        for a in c.assessments
-                    ],
-                }
-                for c in columns
-            ]
-        },
+        {"models": [{"model": c.label, **c.assessment_document()} for c in columns]},
         manifest,
     )
     if args.format != "json":  # fit.json above already carries everything
@@ -369,24 +331,7 @@ def cmd_diagnostics(args) -> int:
             "rows_excluded_for_missing": excluded,
             "n": column.fit.n,
             "deviance_model": diagnostics.deviance(column.fit.y, column.fit.fitted),
-            "dispersion": None
-            if column.dispersion is None
-            else {
-                "phi_hat": column.dispersion.phi_hat,
-                "chi_square": column.dispersion.chi_square,
-                "df": column.dispersion.df,
-            },
-            "assessments": [
-                {
-                    "baseline_kind": a.baseline_kind,
-                    "pseudo_r2": a.pseudo_r2,
-                    "deviance_model": a.deviance_model,
-                    "deviance_baseline": a.deviance_baseline,
-                    "phi_hat": a.phi_hat,
-                    "k_penalty": a.k_penalty,
-                }
-                for a in column.assessments
-            ],
+            **column.assessment_document(),
         },
         manifest,
     )
@@ -426,7 +371,7 @@ def cmd_rank(args) -> int:
     manifest = build_manifest("rank", [args.input], _option_echo(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifested_csv(out / "rankings.csv", render_rankings(scores, args.delimiter), manifest)
+    write_text_document(out / "rankings.csv", render_rankings(scores, args.delimiter), manifest)
     return 0
 
 
@@ -514,7 +459,7 @@ def cmd_simulate(args) -> int:
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_manifested_csv(out / "samples.csv", render_simulation_samples(result), manifest)
+    write_text_document(out / "samples.csv", render_simulation_samples(result), manifest)
     write_json_document(
         out / "summary.json", simulation_summary_document(summary, result), manifest
     )
@@ -542,7 +487,7 @@ def cmd_pipeline(args) -> int:
         except Exception as exc:
             raise StageError(f"[stage:{name}] {type(exc).__name__}: {exc}") from exc
 
-    table, _rep = stage("features", lambda: _build_features(args))
+    table, _rep, index = stage("features", lambda: _build_features(args))
     stage(
         "features",
         lambda: ingest.write_table(
@@ -553,7 +498,7 @@ def cmd_pipeline(args) -> int:
     pairings = stage("twins", lambda: _match(args, table))
     stage(
         "twins",
-        lambda: _write_manifested_csv(
+        lambda: write_text_document(
             out / "pairings.csv", _pairings_csv(pairings, args.delimiter), manifest
         ),
     )
@@ -595,15 +540,9 @@ def cmd_pipeline(args) -> int:
 
         def alt_fit() -> ModelColumn:
             alt_records = features.load_abuse(args.abuse_alt, args.delimiter)
-            allocations = features.load_allocations(args.allocations, args.delimiter)
-            counts = features.attribute_abuse(
-                alt_records, features.AllocationIndex(allocations)
-            ).counts
-            alt_twin = ingest.Dataset(
-                records=tuple(
-                    replace(r, abuse_count=counts.get(r.provider_id, 0))
-                    for r in twin_data
-                ),
+            counts = features.attribute_abuse(alt_records, index).counts
+            alt_twin = twin_data.with_columns(
+                {"abuse_count": [counts.get(p, 0) for p in twin_data.provider_ids()]},
                 source_label="alt-feed",
             )
             return fit_and_write(alt_twin, "_alt")
@@ -625,7 +564,7 @@ def cmd_pipeline(args) -> int:
 
     stage(
         "rank",
-        lambda: _write_manifested_csv(
+        lambda: write_text_document(
             out / "rankings.csv",
             render_rankings(diagnostics.rank_providers(twin_data, column.fit), args.delimiter),
             manifest,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .glm import INTERCEPT, FitResult, dummy_name
+from . import glm  # a module import: glm itself imports deviance from here
 from .ingest import Dataset
 
 
@@ -86,7 +86,7 @@ def deviance(y, lambda_hat) -> float:
     return float(2.0 * np.sum(terms))
 
 
-def _baseline_kind(fit: FitResult, baseline: FitResult) -> str:
+def _baseline_kind(fit: glm.FitResult, baseline: glm.FitResult) -> str:
     if baseline.spec == fit.spec:
         # a model against itself: R2 = -k*phi/D <= 0 (the pure penalty)
         return "self"
@@ -101,7 +101,7 @@ def _baseline_kind(fit: FitResult, baseline: FitResult) -> str:
     return "fixed_effects_only"
 
 
-def pseudo_r2(fit: FitResult, baseline: FitResult) -> FitAssessment:
+def pseudo_r2(fit: glm.FitResult, baseline: glm.FitResult) -> FitAssessment:
     """Dispersion-adjusted pseudo-R2: 1 - (D_model + k*phi) / D_baseline.
 
     ``phi`` is the fitted model's own dispersion estimate. Against an
@@ -122,12 +122,12 @@ def pseudo_r2(fit: FitResult, baseline: FitResult) -> FitAssessment:
         k_penalty = fit.k
     else:
         dummies = {
-            dummy_name(f, lvl)
+            glm.dummy_name(f, lvl)
             for f in fit.spec.fixed_effects
             for lvl in fit.factor_levels.get(f, [])
         }
         k_penalty = sum(
-            1 for c in fit.coefficients if c != INTERCEPT and c not in dummies
+            1 for c in fit.coefficients if c != glm.INTERCEPT and c not in dummies
         )
     phi = dispersion(fit.y, fit.fitted, fit.k).phi_hat
     r2 = 1.0 - (d_model + k_penalty * phi) / d_base
@@ -141,7 +141,7 @@ def pseudo_r2(fit: FitResult, baseline: FitResult) -> FitAssessment:
     )
 
 
-def rank_providers(d: Dataset, fit: FitResult) -> list[ProviderScore]:
+def rank_providers(d: Dataset, fit: glm.FitResult) -> list[ProviderScore]:
     """Comparative ranking of observed against model-predicted counts.
 
     Scores are sorted by Pearson residual ascending, so the providers

@@ -8,20 +8,12 @@ integer form and normalized to integers internally.
 from __future__ import annotations
 
 import bisect
-import csv
 import ipaddress
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .ingest import (
-    OPTIONAL_COLUMNS,
-    REQUIRED_COLUMNS,
-    Dataset,
-    ProviderRecord,
-    _parse_cell,
-    log10_transform,
-)
+from .ingest import COLUMNS, Dataset, _parse_cell, _read_rows, log10_transform
 
 #: An IP address is "shared" when it hosts more than this many domains.
 SHARED_DOMAIN_THRESHOLD = 10
@@ -101,7 +93,10 @@ class AllocationIndex:
                 )
         self._ranges = ranges
         self._starts = [a.start for a in ranges]
-        self.provider_ids = sorted({a.provider_id for a in ranges})
+        self.assigned_sizes: dict[str, int] = defaultdict(int)
+        for a in ranges:
+            self.assigned_sizes[a.provider_id] += a.size
+        self.provider_ids = sorted(self.assigned_sizes)
 
     def lookup(self, ip: int) -> str | None:
         """Return the provider owning ``ip``, or ``None`` if unallocated."""
@@ -109,9 +104,6 @@ class AllocationIndex:
         if pos >= 0 and self._ranges[pos].start <= ip <= self._ranges[pos].end:
             return self._ranges[pos].provider_id
         return None
-
-    def assigned_size(self, provider_id: str) -> int:
-        return sum(a.size for a in self._ranges if a.provider_id == provider_id)
 
 
 def classify_shared_ip(domain_count: int) -> bool:
@@ -121,11 +113,17 @@ def classify_shared_ip(domain_count: int) -> bool:
 
 @dataclass
 class SharedIpStats:
-    """Per-provider percent-shared values plus attribution bookkeeping."""
+    """Per-provider percent-shared values plus attribution bookkeeping.
+
+    ``hosting_ips`` and ``hosted_domains`` count each provider's distinct
+    IPs and domains seen in the observations.
+    """
 
     values: dict[str, float]
     zero_domain_providers: set[str] = field(default_factory=set)
     skipped: int = 0
+    hosting_ips: dict[str, int] = field(default_factory=dict)
+    hosted_domains: dict[str, int] = field(default_factory=dict)
 
 
 def pct_shared(
@@ -168,7 +166,13 @@ def pct_shared(
             zero_domain.add(provider)
         else:
             values[provider] = 100.0 * len(shared_domains.get(provider, set())) / len(total)
-    return SharedIpStats(values=values, zero_domain_providers=zero_domain, skipped=skipped)
+    return SharedIpStats(
+        values=values,
+        zero_domain_providers=zero_domain,
+        skipped=skipped,
+        hosting_ips=dict(Counter(provider_of_ip[ip] for ip in domains_per_ip)),
+        hosted_domains={p: len(doms) for p, doms in provider_domains.items()},
+    )
 
 
 def popularity_index(ranks: Iterable[int], list_size: int = 1_000_000) -> float:
@@ -231,72 +235,60 @@ class FeatureReport:
 
 
 def build_provider_table(
-    allocations: Sequence[IpAllocation],
+    allocations: Sequence[IpAllocation] | AllocationIndex,
     observations: Sequence[HostingObservation],
     abuse: Sequence[AbuseRecord],
     source_label: str = "",
 ) -> tuple[Dataset, FeatureReport]:
     """Assemble the modeling dataset from raw offline inputs.
 
-    Produces one record per allocated provider with the four structural
+    Produces one row per allocated provider with the four structural
     variables (log10 assigned IPs, log10 hosting IPs, log10 hosted
-    domains, percent shared) and the attributed abuse count.
+    domains, percent shared) and the attributed abuse count. An
+    ``AllocationIndex`` may stand in for the allocations.
     """
-    index = AllocationIndex(allocations)
+    index = (
+        allocations
+        if isinstance(allocations, AllocationIndex)
+        else AllocationIndex(allocations)
+    )
     shared = pct_shared(observations, index)
     attribution = attribute_abuse(abuse, index)
-
-    hosting_ips: dict[str, set[int]] = defaultdict(set)
-    hosted_domains: dict[str, set[str]] = defaultdict(set)
-    for obs in observations:
-        owner = index.lookup(obs.ip)
-        if owner is not None:
-            hosting_ips[owner].add(obs.ip)
-            hosted_domains[owner].add(obs.domain)
-
-    records = []
-    for provider in index.provider_ids:
-        records.append(
-            ProviderRecord(
-                provider_id=provider,
-                assigned_ips_log10=log10_transform(index.assigned_size(provider)),
-                hosting_ips_log10=log10_transform(len(hosting_ips.get(provider, ()))),
-                hosted_domains_log10=log10_transform(len(hosted_domains.get(provider, ()))),
-                pct_shared=shared.values[provider],
-                abuse_count=attribution.counts[provider],
-            )
-        )
+    ids = index.provider_ids
+    table = Dataset(
+        {
+            "provider_id": ids,
+            "assigned_ips_log10": log10_transform([index.assigned_sizes[p] for p in ids]),
+            "hosting_ips_log10": log10_transform([shared.hosting_ips.get(p, 0) for p in ids]),
+            "hosted_domains_log10": log10_transform(
+                [shared.hosted_domains.get(p, 0) for p in ids]
+            ),
+            "pct_shared": [shared.values[p] for p in ids],
+            "abuse_count": [attribution.counts[p] for p in ids],
+        },
+        source_label=source_label,
+    )
     report = FeatureReport(
-        n_providers=len(records),
+        n_providers=len(ids),
         skipped_observations=shared.skipped,
         skipped_abuse_records=attribution.skipped,
         zero_domain_providers=len(shared.zero_domain_providers),
     )
-    return Dataset(records=tuple(records), source_label=source_label), report
+    return table, report
 
 
 def merge_enrichment(d: Dataset, rows: dict[str, dict], columns: Sequence[str]) -> Dataset:
     """Merge enrichment columns (price, country, ...) into a provider table.
 
     ``rows`` maps provider_id to a dict of enrichment values; providers
-    absent from the mapping keep missing values.
+    absent from the mapping, or without a value, keep their current one.
     """
-    merged = []
-    for rec in d:
-        extra = rows.get(rec.provider_id, {})
-        updates = {c: extra.get(c) for c in columns if extra.get(c) is not None}
-        merged.append(replace(rec, **updates) if updates else rec)
-    return Dataset(records=tuple(merged), source_label=d.source_label)
-
-
-def _read_rows(path, delimiter: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = (l for l in fh if not l.lstrip().startswith("#"))
-        rows = list(csv.reader(lines, delimiter=delimiter))
-    if not rows:
-        raise AllocationError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    return header, rows[1:]
+    extras = [rows.get(pid, {}) for pid in d.provider_ids()]
+    merged = {}
+    for c in columns:
+        current = d.column(c).tolist()
+        merged[c] = [v if e.get(c) is None else e[c] for v, e in zip(current, extras)]
+    return d.with_columns(merged)
 
 
 def _column(header: list[str], name: str, path) -> int:
@@ -307,7 +299,7 @@ def _column(header: list[str], name: str, path) -> int:
 
 def load_allocations(path, delimiter: str = ",") -> list[IpAllocation]:
     """Read allocations from columns provider_id, ip_start, ip_end."""
-    header, rows = _read_rows(path, delimiter)
+    header, rows = _read_rows(path, delimiter, AllocationError)
     pid = _column(header, "provider_id", path)
     lo = _column(header, "ip_start", path)
     hi = _column(header, "ip_end", path)
@@ -320,7 +312,7 @@ def load_allocations(path, delimiter: str = ",") -> list[IpAllocation]:
 
 def load_observations(path, delimiter: str = ",") -> list[HostingObservation]:
     """Read hosting observations from columns domain, ip."""
-    header, rows = _read_rows(path, delimiter)
+    header, rows = _read_rows(path, delimiter, AllocationError)
     dom = _column(header, "domain", path)
     ip = _column(header, "ip", path)
     return [HostingObservation(row[dom].strip(), parse_ip(row[ip])) for row in rows if row]
@@ -328,7 +320,7 @@ def load_observations(path, delimiter: str = ",") -> list[HostingObservation]:
 
 def load_abuse(path, delimiter: str = ",") -> list[AbuseRecord]:
     """Read abuse records from columns domain, ip and optional timestamp."""
-    header, rows = _read_rows(path, delimiter)
+    header, rows = _read_rows(path, delimiter, AllocationError)
     dom = _column(header, "domain", path)
     ip = _column(header, "ip", path)
     ts = header.index("timestamp") if "timestamp" in header else None
@@ -348,8 +340,8 @@ def load_enrichment(path, delimiter: str = ",") -> dict[str, dict]:
     tables (ranges, numeric parsing); empty cells are missing; unknown
     columns are ignored.
     """
-    known = set(REQUIRED_COLUMNS) | set(OPTIONAL_COLUMNS)
-    header, rows = _read_rows(path, delimiter)
+    known = set(COLUMNS)
+    header, rows = _read_rows(path, delimiter, AllocationError)
     pid = _column(header, "provider_id", path)
     out: dict[str, dict] = {}
     for lineno, row in enumerate(rows, start=2):

@@ -15,6 +15,7 @@ from typing import Mapping
 import numpy as np
 from scipy import linalg, special, stats
 
+from .diagnostics import deviance
 from .ingest import Dataset, STRING_COLUMNS
 
 INTERCEPT = "intercept"
@@ -93,42 +94,39 @@ def build_design(d: Dataset, spec: ModelSpec, collinearity_rtol: float = 1e-8) -
     levels in lexicographic order.
     """
     used = (spec.response,) + spec.predictors + spec.fixed_effects
-    cols = {name: d.column(name) for name in used}
+    missing = np.zeros(len(d), dtype=bool)
+    for name in used:
+        missing |= d.missing(name)
     for name in (spec.response,) + spec.predictors:
         if name in STRING_COLUMNS:
             raise DesignError(f"column {name!r} is not numeric")
 
-    keep = [
-        i
-        for i in range(len(d))
-        if all(cols[name][i] is not None for name in used)
-    ]
-    excluded = len(d) - len(keep)
-    if not keep:
+    keep = np.flatnonzero(~missing)
+    excluded = len(d) - keep.size
+    if not keep.size:
         raise DesignError("empty design: every row has a missing value in a used column")
 
-    y = np.array([cols[spec.response][i] for i in keep], dtype=float)
+    y = d.numeric(spec.response)[keep]
     if np.any(y < 0) or np.any(y != np.floor(y)):
         raise DesignError(f"response {spec.response!r} must hold non-negative integers")
 
     factor_levels: dict[str, list[str]] = {}
     candidate: list[tuple[str, np.ndarray]] = []
     if spec.include_intercept:
-        candidate.append((INTERCEPT, np.ones(len(keep))))
+        candidate.append((INTERCEPT, np.ones(keep.size)))
     for name in spec.predictors:
-        candidate.append((name, np.array([float(cols[name][i]) for i in keep])))
+        candidate.append((name, d.numeric(name)[keep]))
     for factor in spec.fixed_effects:
-        values = [str(cols[factor][i]) for i in keep]
-        levels = sorted(set(values))
+        # levels are str() of the Python values, sorted lexicographically
+        labels = [str(v) for v in d.column(factor)[keep].tolist()]
+        levels, codes = np.unique(labels, return_inverse=True)
         if len(levels) < 2:
             raise DesignError(
                 f"fixed effect {factor!r} has a single level after exclusions"
             )
-        factor_levels[factor] = levels
-        for level in levels[1:]:
-            candidate.append(
-                (dummy_name(factor, level), np.array([1.0 if v == level else 0.0 for v in values]))
-            )
+        factor_levels[factor] = levels.tolist()
+        for code, level in enumerate(factor_levels[factor][1:], start=1):
+            candidate.append((dummy_name(factor, level), (codes == code).astype(float)))
 
     if not candidate:
         raise DesignError("empty design: no intercept and no predictors")
@@ -168,7 +166,7 @@ def build_design(d: Dataset, spec: ModelSpec, collinearity_rtol: float = 1e-8) -
         factor_levels=factor_levels,
         dropped=dropped,
         excluded_rows=excluded,
-        row_index=np.array(keep, dtype=int),
+        row_index=keep,
     )
 
 
@@ -186,12 +184,6 @@ def log_likelihood(y, lam) -> float:
     if np.any(lam <= 0):
         raise ValueError("lambda must be strictly positive")
     return float(np.sum(-lam + special.xlogy(y, lam) - special.gammaln(y + 1.0)))
-
-
-def _poisson_deviance(y: np.ndarray, lam: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = special.xlogy(y, y / lam) - (y - lam)
-    return float(2.0 * np.sum(terms))
 
 
 def aic(log_likelihood: float, n_parameters: int) -> float:
@@ -267,7 +259,7 @@ def fit_poisson(dm: DesignMatrix, opts: FitOptions = FitOptions()) -> FitResult:
         beta[0] = np.log(y.mean() + 0.1)
     eta = X @ beta
     lam = np.exp(eta)
-    dev = _poisson_deviance(y, lam)
+    dev = deviance(y, lam)
 
     converged = False
     messages: list[str] = []
@@ -294,7 +286,7 @@ def fit_poisson(dm: DesignMatrix, opts: FitOptions = FitOptions()) -> FitResult:
                 eta_c = X @ cand
                 lam_c = np.exp(eta_c)
             if np.all(np.isfinite(lam_c)) and np.all(lam_c > 0):
-                dev_c = _poisson_deviance(y, lam_c)
+                dev_c = deviance(y, lam_c)
                 if dev_c <= dev + 1e-12 * (1.0 + abs(dev)):
                     accepted = True
                     break

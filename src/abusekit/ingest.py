@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -74,41 +74,113 @@ class ProviderRecord:
     twin_id: str | None = None
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Immutable, ordered collection of provider records.
+#: Every column, in file order; also the field order of ProviderRecord.
+COLUMNS = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
 
-    ``source_label`` names the origin of ``abuse_count`` (e.g. which abuse
-    feed produced it) so fits on alternative feeds stay distinguishable.
+
+def _as_column(name: str, values) -> np.ndarray:
+    if name in STRING_COLUMNS:
+        arr = np.empty(len(values), dtype=object)
+        arr[:] = values
+    else:
+        arr = np.asarray(values, dtype=np.int64 if name == "abuse_count" else float)
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+class Dataset:
+    """Immutable provider table held as one read-only numpy array per column.
+
+    Numeric columns are float64 with NaN marking missing values;
+    ``abuse_count`` is int64 and never missing; ``provider_id``,
+    ``country`` and ``twin_id`` are object arrays with ``None`` marking
+    missing values. ``columns`` must hold every required column; absent
+    optional columns are all missing. ``source_label`` names the origin of
+    ``abuse_count`` (e.g. which abuse feed produced it) so fits on
+    alternative feeds stay distinguishable.
     """
 
-    records: tuple[ProviderRecord, ...]
-    source_label: str = ""
+    def __init__(self, columns: Mapping[str, Sequence], source_label: str = ""):
+        unknown = set(columns) - set(COLUMNS)
+        if unknown:
+            raise KeyError(f"unknown columns {sorted(unknown)}")
+        n = len(columns["provider_id"])
+        self._columns: dict[str, np.ndarray] = {}
+        for name in COLUMNS:
+            if name in columns:
+                col = _as_column(name, columns[name])
+                if col.shape != (n,):
+                    raise ValueError(f"column {name!r} holds {col.shape} values, not {n}")
+            elif name in REQUIRED_COLUMNS:
+                raise KeyError(f"missing required column {name!r}")
+            elif name in STRING_COLUMNS:
+                col = _as_column(name, np.full(n, None))
+            else:
+                col = _as_column(name, np.full(n, math.nan))
+            self._columns[name] = col
+        self._source_label = source_label
 
-    def __len__(self) -> int:
-        return len(self.records)
+    @property
+    def source_label(self) -> str:
+        return self._source_label
+
+    @classmethod
+    def from_records(
+        cls, records: Iterable[ProviderRecord], source_label: str = ""
+    ) -> "Dataset":
+        """Build a table from row objects; ``None`` fields load as missing."""
+        rows = list(records)
+        return cls({c: [getattr(r, c) for r in rows] for c in COLUMNS}, source_label)
+
+    @property
+    def records(self) -> tuple[ProviderRecord, ...]:
+        """Row view with ``None`` for missing values, built on each access."""
+        cols = [self._columns[c].tolist() for c in COLUMNS]
+        # v != v holds only for NaN, the missing marker of numeric columns
+        return tuple(
+            ProviderRecord(*(None if v != v else v for v in row)) for row in zip(*cols)
+        )
 
     def __iter__(self) -> Iterator[ProviderRecord]:
         return iter(self.records)
 
-    def column(self, name: str) -> list:
-        """Return the named column as a list, ``None`` marking missing values."""
-        if name not in _FIELD_NAMES:
+    def __len__(self) -> int:
+        return len(self._columns["provider_id"])
+
+    def column(self, name: str) -> np.ndarray:
+        """Return the named column (read-only) in its storage type."""
+        if name not in self._columns:
             raise KeyError(f"unknown column {name!r}")
-        return [getattr(r, name) for r in self.records]
+        return self._columns[name]
 
     def numeric(self, name: str) -> np.ndarray:
         """Return a numeric column as float array with NaN for missing values."""
         if name in STRING_COLUMNS:
             raise TypeError(f"column {name!r} is not numeric")
-        vals = self.column(name)
-        return np.array([math.nan if v is None else float(v) for v in vals])
+        return self.column(name).astype(float, copy=False)
+
+    def missing(self, name: str) -> np.ndarray:
+        """Boolean mask of the rows whose ``name`` value is missing."""
+        col = self.column(name)
+        return np.equal(col, None) if name in STRING_COLUMNS else np.isnan(col)
 
     def provider_ids(self) -> list[str]:
-        return [r.provider_id for r in self.records]
+        return self._columns["provider_id"].tolist()
 
+    def take(self, rows) -> "Dataset":
+        """Rows picked by an integer index array or a boolean mask, in order."""
+        rows = np.asarray(rows)
+        if rows.size == 0:
+            rows = rows.astype(int)  # [] would be a float index
+        return Dataset({c: col[rows] for c, col in self._columns.items()}, self.source_label)
 
-_FIELD_NAMES = tuple(f.name for f in fields(ProviderRecord))
+    def with_columns(
+        self, columns: Mapping[str, Sequence], source_label: str | None = None
+    ) -> "Dataset":
+        """Copy with the given columns replaced and, optionally, a new label."""
+        label = self.source_label if source_label is None else source_label
+        return Dataset({**self._columns, **columns}, label)
 
 
 @dataclass(frozen=True)
@@ -149,27 +221,25 @@ def log10_transform(x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _parse_float(text: str, column: str, row: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise LoadError(
-            f"row {row}: non-numeric value {text!r} in column {column!r}"
-        ) from None
-
-
 def _parse_cell(column: str, text: str, row: int):
     text = text.strip()
     if text == "":
         return None
     if column in STRING_COLUMNS:
         return text
-    value = _parse_float(text, column, row)
+    try:
+        value = float(text)
+    except ValueError:
+        raise LoadError(
+            f"row {row}: non-numeric value {text!r} in column {column!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise LoadError(f"row {row}: non-finite value {text!r} in column {column!r}")
     if column == "abuse_count":
-        if value < 0 or value != int(value):
+        if value < 0 or value != int(value) or value >= 2.0**63:
             raise LoadError(
                 f"row {row}: column 'abuse_count' must be a non-negative "
-                f"integer, got {text!r}"
+                f"integer below 2**63, got {text!r}"
             )
         return int(value)
     if column == "pct_shared" and not 0.0 <= value <= 100.0:
@@ -204,61 +274,65 @@ def load_table(
     Raises
     ------
     LoadError
-        On a missing required column, a non-numeric cell in a numeric
-        column or a duplicate provider key, each reported with its row
+        On a missing required column, a non-numeric or non-finite cell in
+        a numeric column or a duplicate provider key, each reported with its row
         number (physical line, header = row 1).
     """
     schema = dict(schema or {})
-    unknown = set(schema) - set(REQUIRED_COLUMNS) - set(OPTIONAL_COLUMNS)
+    unknown = set(schema) - set(COLUMNS)
     if unknown:
         raise LoadError(f"schema maps unknown canonical columns: {sorted(unknown)}")
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(_skip_comments(fh), delimiter=delimiter)
-        try:
-            header = next(rows)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        positions: dict[str, int] = {}
-        for canonical in REQUIRED_COLUMNS + OPTIONAL_COLUMNS:
-            file_col = schema.get(canonical, canonical)
-            if file_col in header:
-                positions[canonical] = header.index(file_col)
-            elif canonical in REQUIRED_COLUMNS or canonical in schema:
-                raise LoadError(f"{path}: missing required column {file_col!r}")
+    header, rows = _read_rows(path, delimiter, LoadError)
+    positions: dict[str, int] = {}
+    for canonical in COLUMNS:
+        file_col = schema.get(canonical, canonical)
+        if file_col in header:
+            positions[canonical] = header.index(file_col)
+        elif canonical in REQUIRED_COLUMNS or canonical in schema:
+            raise LoadError(f"{path}: missing required column {file_col!r}")
 
-        records: list[ProviderRecord] = []
-        seen: set[tuple] = set()
-        for lineno, raw in enumerate(rows, start=2):
-            if not raw:
-                continue
-            values = {}
-            for canonical, idx in positions.items():
-                cell = raw[idx] if idx < len(raw) else ""
-                values[canonical] = _parse_cell(canonical, cell, lineno)
-            for required in ("provider_id", "abuse_count"):
-                if values.get(required) is None:
-                    raise LoadError(
-                        f"row {lineno}: missing value in required column {required!r}"
-                    )
-            # Twin datasets repeat providers (one row per twin slot), so the
-            # uniqueness key includes twin_id when that column is present.
-            key = (values["provider_id"], values.get("twin_id"))
-            if key in seen:
+    columns: dict[str, list] = {canonical: [] for canonical in positions}
+    seen: set[tuple] = set()
+    for lineno, raw in enumerate(rows, start=2):
+        if not raw:
+            continue
+        values = {
+            canonical: _parse_cell(canonical, raw[idx] if idx < len(raw) else "", lineno)
+            for canonical, idx in positions.items()
+        }
+        for required in ("provider_id", "abuse_count"):
+            if values[required] is None:
                 raise LoadError(
-                    f"row {lineno}: duplicate provider_id {values['provider_id']!r}"
+                    f"row {lineno}: missing value in required column {required!r}"
                 )
-            seen.add(key)
-            records.append(ProviderRecord(**values))
+        # Twin datasets repeat providers (one row per twin slot), so the
+        # uniqueness key includes twin_id when that column is present.
+        key = (values["provider_id"], values.get("twin_id"))
+        if key in seen:
+            raise LoadError(
+                f"row {lineno}: duplicate provider_id {values['provider_id']!r}"
+            )
+        seen.add(key)
+        for canonical, value in values.items():
+            columns[canonical].append(value)
 
-    return Dataset(records=tuple(records), source_label=source_label)
+    return Dataset(columns, source_label=source_label)
 
 
-def _skip_comments(lines: Iterable[str]) -> Iterator[str]:
-    for line in lines:
-        if not line.lstrip().startswith("#"):
-            yield line
+def _read_rows(
+    path, delimiter: str, error: type[Exception]
+) -> tuple[list[str], list[list[str]]]:
+    """Stripped header and data rows of a delimited file, skipping ``#`` lines.
+
+    Raises ``error`` when the file holds no header.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = (line for line in fh if not line.lstrip().startswith("#"))
+        rows = list(csv.reader(lines, delimiter=delimiter))
+    if not rows:
+        raise error(f"{path}: empty file")
+    return [h.strip() for h in rows[0]], rows[1:]
 
 
 def write_table(
@@ -270,29 +344,25 @@ def write_table(
     """Serialize a dataset back to delimited text (round-trip exact).
 
     Floats are written with ``repr`` so ``load_table(write_table(d))``
-    reproduces every field bit-for-bit. ``comment_lines`` are emitted as
-    ``#``-prefixed lines before the header.
+    reproduces every field bit-for-bit. Optional columns are written only
+    when they hold a value. ``comment_lines`` are emitted as ``#``-prefixed
+    lines before the header.
     """
-    present = [
-        c
-        for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS
-        if c in REQUIRED_COLUMNS or any(getattr(r, c) is not None for r in d)
-    ]
+    present = [c for c in COLUMNS if c in REQUIRED_COLUMNS or not d.missing(c).all()]
+    cells = [_format_column(d.column(c)) for c in present]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in comment_lines:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(present)
-        for rec in d:
-            writer.writerow([_format_cell(getattr(rec, c)) for c in present])
+        writer.writerows(zip(*cells))
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _format_column(col: np.ndarray) -> list[str]:
+    # tolist() yields Python scalars; repr(np.float64(x)) is "np.float64(x)"
+    if col.dtype.kind == "f":
+        return ["" if math.isnan(v) else repr(v) for v in col.tolist()]
+    return ["" if v is None else str(v) for v in col.tolist()]
 
 
 def describe(d: Dataset, columns: Sequence[str]) -> list[ColumnSummary]:

@@ -231,6 +231,26 @@ class ModelColumn:
     def tests(self) -> dict[str, WaldTest]:
         return {t.name: t for t in wald_tests(self.fit)}
 
+    def assessment_document(self) -> dict:
+        """Dispersion estimate and pseudo-R2 assessments, JSON-shaped."""
+        disp = self.dispersion
+        return {
+            "dispersion": None
+            if disp is None
+            else {"phi_hat": disp.phi_hat, "chi_square": disp.chi_square, "df": disp.df},
+            "assessments": [
+                {
+                    "baseline_kind": a.baseline_kind,
+                    "pseudo_r2": a.pseudo_r2,
+                    "deviance_model": a.deviance_model,
+                    "deviance_baseline": a.deviance_baseline,
+                    "phi_hat": a.phi_hat,
+                    "k_penalty": a.k_penalty,
+                }
+                for a in self.assessments
+            ],
+        }
+
 
 def _coefficient_cell(column: ModelColumn, term: str) -> str:
     if term not in column.fit.coefficients:
@@ -385,24 +405,8 @@ def fit_document(column: ModelColumn) -> dict:
         ],
         "star_thresholds": [0.05, 0.01, 0.001],
     }
-    if column.dispersion:
-        doc["dispersion"] = {
-            "phi_hat": column.dispersion.phi_hat,
-            "chi_square": column.dispersion.chi_square,
-            "df": column.dispersion.df,
-        }
-    if column.assessments:
-        doc["assessments"] = [
-            {
-                "baseline_kind": a.baseline_kind,
-                "pseudo_r2": a.pseudo_r2,
-                "deviance_model": a.deviance_model,
-                "deviance_baseline": a.deviance_baseline,
-                "phi_hat": a.phi_hat,
-                "k_penalty": a.k_penalty,
-            }
-            for a in column.assessments
-        ]
+    # fit.json leaves out a missing dispersion and an empty assessment list
+    doc.update({k: v for k, v in column.assessment_document().items() if v})
     return doc
 
 

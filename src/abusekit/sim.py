@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import dispersion
 from .glm import INTERCEPT, ModelSpec, build_design, fit_poisson
-from .ingest import Dataset, ProviderRecord
+from .ingest import Dataset
 
 log = logging.getLogger(__name__)
 
@@ -150,18 +150,15 @@ def gen_population(cfg: SimulationConfig, replicate_index: int) -> Dataset:
         col: s + rng.normal(mu, sigma, cfg.n)
         for col, (mu, sigma) in ((c, cfg.noise[c]) for c in PROXY_COLUMNS)
     }
-    records = tuple(
-        ProviderRecord(
-            provider_id=f"sim{i:06d}",
-            assigned_ips_log10=float(proxies["assigned_ips_log10"][i]),
-            hosting_ips_log10=float(proxies["hosting_ips_log10"][i]),
-            hosted_domains_log10=float(proxies["hosted_domains_log10"][i]),
-            pct_shared=0.0,
-            abuse_count=int(y[i]),
-        )
-        for i in range(cfg.n)
+    return Dataset(
+        {
+            "provider_id": [f"sim{i:06d}" for i in range(cfg.n)],
+            **proxies,
+            "pct_shared": np.zeros(cfg.n),
+            "abuse_count": y,
+        },
+        source_label=f"synthetic:{replicate_index}",
     )
-    return Dataset(records=records, source_label=f"synthetic:{replicate_index}")
 
 
 def run_monte_carlo(

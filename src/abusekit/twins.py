@@ -7,11 +7,11 @@ controls for the selection and for between-pair level differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Dataset
+from .ingest import STRING_COLUMNS, Dataset
 
 #: Default matching space: the four structural variables.
 DEFAULT_MATCH_VARIABLES = (
@@ -44,6 +44,8 @@ class MatchingConfig:
         object.__setattr__(self, "variables", tuple(self.variables))
         if not self.variables:
             raise ValueError("matching requires at least one variable")
+        if set(self.variables) & set(STRING_COLUMNS):
+            raise ValueError("matching variables must be numeric columns")
 
 
 @dataclass(frozen=True)
@@ -70,16 +72,10 @@ class DistanceResult:
 
 
 def _matching_rows(d: Dataset, variables) -> tuple[list[str], np.ndarray, list[str]]:
-    ids, rows, excluded = [], [], []
-    cols = {v: d.column(v) for v in variables}
-    for i, rec in enumerate(d):
-        values = [cols[v][i] for v in variables]
-        if any(val is None for val in values):
-            excluded.append(rec.provider_id)
-        else:
-            ids.append(rec.provider_id)
-            rows.append([float(v) for v in values])
-    return ids, np.array(rows, dtype=float).reshape(len(ids), len(variables)), excluded
+    x = np.column_stack([d.numeric(v) for v in variables])
+    complete = ~np.isnan(x).any(axis=1)
+    ids = d.column("provider_id")
+    return ids[complete].tolist(), x[complete], ids[~complete].tolist()
 
 
 def distance_matrix(S: Dataset, T: Dataset, cfg: MatchingConfig = MatchingConfig()) -> DistanceResult:
@@ -175,19 +171,23 @@ def listwise_exclude(
     match), each carrying the pair's twin_id. A provider matched into two
     twins appears once per twin.
     """
-    by_id = {}
-    for rec in d:
-        by_id.setdefault(rec.provider_id, rec)
-    records = []
+    first_row: dict[str, int] = {}
+    for row, pid in enumerate(d.provider_ids()):
+        first_row.setdefault(pid, row)
+    complete = np.ones(len(d), dtype=bool)
+    for col in required:
+        complete &= ~d.missing(col)
+    rows, labels = [], []
     for pairing in pairings:
         members = []
         for pid in (pairing.seed_id, pairing.match_id):
-            if pid not in by_id:
+            if pid not in first_row:
                 raise MatchingError(f"pairing references unknown provider {pid!r}")
-            members.append(by_id[pid])
-        if all(getattr(m, col) is not None for m in members for col in required):
-            records.extend(replace(m, twin_id=pairing.twin_id) for m in members)
-    return Dataset(records=tuple(records), source_label=d.source_label)
+            members.append(first_row[pid])
+        if complete[members].all():
+            rows.extend(members)
+            labels.extend([pairing.twin_id] * 2)
+    return d.take(rows).with_columns({"twin_id": labels})
 
 
 def sample_seed_ids(d: Dataset, n_seeds: int, rng_seed: int) -> list[str]:

@@ -36,7 +36,7 @@ def make_dataset(rows, source_label=""):
             records.append(make_record(i, abuse_count=row))
         else:
             records.append(make_record(i, **row))
-    return Dataset(records=tuple(records), source_label=source_label)
+    return Dataset.from_records(tuple(records), source_label=source_label)
 
 
 @pytest.fixture

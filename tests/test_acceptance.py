@@ -166,7 +166,7 @@ def test_criterion_08_matching_oracle():
         chosen = rng.choice(n_pop, n_seeds, replace=False)
         from abusekit.ingest import Dataset
 
-        S = Dataset(records=tuple(pop.records[i] for i in chosen))
+        S = Dataset.from_records(tuple(pop.records[i] for i in chosen))
         got = [(p.seed_id, p.match_id) for p in match_twins(S, pop, cfg)]
         want = [(s, m) for s, m, _ in exhaustive_oracle(S, pop, cfg)]
         agreements += got == want
@@ -225,7 +225,7 @@ def test_criterion_10_twin_listwise_exclusion():
         pairings.append(TwinPairing(twin_label(seed_id), seed_id, match_id, 0.0))
     from abusekit.ingest import Dataset
 
-    d = Dataset(records=tuple(records))
+    d = Dataset.from_records(tuple(records))
     out = listwise_exclude(pairings, d, ["price_per_year"])
     check(10, f"105 twins with 42 price-complete pairs keep {len(out)} modeling rows",
           len(out) == 84)

@@ -8,6 +8,7 @@ import pytest
 from abusekit.cli import load_sim_config, main
 
 FIXTURE = Path(__file__).parent / "data" / "fixture"
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def fixture_args():
@@ -17,6 +18,30 @@ def fixture_args():
         "--abuse", str(FIXTURE / "abuse.csv"),
         "--enrichment", str(FIXTURE / "enrichment.csv"),
     ]
+
+
+def golden_pipeline_argv(out_dir):
+    """The pipeline run whose artifacts are stored under ``GOLDEN``."""
+    return [
+        "pipeline", *fixture_args(),
+        "--abuse-alt", str(FIXTURE / "abuse_alt.csv"),
+        "--seeds", str(FIXTURE / "seeds.txt"),
+        "--predictors", "price_per_year,wordpress_use",
+        "--stepwise",
+        "--out-dir", str(out_dir),
+    ]
+
+
+def strip_manifest(path):
+    """Artifact bytes without the run manifest (it embeds input paths)."""
+    data = Path(path).read_bytes()
+    if path.suffix == ".json":
+        doc = json.loads(data)
+        del doc["manifest"]
+        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    first, rest = data.split(b"\n", 1)
+    assert first.startswith(b"# manifest ")
+    return rest
 
 
 @pytest.fixture(scope="module")
@@ -436,6 +461,15 @@ class TestPipeline:
         alt_doc = json.loads((tmp_path / "fit_alt.json").read_text())
         assert main_doc["models"][0]["n"] == alt_doc["models"][0]["n"]
         assert main_doc["models"][0]["log_likelihood"] != alt_doc["models"][0]["log_likelihood"]
+
+    def test_artifacts_match_golden_bytes(self, tmp_path):
+        # Regenerate with tests/data/make_golden.py after an intended change.
+        assert main(golden_pipeline_argv(tmp_path)) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(p.name for p in GOLDEN.iterdir())
+        assert len(names) == 9
+        for name in names:
+            assert strip_manifest(tmp_path / name) == (GOLDEN / name).read_bytes(), name
 
     def test_stage_labeled_error(self, tmp_path, capsys):
         bad_seeds = tmp_path / "seeds.txt"

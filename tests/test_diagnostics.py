@@ -188,8 +188,8 @@ class TestRankProviders:
     def test_ordering_invariant_under_relabeling(self, rng):
         y = rng.poisson(6.0, size=30)
         d1 = make_dataset([int(v) for v in y])
-        d2 = Dataset(
-            records=tuple(
+        d2 = Dataset.from_records(
+            tuple(
                 make_record(i, abuse_count=int(y[i]), provider_id=f"zz{i:04d}")
                 for i in range(30)
             )

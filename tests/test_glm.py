@@ -97,6 +97,42 @@ class TestBuildDesign:
         assert dm.excluded_rows == 1
         assert dm.row_index.tolist() == [0, 2]
 
+    def test_matches_row_loop_reference(self, rng):
+        countries = ["NL", "DE", None, "US", "\u00c4"]
+        rows = [
+            {
+                "price_per_year": None if rng.random() < 0.2 else float(rng.normal()),
+                "country": countries[int(rng.integers(5))],
+                "time_in_business": float(rng.integers(0, 4)),  # numeric factor
+                "abuse_count": int(rng.integers(0, 9)),
+            }
+            for _ in range(60)
+        ]
+        d = make_dataset(rows)
+        factors = ("country", "time_in_business")
+        dm = build_design(d, ModelSpec("abuse_count", ("price_per_year",), factors))
+        # row-wise reference: complete rows, str() levels in sorted order
+        records = d.records
+        used = ("abuse_count", "price_per_year") + factors
+        keep = [
+            i for i, r in enumerate(records) if all(getattr(r, c) is not None for c in used)
+        ]
+        kept = [records[i] for i in keep]
+        expected = {
+            INTERCEPT: [1.0] * len(kept),
+            "price_per_year": [r.price_per_year for r in kept],
+        }
+        for factor in factors:
+            values = [str(getattr(r, factor)) for r in kept]
+            assert dm.factor_levels[factor] == sorted(set(values))
+            for level in sorted(set(values))[1:]:
+                expected[f"{factor}[{level}]"] = [float(v == level) for v in values]
+        assert dm.row_index.tolist() == keep
+        assert dm.y.tolist() == [float(r.abuse_count) for r in kept]
+        assert set(dm.columns) | {name for name, _ in dm.dropped} == set(expected)
+        for j, name in enumerate(dm.columns):
+            assert dm.X[:, j].tolist() == expected[name]
+
     def test_single_level_factor_rejected(self):
         d = make_dataset([{"country": "US", "abuse_count": 1}] * 3)
         with pytest.raises(DesignError, match="single level"):
@@ -213,8 +249,8 @@ class TestFitPoisson:
             y = rng.poisson(np.exp(X @ beta_true))
             if y.sum() == 0:
                 continue
-            d = Dataset(
-                records=tuple(
+            d = Dataset.from_records(
+                tuple(
                     make_record(
                         i,
                         abuse_count=int(y[i]),

@@ -37,6 +37,11 @@ class TestLoadTable:
         with pytest.raises(LoadError, match=r"row 3.*abuse_count"):
             load_table(path)
 
+    def test_abuse_count_beyond_int64_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "a,1,1,1,10,1e19\n")
+        with pytest.raises(LoadError, match=r"row 2.*abuse_count"):
+            load_table(path)
+
     def test_missing_optional_column_loads_as_missing(self, tmp_path):
         path = write_csv(tmp_path, "a,1,1,1,10,3\n")
         d = load_table(path)
@@ -70,6 +75,26 @@ class TestLoadTable:
         path = write_csv(tmp_path, "a,1,1,1,10,9\n", header=header)
         d = load_table(path, schema={"abuse_count": "phish_feed_a"})
         assert d.records[0].abuse_count == 9
+
+    @pytest.mark.parametrize(
+        "column,text",
+        [
+            ("abuse_count", "inf"),
+            ("price_per_year", "nan"),
+            ("pct_shared", "-inf"),
+            ("assigned_ips_log10", "NaN"),
+            ("wordpress_use", "Infinity"),
+        ],
+    )
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, column, text):
+        header = HEADER + ",price_per_year,wordpress_use"
+        cells = dict(zip(header.split(","), "a,1,1,1,10,3,9.5,0.5".split(",")))
+        cells[column] = text
+        body = "b,2,1,1,20,0,,\n" + ",".join(cells.values()) + "\n"
+        path = write_csv(tmp_path, body, header=header)
+        message = rf"row 3: non-finite value '{text}' in column '{column}'"
+        with pytest.raises(LoadError, match=message):
+            load_table(path)
 
     def test_pct_shared_range_enforced(self, tmp_path):
         path = write_csv(tmp_path, "a,1,1,1,120,3\n")

@@ -27,7 +27,7 @@ def point_dataset(points, prefix="p"):
                 hosting_ips_log10=float(y),
             )
         )
-    return Dataset(records=tuple(records))
+    return Dataset.from_records(tuple(records))
 
 
 CFG2 = MatchingConfig(
@@ -91,11 +91,15 @@ class TestDistanceMatrix:
             make_record(0, provider_id="a", price_per_year=1.0),
             make_record(1, provider_id="b", price_per_year=None),
         )
-        d = Dataset(records=records)
+        d = Dataset.from_records(records)
         cfg = MatchingConfig(variables=("price_per_year",), standardize=False)
         res = distance_matrix(d, d, cfg)
         assert res.excluded_seed_ids == ["b"]
         assert res.population_ids == ["a"]
+
+    def test_string_matching_variable_rejected(self):
+        with pytest.raises(ValueError, match="numeric"):
+            MatchingConfig(variables=("assigned_ips_log10", "country"))
 
 
 class TestMatchTwins:
@@ -142,7 +146,7 @@ class TestMatchTwins:
         seed_ids = set(
             str(s) for s in rng.choice([r.provider_id for r in pop], n_seeds, replace=False)
         )
-        S = Dataset(records=tuple(r for r in pop if r.provider_id in seed_ids))
+        S = Dataset.from_records(tuple(r for r in pop if r.provider_id in seed_ids))
         pairs = match_twins(S, pop, CFG2)
         assert len(pairs) == n_seeds
         distinct = {p.seed_id for p in pairs} | {p.match_id for p in pairs}
@@ -157,7 +161,7 @@ class TestMatchTwins:
             )
             n_seeds = int(rng.integers(1, min(8, n_pop)))
             chosen = rng.choice(n_pop, n_seeds, replace=False)
-            S = Dataset(records=tuple(pop.records[i] for i in chosen))
+            S = Dataset.from_records(tuple(pop.records[i] for i in chosen))
             got = match_twins(S, pop, CFG2)
             want = exhaustive_oracle(S, pop, CFG2)
             assert [(p.seed_id, p.match_id) for p in got] == [
@@ -173,8 +177,8 @@ class TestMatchTwins:
             [(f"h{i:03d}", tuple(pts[i] * 7.0 + 3.0)) for i in range(50)]
         )
         cfg = MatchingConfig(variables=CFG2.variables, standardize=True)
-        S1 = Dataset(records=pop.records[:6])
-        S2 = Dataset(records=scaled.records[:6])
+        S1 = Dataset.from_records(pop.records[:6])
+        S2 = Dataset.from_records(scaled.records[:6])
         m1 = match_twins(S1, pop, cfg)
         m2 = match_twins(S2, scaled, cfg)
         assert [(p.seed_id, p.match_id) for p in m1] == [
@@ -206,7 +210,7 @@ class TestListwiseExclude:
                 )
             )
             pairings.append(TwinPairing(twin_label(seed_id), seed_id, match_id, 0.0))
-        return Dataset(records=tuple(records)), pairings
+        return Dataset.from_records(tuple(records)), pairings
 
     def test_missing_member_drops_both(self):
         d, pairings = self.make_pairs_dataset(1, price_complete=0)
