@@ -19,6 +19,7 @@ from . import __version__, diagnostics, features, ingest, scenarios, sim, twins
 from .glm import (
     INTERCEPT,
     DesignError,
+    FitResult,
     ModelSpec,
     PredictionError,
     SeparationError,
@@ -75,55 +76,49 @@ def _split(text: str | None) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def _fit_column(sub: ingest.Dataset, spec: ModelSpec, label: str, baseline_mode: str,
-                cache: dict) -> ModelColumn:
-    """Fit one model on a pre-subset dataset and attach its diagnostics."""
-    fit = fit_poisson(build_design(sub, spec))
-    column = ModelColumn(label=label, fit=fit, source_label=sub.source_label)
-    try:
-        column.dispersion = diagnostics.dispersion(fit.y, fit.fitted, fit.k)
-    except diagnostics.DiagnosticsError:
-        column.dispersion = None
+def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
+              baseline_mode: str = "") -> tuple[ingest.Dataset, list[ModelColumn], int]:
+    """Fit the requested model(s) and pseudo-R2 baselines on a common row set.
 
-    baseline_specs = []
-    if spec.fixed_effects and baseline_mode in ("fe", "both"):
-        baseline_specs.append(ModelSpec(spec.response, (), spec.fixed_effects))
-    if baseline_mode in ("intercept", "both"):
-        baseline_specs.append(ModelSpec(spec.response, (), ()))
-    for bspec in baseline_specs:
-        if bspec == spec:
-            continue  # the model is its own baseline; R2 is 0 by construction
-        key = (bspec.predictors, bspec.fixed_effects)
-        if key not in cache:
-            cache[key] = fit_poisson(build_design(sub, bspec))
-        try:
-            column.assessments.append(diagnostics.pseudo_r2(fit, cache[key]))
-        except diagnostics.DiagnosticsError:
-            pass
-    return column
-
-
-def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool,
-              baseline_mode: str) -> tuple[list[ModelColumn], int]:
-    """Fit the requested model(s) on a common row set.
-
-    All models (stepwise or single) are estimated on the rows complete for
-    the widest specification, so their likelihoods, AICs and pseudo-R2
-    values stay comparable.
+    All models (stepwise or single) and baselines are estimated on the rows
+    complete for the widest specification, so their likelihoods, AICs and
+    pseudo-R2 values stay comparable. Returns those rows (each fit's
+    ``row_index`` points into them), one column per model and the number
+    of rows excluded for missing values. Each distinct spec is fitted
+    once: a stepwise model equal to a baseline shares its fit.
     """
     dm = build_design(d, spec)
-    sub = d.take(dm.row_index)
-    specs: list[tuple[str, ModelSpec]] = []
-    if stepwise:
-        for j in range(len(spec.predictors) + 1):
-            specs.append((f"({j + 1})", replace(spec, predictors=spec.predictors[:j])))
-    else:
-        specs.append(("(1)", spec))
-    cache: dict = {}
-    columns = [
-        _fit_column(sub, s, label, baseline_mode, cache) for label, s in specs
-    ]
-    return columns, dm.excluded_rows
+    rows = d.take(dm.row_index)
+    fits: dict[ModelSpec, FitResult] = {}
+
+    def fit(s: ModelSpec) -> FitResult:
+        if s not in fits:
+            fits[s] = fit_poisson(build_design(rows, s))
+        return fits[s]
+
+    steps = range(len(spec.predictors) + 1) if stepwise else [len(spec.predictors)]
+    columns = []
+    for j, s in enumerate((replace(spec, predictors=spec.predictors[:k]) for k in steps), 1):
+        f = fit(s)
+        column = ModelColumn(label=f"({j})", fit=f, source_label=d.source_label)
+        try:
+            column.dispersion = diagnostics.dispersion(f.y, f.fitted, f.k)
+        except diagnostics.DiagnosticsError:
+            pass
+        baselines = []
+        if s.fixed_effects and baseline_mode in ("fe", "both"):
+            baselines.append(ModelSpec(s.response, (), s.fixed_effects))
+        if baseline_mode in ("intercept", "both"):
+            baselines.append(ModelSpec(s.response))
+        for b in baselines:
+            if b == s:
+                continue  # the model is its own baseline; R2 is 0 by construction
+            try:
+                column.assessments.append(diagnostics.pseudo_r2(f, fit(b)))
+            except diagnostics.DiagnosticsError:
+                pass
+        columns.append(column)
+    return rows, columns, dm.excluded_rows
 
 
 def _option_echo(args: argparse.Namespace, skip=("out_dir", "func", "command")) -> dict:
@@ -282,47 +277,81 @@ def _model_spec(args) -> ModelSpec:
     )
 
 
-def _baseline_mode(args, spec: ModelSpec) -> str:
-    if args.baseline == "fe":
-        if not spec.fixed_effects:
-            raise ValueError("--baseline fe requires --fixed-effects")
-        return "fe"
-    return args.baseline
+def _table_fits(args, stepwise: bool = False, baselines: bool = False):
+    """Load ``--input`` and fit the model(s) of a table command.
+
+    Returns the table, the fitted rows, columns and excluded count (see
+    ``_run_fits``), the run manifest and the created output directory.
+    Without ``baselines`` no pseudo-R2 baseline is fitted.
+    """
+    d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
+    spec = _model_spec(args)
+    mode = args.baseline if baselines else ""
+    if mode == "fe" and not spec.fixed_effects:
+        raise ValueError("--baseline fe requires --fixed-effects")
+    rows, columns, excluded = _run_fits(d, spec, stepwise, mode)
+    manifest = build_manifest(args.command, [args.input], _option_echo(args))
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return d, rows, columns, excluded, manifest, out
+
+
+def _write_fits(out: Path, columns: list[ModelColumn], excluded: int, args, manifest,
+                suffix: str = "", **extra) -> None:
+    """``fit{suffix}.json`` and, unless the format is json, the rendered table.
+
+    ``extra`` adds top-level keys to the JSON document.
+    """
+    write_json_document(
+        out / f"fit{suffix}.json",
+        {**extra, "rows_excluded_for_missing": excluded,
+         "models": [fit_document(c) for c in columns]},
+        manifest,
+    )
+    if args.format != "json":  # fit.json above already carries everything
+        write_text_document(
+            out / f"fit_table{suffix}.{args.format}",
+            render_fit_table(columns, fmt=args.format, delimiter=args.delimiter),
+            manifest,
+        )
+
+
+def _write_scenarios(out: Path, fit: FitResult, d: ingest.Dataset, args, manifest) -> None:
+    """Built-in scenarios of ``fit``, with medians taken over ``d``."""
+    surviving = [p for p in fit.spec.predictors if p in fit.coefficients]
+    table = scenarios.scenario_table(fit, scenarios.builtin_scenarios(d, surviving))
+    if args.format == "json":
+        write_json_document(out / "scenarios.json", scenarios_document(table), manifest)
+    else:
+        write_text_document(
+            out / f"scenarios.{args.format}",
+            render_scenarios(table, fmt=args.format, delimiter=args.delimiter),
+            manifest,
+        )
+
+
+def _write_rankings(out: Path, rows: ingest.Dataset, fit: FitResult, args, manifest) -> None:
+    """Observed-vs-predicted ranking; ``rows`` are the rows ``fit`` was fitted on."""
+    write_text_document(
+        out / "rankings.csv",
+        render_rankings(diagnostics.rank_providers(rows, fit), args.delimiter),
+        manifest,
+    )
 
 
 def cmd_fit(args) -> int:
-    d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
-    spec = _model_spec(args)
-    columns, excluded = _run_fits(d, spec, args.stepwise, _baseline_mode(args, spec))
-    manifest = build_manifest("fit", [args.input], _option_echo(args))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json_document(
-        out / "fit.json",
-        {"rows_excluded_for_missing": excluded, "models": [fit_document(c) for c in columns]},
-        manifest,
-    )
+    _d, _rows, columns, excluded, manifest, out = _table_fits(args, args.stepwise, True)
+    _write_fits(out, columns, excluded, args, manifest)
     write_json_document(
         out / "assessment.json",
         {"models": [{"model": c.label, **c.assessment_document()} for c in columns]},
         manifest,
     )
-    if args.format != "json":  # fit.json above already carries everything
-        write_text_document(
-            out / f"fit_table.{args.format}",
-            render_fit_table(columns, fmt=args.format, delimiter=args.delimiter),
-            manifest,
-        )
     return 0
 
 
 def cmd_diagnostics(args) -> int:
-    d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
-    spec = _model_spec(args)
-    columns, excluded = _run_fits(d, spec, False, _baseline_mode(args, spec))
-    manifest = build_manifest("diagnostics", [args.input], _option_echo(args))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _d, _rows, columns, excluded, manifest, out = _table_fits(args, baselines=True)
     column = columns[0]
     write_json_document(
         out / "assessment.json",
@@ -342,36 +371,14 @@ def cmd_diagnostics(args) -> int:
 
 
 def cmd_scenarios(args) -> int:
-    d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
-    spec = _model_spec(args)
-    columns, _ = _run_fits(d, spec, False, "intercept")
-    fit = columns[0].fit
-    specs = scenarios.builtin_scenarios(d, [p for p in spec.predictors if p in fit.coefficients])
-    rows = scenarios.scenario_table(fit, specs)
-    manifest = build_manifest("scenarios", [args.input], _option_echo(args))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        write_json_document(out / "scenarios.json", scenarios_document(rows), manifest)
-    else:
-        write_text_document(
-            out / f"scenarios.{args.format}",
-            render_scenarios(rows, fmt=args.format, delimiter=args.delimiter),
-            manifest,
-        )
+    d, _rows, columns, _excluded, manifest, out = _table_fits(args)
+    _write_scenarios(out, columns[0].fit, d, args, manifest)
     return 0
 
 
 def cmd_rank(args) -> int:
-    d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
-    spec = _model_spec(args)
-    dm = build_design(d, spec)
-    fit = fit_poisson(dm)
-    scores = diagnostics.rank_providers(d, fit)
-    manifest = build_manifest("rank", [args.input], _option_echo(args))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_text_document(out / "rankings.csv", render_rankings(scores, args.delimiter), manifest)
+    _d, rows, columns, _excluded, manifest, out = _table_fits(args)
+    _write_rankings(out, rows, columns[0].fit, args, manifest)
     return 0
 
 
@@ -515,61 +522,29 @@ def cmd_pipeline(args) -> int:
         ),
     )
 
-    def fit_and_write(data: ingest.Dataset, suffix: str) -> ModelColumn:
-        columns, excluded = _run_fits(data, spec, args.stepwise, "both")
-        write_json_document(
-            out / f"fit{suffix}.json",
-            {
-                "source_label": data.source_label,
-                "rows_excluded_for_missing": excluded,
-                "models": [fit_document(c) for c in columns],
-            },
-            manifest,
-        )
-        ext = "md" if args.format == "md" else "csv"
-        write_text_document(
-            out / f"fit_table{suffix}.{ext}",
-            render_fit_table(columns, fmt=args.format, delimiter=args.delimiter),
-            manifest,
-        )
-        return columns[-1]
+    def fit_and_write(data: ingest.Dataset, suffix: str):
+        rows, columns, excluded = _run_fits(data, spec, args.stepwise, "both")
+        _write_fits(out, columns, excluded, args, manifest, suffix,
+                    source_label=data.source_label)
+        return rows, columns[-1].fit
 
-    column = stage("fit", lambda: fit_and_write(twin_data, ""))
+    rows, fit = stage("fit", lambda: fit_and_write(twin_data, ""))
 
     if args.abuse_alt:
 
-        def alt_fit() -> ModelColumn:
+        def alt_fit():
             alt_records = features.load_abuse(args.abuse_alt, args.delimiter)
             counts = features.attribute_abuse(alt_records, index).counts
             alt_twin = twin_data.with_columns(
                 {"abuse_count": [counts.get(p, 0) for p in twin_data.provider_ids()]},
                 source_label="alt-feed",
             )
-            return fit_and_write(alt_twin, "_alt")
+            fit_and_write(alt_twin, "_alt")
 
         stage("fit-alt", alt_fit)
 
-    def write_scenarios():
-        surviving = [p for p in spec.predictors if p in column.fit.coefficients]
-        specs = scenarios.builtin_scenarios(twin_data, surviving)
-        rows = scenarios.scenario_table(column.fit, specs)
-        ext = "md" if args.format == "md" else "csv"
-        write_text_document(
-            out / f"scenarios.{ext}",
-            render_scenarios(rows, fmt=args.format, delimiter=args.delimiter),
-            manifest,
-        )
-
-    stage("scenarios", write_scenarios)
-
-    stage(
-        "rank",
-        lambda: write_text_document(
-            out / "rankings.csv",
-            render_rankings(diagnostics.rank_providers(twin_data, column.fit), args.delimiter),
-            manifest,
-        ),
-    )
+    stage("scenarios", lambda: _write_scenarios(out, fit, twin_data, args, manifest))
+    stage("rank", lambda: _write_rankings(out, rows, fit, args, manifest))
     return 0
 
 

@@ -147,6 +147,9 @@ def rank_providers(d: Dataset, fit: glm.FitResult) -> list[ProviderScore]:
     Scores are sorted by Pearson residual ascending, so the providers
     doing best relative to their structural prediction come first. A
     provider observed below its prediction is flagged better-than-average.
+    ``d`` must be the rows the model was fitted on: ``fit.row_index``
+    points into it. There is one score per fitted row, so a provider that
+    appears in two twins gets one ranking row per twin.
     """
     if fit.row_index is None or len(fit.row_index) != fit.n:
         raise DiagnosticsError("fit does not carry row indices for this dataset")

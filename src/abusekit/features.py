@@ -18,6 +18,12 @@ from .ingest import COLUMNS, Dataset, _parse_cell, _read_rows, log10_transform
 #: An IP address is "shared" when it hosts more than this many domains.
 SHARED_DOMAIN_THRESHOLD = 10
 
+#: Length of the domain popularity ranking behind ``popularity_index``.
+POPULARITY_LIST_SIZE = 1_000_000
+
+#: Largest IPv4 address as an integer.
+MAX_IPV4 = 2**32 - 1
+
 
 class AllocationError(ValueError):
     """Raised when IP allocations overlap or cannot be parsed."""
@@ -60,19 +66,24 @@ class AbuseRecord:
 
 
 def parse_ip(text) -> int:
-    """Normalize a dotted-quad or integer IP representation to an integer."""
-    if isinstance(text, int):
-        return text
-    text = text.strip()
-    if "." in text:
-        try:
-            return int(ipaddress.IPv4Address(text))
-        except ipaddress.AddressValueError as exc:
-            raise AllocationError(f"invalid IP address {text!r}: {exc}") from None
+    """Normalize a dotted-quad or integer IP representation to an integer.
+
+    Integers, given as such or as digits, must lie in [0, 2**32 - 1].
+    """
+    if not isinstance(text, int):
+        text = text.strip()
+        if "." in text:
+            try:
+                return int(ipaddress.IPv4Address(text))
+            except ipaddress.AddressValueError as exc:
+                raise AllocationError(f"invalid IP address {text!r}: {exc}") from None
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise AllocationError(f"invalid IP address {text!r}") from None
+    if not 0 <= value <= MAX_IPV4:
+        raise AllocationError(f"invalid IP address {text!r}: outside [0, {MAX_IPV4}]")
+    return value
 
 
 class AllocationIndex:
@@ -175,22 +186,23 @@ def pct_shared(
     )
 
 
-def popularity_index(ranks: Iterable[int], list_size: int = 1_000_000) -> float:
+def popularity_index(ranks: Iterable[int]) -> float:
     """Popularity score: sum of base-10 logs of the reversed ranks.
 
-    Rank 1 (most popular) reverses to ``list_size``, the last rank to 1,
-    so a provider hosting only the least popular ranked domain scores 0.
+    Rank 1 (most popular) reverses to ``POPULARITY_LIST_SIZE``, the last
+    rank to 1, so a provider hosting only the least popular ranked domain
+    scores 0.
 
     Raises
     ------
     ValueError
-        If any rank falls outside [1, list_size].
+        If any rank falls outside [1, POPULARITY_LIST_SIZE].
     """
     total = 0.0
     for rank in ranks:
-        if not 1 <= rank <= list_size:
-            raise ValueError(f"rank {rank} outside [1, {list_size}]")
-        total += log10_transform(list_size + 1 - rank)
+        if not 1 <= rank <= POPULARITY_LIST_SIZE:
+            raise ValueError(f"rank {rank} outside [1, {POPULARITY_LIST_SIZE}]")
+        total += log10_transform(POPULARITY_LIST_SIZE + 1 - rank)
     return total
 
 

@@ -23,6 +23,17 @@ INTERCEPT = "intercept"
 #: Wald-test star thresholds (two-sided p): *, **, ***.
 STAR_THRESHOLDS = (0.05, 0.01, 0.001)
 
+#: A design column whose residual after projection on the earlier columns
+#: is at most this fraction of its norm counts as collinear.
+COLLINEARITY_RTOL = 1e-8
+
+# Convergence controls of the IRLS loop in fit_poisson.
+MAX_ITERATIONS = 100
+DEVIANCE_RTOL = 1e-8
+SCORE_ATOL = 1e-6
+SEPARATION_THRESHOLD = 30.0
+MAX_HALVINGS = 32
+
 
 class DesignError(ValueError):
     """Raised when a design matrix cannot be built as requested."""
@@ -83,7 +94,7 @@ class DesignMatrix:
         return int(self.X.shape[0])
 
 
-def build_design(d: Dataset, spec: ModelSpec, collinearity_rtol: float = 1e-8) -> DesignMatrix:
+def build_design(d: Dataset, spec: ModelSpec) -> DesignMatrix:
     """Expand a model spec into a full-column-rank design matrix.
 
     Rows with a missing value in any used column are excluded (the count
@@ -148,7 +159,7 @@ def build_design(d: Dataset, spec: ModelSpec, collinearity_rtol: float = 1e-8) -
             for q in basis:
                 v = v - q * (q @ v)
         resid = np.linalg.norm(v)
-        if resid <= collinearity_rtol * norm:
+        if resid <= COLLINEARITY_RTOL * norm:
             dropped.append((name, "collinear with earlier columns"))
             continue
         basis.append(v / resid)
@@ -191,17 +202,6 @@ def aic(log_likelihood: float, n_parameters: int) -> float:
     return 2.0 * n_parameters - 2.0 * log_likelihood
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    """Convergence controls for the IRLS loop."""
-
-    max_iterations: int = 100
-    deviance_rtol: float = 1e-8
-    score_atol: float = 1e-6
-    separation_threshold: float = 30.0
-    max_halvings: int = 32
-
-
 @dataclass
 class FitResult:
     """Fitted Poisson GLM: estimates, uncertainty and convergence record."""
@@ -229,14 +229,14 @@ class FitResult:
         return len(self.coefficients)
 
 
-def fit_poisson(dm: DesignMatrix, opts: FitOptions = FitOptions()) -> FitResult:
+def fit_poisson(dm: DesignMatrix) -> FitResult:
     """Maximize the Poisson log-likelihood by IRLS on the canonical link.
 
     Starts from beta = 0 with the intercept at ln(mean(y) + 0.1), solves
     the weighted normal equations each step, and halves the step while the
     deviance increases. Converged means the relative deviance change fell
-    below ``deviance_rtol`` and every score component |X_c'(y - lambda)|
-    below ``score_atol``. Any coefficient beyond ``separation_threshold``
+    below ``DEVIANCE_RTOL`` and every score component |X_c'(y - lambda)|
+    below ``SCORE_ATOL``. Any coefficient beyond ``SEPARATION_THRESHOLD``
     in magnitude marks the fit as separated (a log-mean below -30 is
     numerically zero).
 
@@ -264,7 +264,7 @@ def fit_poisson(dm: DesignMatrix, opts: FitOptions = FitOptions()) -> FitResult:
     converged = False
     messages: list[str] = []
     iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         w = np.clip(lam, 1e-10, None)
         z = eta + (y - lam) / w
         Xw = X * w[:, None]
@@ -280,7 +280,7 @@ def fit_poisson(dm: DesignMatrix, opts: FitOptions = FitOptions()) -> FitResult:
         # deviance stops increasing.
         alpha = 1.0
         accepted = False
-        for _ in range(opts.max_halvings):
+        for _ in range(MAX_HALVINGS):
             cand = beta + alpha * step
             with np.errstate(over="ignore"):
                 eta_c = X @ cand
@@ -298,18 +298,18 @@ def fit_poisson(dm: DesignMatrix, opts: FitOptions = FitOptions()) -> FitResult:
         rel_change = abs(dev - dev_c) / (0.1 + abs(dev_c))
         beta, eta, lam, dev = cand, eta_c, lam_c, dev_c
         score = X.T @ (y - lam)
-        if rel_change < opts.deviance_rtol and np.max(np.abs(score)) < opts.score_atol:
+        if rel_change < DEVIANCE_RTOL and np.max(np.abs(score)) < SCORE_ATOL:
             converged = True
             break
 
     if not converged and not messages:
-        messages.append(f"no convergence within {opts.max_iterations} iterations")
+        messages.append(f"no convergence within {MAX_ITERATIONS} iterations")
 
-    separated = bool(np.any(np.abs(beta) > opts.separation_threshold))
+    separated = bool(np.any(np.abs(beta) > SEPARATION_THRESHOLD))
     if separated:
         worst = dm.columns[int(np.argmax(np.abs(beta)))]
         messages.append(
-            f"separation suspected: |coefficient| > {opts.separation_threshold:g} "
+            f"separation suspected: |coefficient| > {SEPARATION_THRESHOLD:g} "
             f"for {worst!r}"
         )
     # Exact check: a non-negative column whose active rows carry zero counts

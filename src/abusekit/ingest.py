@@ -255,7 +255,6 @@ def load_table(
     path,
     schema: Mapping[str, str] | None = None,
     delimiter: str = ",",
-    source_label: str = "",
 ) -> Dataset:
     """Load a provider table from a delimited file.
 
@@ -317,7 +316,7 @@ def load_table(
         for canonical, value in values.items():
             columns[canonical].append(value)
 
-    return Dataset(columns, source_label=source_label)
+    return Dataset(columns)
 
 
 def _read_rows(

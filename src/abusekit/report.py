@@ -124,9 +124,9 @@ def write_json_document(path, doc: Mapping, manifest: RunManifest) -> None:
         fh.write(json_document_text(doc, manifest))
 
 
-def write_text_document(path, text: str, manifest: RunManifest, comment: str = "#") -> None:
+def write_text_document(path, text: str, manifest: RunManifest) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{comment} {manifest.comment_line()}\n")
+        fh.write(f"# {manifest.comment_line()}\n")
         fh.write(text)
         if not text.endswith("\n"):
             fh.write("\n")
@@ -219,17 +219,21 @@ def scenarios_document(rows: Sequence[ScenarioRow]) -> dict:
 
 @dataclass
 class ModelColumn:
-    """One fitted model plus its diagnostics, ready for side-by-side tables."""
+    """One fitted model plus its diagnostics, ready for side-by-side tables.
+
+    ``tests`` holds the Wald test of each coefficient, by term, computed
+    once when the column is built.
+    """
 
     label: str
     fit: FitResult
     dispersion: DispersionReport | None = None
     assessments: list[FitAssessment] = field(default_factory=list)
     source_label: str = ""
+    tests: dict[str, WaldTest] = field(init=False)
 
-    @property
-    def tests(self) -> dict[str, WaldTest]:
-        return {t.name: t for t in wald_tests(self.fit)}
+    def __post_init__(self):
+        self.tests = {t.name: t for t in wald_tests(self.fit)}
 
     def assessment_document(self) -> dict:
         """Dispersion estimate and pseudo-R2 assessments, JSON-shaped."""
@@ -401,7 +405,7 @@ def fit_document(column: ModelColumn) -> dict:
                 "stars": t.stars,
                 "available": t.available,
             }
-            for t in wald_tests(fit)
+            for t in column.tests.values()
         ],
         "star_thresholds": [0.05, 0.01, 0.001],
     }
@@ -458,14 +462,14 @@ def render_scenarios(rows: Sequence[ScenarioRow], fmt: str = "csv", delimiter: s
     return "".join(out)
 
 
-def render_simulation_samples(res: SimulationResult, delimiter: str = ",") -> str:
-    """Per-replicate dispersion, coefficient and SE samples as delimited rows."""
+def render_simulation_samples(res: SimulationResult) -> str:
+    """Per-replicate dispersion, coefficient and SE samples as comma-separated rows."""
     header = (
         ["replicate", "dispersion"]
         + [f"coef:{n}" for n in res.coefficient_names]
         + [f"se:{n}" for n in res.coefficient_names]
     )
-    rows = [_csv_line(header, delimiter)]
+    rows = [_csv_line(header)]
     for rep in range(len(res.dispersion_samples)):
         phi = res.dispersion_samples[rep]
         cells: list[object] = [rep, "" if math.isnan(phi) else _full(float(phi))]
@@ -473,7 +477,7 @@ def render_simulation_samples(res: SimulationResult, delimiter: str = ",") -> st
             for j in range(len(res.coefficient_names)):
                 v = matrix[rep, j]
                 cells.append("" if math.isnan(v) else _full(float(v)))
-        rows.append(_csv_line(cells, delimiter))
+        rows.append(_csv_line(cells))
     return "".join(rows)
 
 

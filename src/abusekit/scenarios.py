@@ -120,7 +120,7 @@ def scenario_table(fit: FitResult, scenarios: Sequence[ScenarioSpec]) -> list[Sc
     return rows
 
 
-def median_scenario(d: Dataset, predictors: Sequence[str], name: str = "median-provider") -> ScenarioSpec:
+def median_scenario(d: Dataset, predictors: Sequence[str]) -> ScenarioSpec:
     """Baseline scenario with every predictor at its population median."""
     baseline = {}
     for col in predictors:
@@ -129,7 +129,7 @@ def median_scenario(d: Dataset, predictors: Sequence[str], name: str = "median-p
         if values.size == 0:
             raise ScenarioError(f"column {col!r} has no values to take a median of")
         baseline[col] = float(np.median(values))
-    return ScenarioSpec(name=name, baseline=baseline)
+    return ScenarioSpec(name="median-provider", baseline=baseline)
 
 
 def builtin_scenarios(d: Dataset, predictors: Sequence[str]) -> list[ScenarioSpec]:

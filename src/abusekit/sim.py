@@ -43,6 +43,9 @@ DEFAULT_SIZE_MEAN = 2.0
 DEFAULT_SIZE_SD = 0.9
 DEFAULT_TARGET_MEAN = 2.8
 
+#: Linear predictors above this are capped before exponentiation.
+ETA_CAP = 30.0
+
 
 class SimulationError(ValueError):
     """Raised for invalid simulation configs or all-failed runs."""
@@ -70,7 +73,6 @@ class SimulationConfig:
     )
     replicates: int = 1000
     rng_seed: int = 0
-    eta_cap: float = 30.0
 
     def __post_init__(self):
         if self.n <= 0:
@@ -131,20 +133,20 @@ def gen_population(cfg: SimulationConfig, replicate_index: int) -> Dataset:
 
     Draw order is fixed: latent sizes, then the Poisson response, then one
     noise vector per proxy column in declared order. Linear predictors
-    above ``eta_cap`` are capped before exponentiation and logged.
+    above ``ETA_CAP`` are capped before exponentiation and logged.
     """
     rng = _replicate_rng(cfg, replicate_index)
     s = rng.normal(cfg.true_size_mean, cfg.true_size_sd, cfg.n)
     eta = cfg.resolved_intercept + cfg.link_slope * s
-    n_capped = int(np.sum(eta > cfg.eta_cap))
+    n_capped = int(np.sum(eta > ETA_CAP))
     if n_capped:
         log.warning(
             "replicate %d: capped %d linear predictors at %g",
             replicate_index,
             n_capped,
-            cfg.eta_cap,
+            ETA_CAP,
         )
-        eta = np.minimum(eta, cfg.eta_cap)
+        eta = np.minimum(eta, ETA_CAP)
     y = rng.poisson(np.exp(eta))
     proxies = {
         col: s + rng.normal(mu, sigma, cfg.n)

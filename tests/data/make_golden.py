@@ -1,36 +1,57 @@
-"""Regenerate the golden pipeline artifacts under tests/data/golden/.
+"""Regenerate the golden artifacts under tests/data/golden{,_commands}/.
 
 Runs ``pipeline`` on the fixture (with the alternative abuse feed) and
-stores each of the nine artifacts without its run manifest, which holds
-input paths. ``tests/test_cli.py`` compares fresh runs against these
-bytes. Run from the repository root after an intended output change:
+stores each of the nine artifacts in ``golden/``. Then runs each case of
+``GOLDEN_COMMAND_CASES`` (single ``fit``, ``diagnostics``, ``scenarios``
+and ``rank`` commands on the golden ``providers.csv`` and
+``twin_dataset.csv``) and stores its artifacts in
+``golden_commands/<case>/``. Every artifact is stored without its run
+manifest, which holds input paths. ``tests/test_cli.py`` compares fresh
+runs against these bytes. Run from the repository root after an
+intended output change:
 
     PYTHONPATH=src python3 tests/data/make_golden.py
 """
 from __future__ import annotations
 
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_cli import GOLDEN, golden_pipeline_argv, strip_manifest  # noqa: E402
+from test_cli import (  # noqa: E402
+    GOLDEN,
+    GOLDEN_COMMAND_CASES,
+    GOLDEN_COMMANDS,
+    golden_command_argv,
+    golden_pipeline_argv,
+    strip_manifest,
+)
 
 from abusekit.cli import main as cli_main  # noqa: E402
 
 
-def main():
+def _store(argv, target: Path) -> None:
+    """Run one command and store its stripped artifacts in ``target``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        if cli_main(golden_pipeline_argv(out)) != 0:
-            raise SystemExit("pipeline failed")
-        GOLDEN.mkdir(parents=True, exist_ok=True)
-        for old in GOLDEN.iterdir():
-            old.unlink()
+        if cli_main(argv(out)) != 0:
+            raise SystemExit(f"{argv(out)[0]} failed")
+        if target.exists():
+            shutil.rmtree(target)
+        target.mkdir(parents=True)
         for path in sorted(out.iterdir()):
-            (GOLDEN / path.name).write_bytes(strip_manifest(path))
-            print(f"wrote {GOLDEN / path.name}")
+            (target / path.name).write_bytes(strip_manifest(path))
+            print(f"wrote {target / path.name}")
+
+
+def main():
+    # The pipeline goes first: the single commands read its tables.
+    _store(golden_pipeline_argv, GOLDEN)
+    for case in sorted(GOLDEN_COMMAND_CASES):
+        _store(lambda out: golden_command_argv(case, out), GOLDEN_COMMANDS / case)
 
 
 if __name__ == "__main__":

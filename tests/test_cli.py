@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -30,6 +31,46 @@ def golden_pipeline_argv(out_dir):
         "--stepwise",
         "--out-dir", str(out_dir),
     ]
+
+
+GOLDEN_COMMANDS = Path(__file__).parent / "data" / "golden_commands"
+STRUCTURAL = "assigned_ips_log10,hosting_ips_log10,hosted_domains_log10,pct_shared"
+TWIN_PREDICTORS = "price_per_year,wordpress_use"
+
+#: Single-command runs on the golden pipeline tables, by case name:
+#: (command, input table under ``GOLDEN``, further arguments). Their
+#: artifacts are stored under ``GOLDEN_COMMANDS / case``.
+GOLDEN_COMMAND_CASES = {
+    "fit_stepwise": ("fit", "providers.csv", ["--predictors", STRUCTURAL, "--stepwise"]),
+    "fit_stepwise_fe_baseline": (
+        "fit", "providers.csv",
+        ["--stepwise", "--predictors", "assigned_ips_log10,price_per_year",
+         "--fixed-effects", "country"],
+    ),
+    "fit_two_factors_csv": (
+        "fit", "twin_dataset.csv",
+        ["--predictors", TWIN_PREDICTORS, "--fixed-effects", "twin_id,country",
+         "--format", "csv"],
+    ),
+    "diagnostics_fe": (
+        "diagnostics", "twin_dataset.csv",
+        ["--predictors", TWIN_PREDICTORS, "--fixed-effects", "twin_id", "--baseline", "fe"],
+    ),
+    "scenarios_json": (
+        "scenarios", "providers.csv", ["--predictors", STRUCTURAL, "--format", "json"],
+    ),
+    "rank_rows_excluded": ("rank", "providers.csv", ["--predictors", "price_per_year"]),
+    "rank_twin_fe": (
+        "rank", "twin_dataset.csv",
+        ["--predictors", TWIN_PREDICTORS, "--fixed-effects", "twin_id"],
+    ),
+}
+
+
+def golden_command_argv(case, out_dir):
+    """The single-command run whose artifacts are stored under ``GOLDEN_COMMANDS``."""
+    command, table, extra = GOLDEN_COMMAND_CASES[case]
+    return [command, "--input", str(GOLDEN / table), *extra, "--out-dir", str(out_dir)]
 
 
 def strip_manifest(path):
@@ -471,6 +512,33 @@ class TestPipeline:
         for name in names:
             assert strip_manifest(tmp_path / name) == (GOLDEN / name).read_bytes(), name
 
+    def test_rankings_name_the_fitted_providers(self, tmp_path):
+        # --required wordpress_use keeps twins whose price_per_year is
+        # missing, so the fit excludes rows of the twin dataset.
+        assert (
+            main(
+                [
+                    "pipeline", *fixture_args(),
+                    "--seeds", str(FIXTURE / "seeds.txt"),
+                    "--predictors", "price_per_year,wordpress_use",
+                    "--required", "wordpress_use",
+                    "--out-dir", str(tmp_path),
+                ]
+            )
+            == 0
+        )
+        assert json.loads((tmp_path / "fit.json").read_text())["rows_excluded_for_missing"] > 0
+
+        def body(name):
+            lines = (tmp_path / name).read_text().splitlines()
+            return list(csv.DictReader(l for l in lines if not l.startswith("#")))
+
+        abuse = {r["provider_id"]: int(r["abuse_count"]) for r in body("twin_dataset.csv")}
+        rankings = body("rankings.csv")
+        assert rankings
+        for row in rankings:
+            assert int(row["observed"]) == abuse[row["provider_id"]], row["provider_id"]
+
     def test_stage_labeled_error(self, tmp_path, capsys):
         bad_seeds = tmp_path / "seeds.txt"
         bad_seeds.write_text("doesnotexist\n")
@@ -484,6 +552,17 @@ class TestPipeline:
         )
         assert code == 2
         assert "[stage:twins]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_COMMAND_CASES))
+def test_single_command_matches_golden_bytes(case, tmp_path):
+    # Regenerate with tests/data/make_golden.py after an intended change.
+    assert main(golden_command_argv(case, tmp_path)) == 0
+    expected = GOLDEN_COMMANDS / case
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(p.name for p in expected.iterdir())
+    for name in names:
+        assert strip_manifest(tmp_path / name) == (expected / name).read_bytes(), name
 
 
 def test_console_invocation_smoke(tmp_path):

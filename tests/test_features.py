@@ -41,10 +41,15 @@ class TestParseIp:
     def test_integer_form(self):
         assert parse_ip("12345") == 12345
         assert parse_ip(77) == 77
+        assert parse_ip("0") == 0
+        assert parse_ip("4294967295") == parse_ip(2**32 - 1) == 2**32 - 1
 
     def test_invalid(self):
         with pytest.raises(AllocationError):
             parse_ip("300.1.2.3")
+        for value in ("-5", "4294967296", -5, 2**32):  # integers outside IPv4
+            with pytest.raises(AllocationError, match="outside"):
+                parse_ip(value)
 
 
 class TestAllocationIndex:
