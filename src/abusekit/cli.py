@@ -15,6 +15,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, diagnostics, features, ingest, scenarios, sim, twins
 from .glm import (
     INTERCEPT,
@@ -89,7 +91,9 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
     """
     dm = build_design(d, spec)
     rows = d.take(dm.row_index)
-    fits: dict[ModelSpec, FitResult] = {}
+    # The widest design on ``d`` is the one on ``rows``, with its rows renumbered.
+    widest = replace(dm, row_index=np.arange(len(rows)), excluded_rows=0)
+    fits: dict[ModelSpec, FitResult] = {spec: fit_poisson(widest)}
 
     def fit(s: ModelSpec) -> FitResult:
         if s not in fits:
@@ -162,10 +166,9 @@ def cmd_describe(args) -> int:
 def _build_features(
     args,
 ) -> tuple[ingest.Dataset, features.FeatureReport, features.AllocationIndex]:
-    allocations = features.load_allocations(args.allocations, args.delimiter)
+    index = features.load_allocations(args.allocations, args.delimiter)
     observations = features.load_observations(args.observations, args.delimiter)
     abuse = features.load_abuse(args.abuse, args.delimiter)
-    index = features.AllocationIndex(allocations)
     table, rep = features.build_provider_table(
         index, observations, abuse, source_label=args.source_label
     )
@@ -277,16 +280,16 @@ def _model_spec(args) -> ModelSpec:
     )
 
 
-def _table_fits(args, stepwise: bool = False, baselines: bool = False):
+def _table_fits(args, stepwise: bool = False):
     """Load ``--input`` and fit the model(s) of a table command.
 
     Returns the table, the fitted rows, columns and excluded count (see
     ``_run_fits``), the run manifest and the created output directory.
-    Without ``baselines`` no pseudo-R2 baseline is fitted.
+    Commands without a ``--baseline`` option fit no pseudo-R2 baseline.
     """
     d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
     spec = _model_spec(args)
-    mode = args.baseline if baselines else ""
+    mode = getattr(args, "baseline", "")
     if mode == "fe" and not spec.fixed_effects:
         raise ValueError("--baseline fe requires --fixed-effects")
     rows, columns, excluded = _run_fits(d, spec, stepwise, mode)
@@ -340,7 +343,7 @@ def _write_rankings(out: Path, rows: ingest.Dataset, fit: FitResult, args, manif
 
 
 def cmd_fit(args) -> int:
-    _d, _rows, columns, excluded, manifest, out = _table_fits(args, args.stepwise, True)
+    _d, _rows, columns, excluded, manifest, out = _table_fits(args, args.stepwise)
     _write_fits(out, columns, excluded, args, manifest)
     write_json_document(
         out / "assessment.json",
@@ -351,7 +354,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    _d, _rows, columns, excluded, manifest, out = _table_fits(args, baselines=True)
+    _d, _rows, columns, excluded, manifest, out = _table_fits(args)
     column = columns[0]
     write_json_document(
         out / "assessment.json",
@@ -534,10 +537,11 @@ def cmd_pipeline(args) -> int:
 
         def alt_fit():
             alt_records = features.load_abuse(args.abuse_alt, args.delimiter)
-            counts = features.attribute_abuse(alt_records, index).counts
+            counts, _skipped = features.attribute_abuse(alt_records, index)
+            # every twin provider comes from the index, so each is found
+            pos = index.provider_ids.searchsorted(twin_data.column("provider_id"))
             alt_twin = twin_data.with_columns(
-                {"abuse_count": [counts.get(p, 0) for p in twin_data.provider_ids()]},
-                source_label="alt-feed",
+                {"abuse_count": counts[pos]}, source_label="alt-feed"
             )
             fit_and_write(alt_twin, "_alt")
 
@@ -564,12 +568,18 @@ def _add_model_args(p):
     p.add_argument("--predictors", help="comma-separated predictor columns")
     p.add_argument("--fixed-effects", help="comma-separated factor columns")
     p.add_argument("--no-intercept", action="store_true")
+
+
+def _add_baseline_arg(p):
     p.add_argument(
         "--baseline",
         choices=["intercept", "fe", "both"],
         default="both",
         help="baseline(s) for pseudo-R2 (default: both where applicable)",
     )
+
+
+def _add_format_arg(p):
     p.add_argument(
         "--format",
         choices=["md", "csv", "json"],
@@ -625,17 +635,21 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit Poisson GLM(s), render a regression table")
     _add_table_args(p)
     _add_model_args(p)
+    _add_baseline_arg(p)
+    _add_format_arg(p)
     p.add_argument("--stepwise", action="store_true", help="fit the nested sequence")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("diagnostics", help="dispersion, deviance and pseudo-R2")
     _add_table_args(p)
     _add_model_args(p)
+    _add_baseline_arg(p)
     p.set_defaults(func=cmd_diagnostics)
 
     p = sub.add_parser("scenarios", help="baseline scenarios and partial effects")
     _add_table_args(p)
     _add_model_args(p)
+    _add_format_arg(p)
     p.set_defaults(func=cmd_scenarios)
 
     p = sub.add_parser("rank", help="observed-vs-predicted provider ranking")

@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diagnostics import dispersion
-from .glm import INTERCEPT, ModelSpec, build_design, fit_poisson
+from .diagnostics import DiagnosticsError, dispersion
+from .glm import INTERCEPT, DesignError, ModelSpec, SeparationError, build_design, fit_poisson
 from .ingest import Dataset
 
 log = logging.getLogger(__name__)
@@ -45,6 +45,10 @@ DEFAULT_TARGET_MEAN = 2.8
 
 #: Linear predictors above this are capped before exponentiation.
 ETA_CAP = 30.0
+
+#: Errors of one replicate's design, fit or dispersion that are recorded
+#: as a replicate failure; any other exception is a fault and propagates.
+REPLICATE_ERRORS = (DesignError, SeparationError, DiagnosticsError)
 
 
 class SimulationError(ValueError):
@@ -170,8 +174,9 @@ def run_monte_carlo(
     """Generate and refit ``cfg.replicates`` synthetic populations.
 
     Each replicate fits the Poisson GLM on the three noisy size proxies
-    and records the dispersion estimate and coefficient vector. Individual
-    fit failures are recorded with their reason and the run continues.
+    and records the dispersion estimate and coefficient vector. A replicate
+    whose design, fit or dispersion fails with one of ``REPLICATE_ERRORS``
+    is recorded with its reason and the run continues.
     """
     spec = ModelSpec(response="abuse_count", predictors=PROXY_COLUMNS)
     names = (INTERCEPT,) + PROXY_COLUMNS
@@ -189,7 +194,7 @@ def run_monte_carlo(
                 if name in fit.coefficients:
                     coefs[rep, j] = fit.coefficients[name]
                     ses[rep, j] = fit.standard_errors[name]
-        except Exception as exc:  # noqa: BLE001 - record and continue
+        except REPLICATE_ERRORS as exc:
             failures.append((rep, f"{type(exc).__name__}: {exc}"))
     return SimulationResult(
         dispersion_samples=phis,

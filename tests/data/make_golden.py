@@ -2,10 +2,10 @@
 
 Runs ``pipeline`` on the fixture (with the alternative abuse feed) and
 stores each of the nine artifacts in ``golden/``. Then runs each case of
-``GOLDEN_COMMAND_CASES`` (single ``fit``, ``diagnostics``, ``scenarios``
-and ``rank`` commands on the golden ``providers.csv`` and
-``twin_dataset.csv``) and stores its artifacts in
-``golden_commands/<case>/``. Every artifact is stored without its run
+``GOLDEN_COMMAND_CASES`` (``features`` on the fixture's raw inputs, and
+single ``fit``, ``diagnostics``, ``scenarios`` and ``rank`` commands on
+the golden ``providers.csv`` and ``twin_dataset.csv``) and stores its
+artifacts in ``golden_commands/<case>/``. Every artifact is stored without its run
 manifest, which holds input paths. ``tests/test_cli.py`` compares fresh
 runs against these bytes. Run from the repository root after an
 intended output change:

@@ -37,10 +37,17 @@ GOLDEN_COMMANDS = Path(__file__).parent / "data" / "golden_commands"
 STRUCTURAL = "assigned_ips_log10,hosting_ips_log10,hosted_domains_log10,pct_shared"
 TWIN_PREDICTORS = "price_per_year,wordpress_use"
 
-#: Single-command runs on the golden pipeline tables, by case name:
-#: (command, input table under ``GOLDEN``, further arguments). Their
-#: artifacts are stored under ``GOLDEN_COMMANDS / case``.
+#: Single-command runs, by case name: (command, input table under
+#: ``GOLDEN`` or None, further arguments). The table commands read the
+#: golden pipeline tables; ``features`` reads the fixture's raw inputs.
+#: Their artifacts are stored under ``GOLDEN_COMMANDS / case``.
 GOLDEN_COMMAND_CASES = {
+    "features": (
+        "features", None,
+        ["--allocations", str(FIXTURE / "allocations.csv"),
+         "--observations", str(FIXTURE / "observations.csv"),
+         "--abuse", str(FIXTURE / "abuse.csv")],
+    ),
     "fit_stepwise": ("fit", "providers.csv", ["--predictors", STRUCTURAL, "--stepwise"]),
     "fit_stepwise_fe_baseline": (
         "fit", "providers.csv",
@@ -70,7 +77,8 @@ GOLDEN_COMMAND_CASES = {
 def golden_command_argv(case, out_dir):
     """The single-command run whose artifacts are stored under ``GOLDEN_COMMANDS``."""
     command, table, extra = GOLDEN_COMMAND_CASES[case]
-    return [command, "--input", str(GOLDEN / table), *extra, "--out-dir", str(out_dir)]
+    table_args = ["--input", str(GOLDEN / table)] if table else []
+    return [command, *table_args, *extra, "--out-dir", str(out_dir)]
 
 
 def strip_manifest(path):
@@ -133,6 +141,29 @@ class TestFeatures:
         assert "manifest" in report
         text = providers_csv.read_text()
         assert text.startswith("# manifest ")
+
+    def test_header_only_allocations_skip_every_record(self, tmp_path):
+        allocations = tmp_path / "allocations.csv"
+        allocations.write_text("provider_id,ip_start,ip_end\n")
+        out = tmp_path / "out"
+        argv = [
+            "features", "--allocations", str(allocations),
+            "--observations", str(FIXTURE / "observations.csv"),
+            "--abuse", str(FIXTURE / "abuse.csv"), "--out-dir", str(out),
+        ]
+        assert main(argv) == 0
+        data_rows = lambda name: len((FIXTURE / name).read_text().splitlines()) - 1  # noqa: E731
+        report = json.loads(strip_manifest(out / "features_report.json"))
+        assert report == {
+            "n_providers": 0,
+            "skipped_observations": data_rows("observations.csv"),
+            "skipped_abuse_records": data_rows("abuse.csv"),
+            "zero_domain_providers": 0,
+        }
+        assert strip_manifest(out / "providers.csv") == (
+            b"provider_id,assigned_ips_log10,hosting_ips_log10,"
+            b"hosted_domains_log10,pct_shared,abuse_count\n"
+        )
 
 
 class TestTwins:
@@ -552,6 +583,24 @@ class TestPipeline:
         )
         assert code == 2
         assert "[stage:twins]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("diagnostics", ["--format", "json"]),
+        ("rank", ["--format", "csv"]),
+        ("scenarios", ["--baseline", "intercept"]),
+        ("rank", ["--baseline", "intercept"]),
+    ],
+)
+def test_option_the_command_ignores_is_rejected(command, option, providers_csv, tmp_path, capsys):
+    argv = [command, "--input", str(providers_csv), "--predictors", "pct_shared",
+            *option, "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_COMMAND_CASES))

@@ -1,24 +1,49 @@
+from collections import defaultdict
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from abusekit.features import (
-    AbuseRecord,
     AllocationError,
     AllocationIndex,
-    HostingObservation,
-    IpAllocation,
+    DomainIps,
     attribute_abuse,
     build_provider_table,
     classify_shared_ip,
+    load_abuse,
+    load_allocations,
+    load_observations,
     parse_ip,
     pct_shared,
     popularity_index,
 )
 
 
+def index(*ranges):
+    """An AllocationIndex over (provider_id, start, end) triples."""
+    ids, starts, ends = zip(*ranges) if ranges else ((), (), ())
+    return AllocationIndex(ids, starts, ends)
+
+
+def rows(pairs):
+    """DomainIps over (domain, ip) pairs."""
+    return DomainIps([d for d, _ in pairs], [ip for _, ip in pairs])
+
+
 def obs(domain, ip):
-    return HostingObservation(domain, ip)
+    return (domain, ip)
+
+
+def owner(idx, ip):
+    pos = idx.owners([ip])[0]
+    return None if pos < 0 else idx.provider_ids[pos]
+
+
+def by_id(idx, values):
+    """A per-provider array as a dict keyed by provider_id."""
+    return dict(zip(idx.provider_ids.tolist(), np.asarray(values).tolist()))
 
 
 class TestClassifySharedIp:
@@ -54,61 +79,121 @@ class TestParseIp:
 
 class TestAllocationIndex:
     def test_lookup(self):
-        idx = AllocationIndex(
-            [IpAllocation("a", 0, 9), IpAllocation("b", 20, 29)]
-        )
-        assert idx.lookup(5) == "a"
-        assert idx.lookup(20) == "b"
-        assert idx.lookup(15) is None
-        assert idx.lookup(30) is None
+        idx = index(("a", 0, 9), ("b", 20, 29))
+        assert owner(idx, 5) == "a"
+        assert owner(idx, 20) == "b"
+        assert owner(idx, 15) is None
+        assert owner(idx, 30) is None
 
     def test_overlap_rejected(self):
         with pytest.raises(AllocationError, match="overlap"):
-            AllocationIndex([IpAllocation("a", 0, 10), IpAllocation("b", 10, 20)])
+            index(("a", 0, 10), ("b", 10, 20))
 
     def test_invalid_range(self):
         with pytest.raises(AllocationError):
-            IpAllocation("a", 5, 1)
+            index(("a", 5, 1))
+
+    def test_error_messages(self):
+        with pytest.raises(AllocationError, match=r"^allocation for 'b': start > end$"):
+            index(("a", 0, 3), ("b", 9, 8), ("c", 7, 6))
+        message = r"^overlapping allocations: 'b' \[5, 12\] and 'a' \[10, 20\]$"
+        with pytest.raises(AllocationError, match=message):
+            index(("a", 10, 20), ("b", 5, 12))
+
+    def test_owners_of_unsorted_ranges_and_edges(self):
+        idx = index(("b", 100, 199), ("a", 0, 9), ("b", 20, 29))
+        assert idx.provider_ids.tolist() == ["a", "b"]
+        assert idx.assigned_sizes.tolist() == [10, 110]
+        ips = [0, 9, 10, 19, 20, 29, 30, 99, 100, 199, 200, 2**32 - 1]
+        assert idx.owners(ips).tolist() == [0, 0, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1]
+
+    def test_empty_index_owns_nothing(self):
+        idx = index()
+        assert len(idx.provider_ids) == 0
+        assert idx.owners([0, 5, 2**32 - 1]).tolist() == [-1, -1, -1]
 
 
 class TestPctShared:
     def test_one_shared_ip_all_domains_shared(self):
-        idx = AllocationIndex([IpAllocation("a", 100, 100)])
+        idx = index(("a", 100, 100))
         observations = [obs(f"d{i}.example", 100) for i in range(20)]
-        stats = pct_shared(observations, idx)
-        assert stats.values["a"] == 100.0
+        stats = pct_shared(rows(observations), idx)
+        assert by_id(idx, stats.values)["a"] == 100.0
 
     def test_dedicated_ips_only(self):
-        idx = AllocationIndex([IpAllocation("a", 0, 10)])
-        stats = pct_shared([obs("d1.example", 1), obs("d2.example", 2)], idx)
-        assert stats.values["a"] == 0.0
+        idx = index(("a", 0, 10))
+        stats = pct_shared(rows([obs("d1.example", 1), obs("d2.example", 2)]), idx)
+        assert by_id(idx, stats.values)["a"] == 0.0
 
     def test_mixed_shared_and_dedicated(self):
         # one shared IP with 11 domains and one dedicated IP with 1 distinct
         # domain: 11 of 12 distinct domains sit on a shared IP
-        idx = AllocationIndex([IpAllocation("a", 0, 10)])
+        idx = index(("a", 0, 10))
         observations = [obs(f"s{i}.example", 1) for i in range(11)]
         observations.append(obs("lonely.example", 2))
-        stats = pct_shared(observations, idx)
-        assert stats.values["a"] == pytest.approx(100 * 11 / 12)
+        stats = pct_shared(rows(observations), idx)
+        assert by_id(idx, stats.values)["a"] == pytest.approx(100 * 11 / 12)
 
     def test_zero_domain_provider_flagged(self):
-        idx = AllocationIndex([IpAllocation("a", 0, 1), IpAllocation("b", 10, 11)])
-        stats = pct_shared([obs("d.example", 0)], idx)
-        assert stats.values["b"] == 0.0
-        assert "b" in stats.zero_domain_providers
+        idx = index(("a", 0, 1), ("b", 10, 11))
+        stats = pct_shared(rows([obs("d.example", 0)]), idx)
+        assert by_id(idx, stats.values)["b"] == 0.0
+        assert by_id(idx, stats.hosted_domains)["b"] == 0  # the zero-domain flag
 
     def test_unattributable_skipped_and_tallied(self):
-        idx = AllocationIndex([IpAllocation("a", 0, 1)])
-        stats = pct_shared([obs("d.example", 0), obs("x.example", 99)], idx)
+        idx = index(("a", 0, 1))
+        stats = pct_shared(rows([obs("d.example", 0), obs("x.example", 99)]), idx)
         assert stats.skipped == 1
 
     def test_duplicate_observations_do_not_change_result(self):
-        idx = AllocationIndex([IpAllocation("a", 0, 10)])
+        idx = index(("a", 0, 10))
         base = [obs(f"s{i}.example", 1) for i in range(11)] + [obs("lonely.example", 2)]
-        once = pct_shared(base, idx)
-        twice = pct_shared(base + base, idx)
-        assert once.values == twice.values
+        once = pct_shared(rows(base), idx)
+        twice = pct_shared(rows(base + base), idx)
+        assert once.values.tolist() == twice.values.tolist()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=5),
+                st.integers(min_value=0, max_value=14),
+            ),
+            min_size=40,
+            max_size=200,
+        )
+    )
+    def test_matches_dict_of_sets_oracle(self, pairs):
+        # "b" owns two ranges, "c" is never observed, IPs 3 and 5 are
+        # unallocated; 15 domains on 6 IPs put many IPs near the shared
+        # threshold (> 10 domains)
+        idx = index(("a", 0, 1), ("b", 2, 2), ("b", 4, 4), ("c", 100, 100))
+        stats = pct_shared(rows([(f"d{dom}.example", ip) for ip, dom in pairs]), idx)
+
+        def provider(ip):
+            return "a" if ip <= 1 else "b" if ip in (2, 4) else None
+
+        domains_per_ip = defaultdict(set)
+        skipped = 0
+        for ip, dom in pairs:
+            if provider(ip) is None:
+                skipped += 1
+            else:
+                domains_per_ip[ip].add(dom)
+        hosted = {p: set() for p in "abc"}
+        on_shared = {p: set() for p in "abc"}
+        ips = {p: 0 for p in "abc"}
+        for ip, doms in domains_per_ip.items():
+            hosted[provider(ip)] |= doms
+            ips[provider(ip)] += 1
+            if len(doms) > 10:
+                on_shared[provider(ip)] |= doms
+        assert by_id(idx, stats.values) == {
+            p: 100.0 * len(on_shared[p]) / len(hosted[p]) if hosted[p] else 0.0
+            for p in "abc"
+        }
+        assert by_id(idx, stats.hosting_ips) == ips
+        assert by_id(idx, stats.hosted_domains) == {p: len(s) for p, s in hosted.items()}
+        assert stats.skipped == skipped
 
 
 class TestPopularityIndex:
@@ -140,22 +225,22 @@ class TestPopularityIndex:
 
 class TestAttributeAbuse:
     def test_three_distinct_domains(self):
-        idx = AllocationIndex([IpAllocation("a", 0, 10)])
-        records = [AbuseRecord(f"d{i}.example", i) for i in range(3)]
-        res = attribute_abuse(records, idx)
-        assert res.counts["a"] == 3
-        assert res.skipped == 0
+        idx = index(("a", 0, 10))
+        records = [(f"d{i}.example", i) for i in range(3)]
+        counts, skipped = attribute_abuse(rows(records), idx)
+        assert by_id(idx, counts)["a"] == 3
+        assert skipped == 0
 
     def test_same_domain_two_ips_counts_once(self):
-        idx = AllocationIndex([IpAllocation("a", 0, 10)])
-        records = [AbuseRecord("d.example", 1), AbuseRecord("d.example", 2)]
-        assert attribute_abuse(records, idx).counts["a"] == 1
+        idx = index(("a", 0, 10))
+        records = [("d.example", 1), ("d.example", 2)]
+        assert by_id(idx, attribute_abuse(rows(records), idx)[0])["a"] == 1
 
     def test_outside_every_range(self):
-        idx = AllocationIndex([IpAllocation("a", 0, 10)])
-        res = attribute_abuse([AbuseRecord("d.example", 99)], idx)
-        assert res.counts["a"] == 0
-        assert res.skipped == 1
+        idx = index(("a", 0, 10))
+        counts, skipped = attribute_abuse(rows([("d.example", 99)]), idx)
+        assert by_id(idx, counts)["a"] == 0
+        assert skipped == 1
 
     @given(
         st.lists(
@@ -168,32 +253,30 @@ class TestAttributeAbuse:
     )
     def test_totals_conserved(self, pairs):
         # oracle: recompute per-provider distinct pairs with plain dict/sets
-        idx = AllocationIndex(
-            [IpAllocation("a", 0, 19), IpAllocation("b", 20, 39)]
-        )
-        records = [AbuseRecord(f"d{dom}.example", ip) for ip, dom in pairs]
-        res = attribute_abuse(records, idx)
+        idx = index(("a", 0, 19), ("b", 20, 39))
+        records = [(f"d{dom}.example", ip) for ip, dom in pairs]
+        counts, res_skipped = attribute_abuse(rows(records), idx)
         expected = {"a": set(), "b": set()}
         skipped = 0
-        for rec in records:
-            if rec.ip < 20:
-                expected["a"].add(rec.domain)
-            elif rec.ip < 40:
-                expected["b"].add(rec.domain)
+        for domain, ip in records:
+            if ip < 20:
+                expected["a"].add(domain)
+            elif ip < 40:
+                expected["b"].add(domain)
             else:
                 skipped += 1
-        assert res.counts == {p: len(s) for p, s in expected.items()}
-        assert res.skipped == skipped
-        assert sum(res.counts.values()) == len(expected["a"]) + len(expected["b"])
+        assert by_id(idx, counts) == {p: len(s) for p, s in expected.items()}
+        assert res_skipped == skipped
+        assert counts.sum() == len(expected["a"]) + len(expected["b"])
 
 
 class TestBuildProviderTable:
     def test_structural_variables(self):
-        allocations = [IpAllocation("a", 0, 999), IpAllocation("b", 2000, 2000)]
+        allocations = index(("a", 0, 999), ("b", 2000, 2000))
         observations = [obs(f"d{i}.example", 0) for i in range(11)]  # shared IP
         observations += [obs("solo.example", 1)]
-        abuse = [AbuseRecord("d0.example", 0), AbuseRecord("gone.example", 5000)]
-        table, report = build_provider_table(allocations, observations, abuse)
+        abuse = [("d0.example", 0), ("gone.example", 5000)]
+        table, report = build_provider_table(allocations, rows(observations), rows(abuse))
         rec = {r.provider_id: r for r in table}
         assert rec["a"].assigned_ips_log10 == pytest.approx(3.0)  # 1000 addresses
         assert rec["a"].hosting_ips_log10 == pytest.approx(0.30103, abs=1e-5)  # 2 IPs
@@ -203,3 +286,47 @@ class TestBuildProviderTable:
         assert rec["b"].abuse_count == 0
         assert report.skipped_abuse_records == 1
         assert report.zero_domain_providers == 1
+
+
+class TestLoaders:
+    def test_allocations_load_into_an_index(self, tmp_path):
+        path = tmp_path / "allocations.csv"
+        path.write_text(
+            "# comment\nprovider_id,ip_start,ip_end\n"
+            "b,0.0.1.0,0.0.1.255\n a ,0,9\n\nb,20,29\n"
+        )
+        idx = load_allocations(path)
+        assert idx.provider_ids.tolist() == ["a", "b"]
+        assert idx.assigned_sizes.tolist() == [10, 266]
+        assert idx.owners([5, 256, 25, 15]).tolist() == [0, 1, 1, -1]
+
+    def test_allocation_errors_keep_their_messages(self, tmp_path):
+        path = tmp_path / "allocations.csv"
+        path.write_text("provider_id,ip_start,ip_end\na,5,1\n")
+        with pytest.raises(AllocationError, match=r"^allocation for 'a': start > end$"):
+            load_allocations(path)
+        path.write_text("provider_id,ip_start,ip_end\na,0,9\nb,1.2.3,9\n")
+        with pytest.raises(AllocationError, match=r"^invalid IP address '1\.2\.3': "):
+            load_allocations(path)
+        path.write_text("provider_id,ip_start\na,0\n")
+        with pytest.raises(AllocationError, match="missing required column 'ip_end'"):
+            load_allocations(path)
+
+    def test_observations_and_abuse_share_one_columnar_type(self, tmp_path):
+        observations = tmp_path / "observations.csv"
+        observations.write_text("ip,domain\n1.0.0.0, a.example \n7,b.example\n")
+        abuse = tmp_path / "abuse.csv"
+        abuse.write_text("domain,ip,timestamp\na.example,7,2015-03-01\nb.example,8,\n")
+        for loaded in (load_observations(observations), load_abuse(abuse)):
+            assert isinstance(loaded, DomainIps)
+            assert len(loaded) == 2
+            assert loaded.ips.dtype == np.int64
+        assert load_observations(observations).domains.tolist() == ["a.example", "b.example"]
+        assert load_observations(observations).ips.tolist() == [1 << 24, 7]
+        assert load_abuse(abuse).ips.tolist() == [7, 8]
+
+    def test_every_ip_cell_is_validated(self, tmp_path):
+        path = tmp_path / "abuse.csv"
+        path.write_text("domain,ip\na.example,7\nb.example,4294967296\n")
+        with pytest.raises(AllocationError, match=r"^invalid IP address '4294967296': outside"):
+            load_abuse(path)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from abusekit import sim
+from abusekit.glm import SeparationError
 from abusekit.sim import (
     MEASURED_NOISE,
     PROXY_COLUMNS,
@@ -150,3 +152,23 @@ class TestSummarize:
         res.dispersion_samples[:] = np.nan
         with pytest.raises(SimulationError):
             summarize(res)
+
+
+class TestReplicateFailures:
+    def test_expected_fit_error_is_recorded(self, monkeypatch):
+        def separated(dm):
+            raise SeparationError("all responses are zero: intercept MLE at -inf")
+
+        monkeypatch.setattr(sim, "fit_poisson", separated)
+        res = run_monte_carlo(zero_noise(n=200, replicates=2, rng_seed=1))
+        assert [rep for rep, _ in res.failures] == [0, 1]
+        assert res.failures[0][1].startswith("SeparationError: ")
+        assert np.isnan(res.dispersion_samples).all()
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(dm):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(sim, "fit_poisson", broken)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_monte_carlo(zero_noise(n=200, replicates=2, rng_seed=1))
