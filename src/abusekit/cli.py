@@ -106,7 +106,7 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
         f = fit(s)
         column = ModelColumn(label=f"({j})", fit=f, source_label=d.source_label)
         try:
-            column.dispersion = diagnostics.dispersion(f.y, f.fitted, f.k)
+            column.dispersion = diagnostics.dispersion(f.y, f.fitted, f.k, f.has_intercept)
         except diagnostics.DiagnosticsError:
             pass
         baselines = []

@@ -16,7 +16,11 @@ class DiagnosticsError(ValueError):
 
 @dataclass(frozen=True)
 class DispersionReport:
-    """Pearson chi-square dispersion estimate phi = chi2 / (n - k - 1)."""
+    """Pearson chi-square dispersion estimate phi = chi2 / df.
+
+    ``df`` is n minus the number of estimated coefficients: n - k - 1
+    with an intercept, n - k without one.
+    """
 
     phi_hat: float
     chi_square: float
@@ -47,24 +51,26 @@ class ProviderScore:
     better_than_average: bool
 
 
-def dispersion(y, lambda_hat, k: int) -> DispersionReport:
+def dispersion(y, lambda_hat, k: int, intercept: bool = True) -> DispersionReport:
     """Estimate the dispersion parameter from the Pearson chi-square.
 
-    phi_hat = sum_i (y_i - lambda_i)^2 / lambda_i, divided by n - k - 1,
-    where ``k`` counts the fitted covariates excluding the intercept. For
-    an intercept-only fit (k = 0, lambda = mean(y)) this equals the sample
+    phi_hat = sum_i (y_i - lambda_i)^2 / lambda_i, divided by the residual
+    degrees of freedom: n minus the number of estimated coefficients, that
+    is n - k - 1 where ``k`` counts the fitted covariates excluding the
+    intercept, or n - k for a fit without an ``intercept``. For an
+    intercept-only fit (k = 0, lambda = mean(y)) this equals the sample
     variance over the mean exactly.
 
     Raises
     ------
     DiagnosticsError
-        If df = n - k - 1 <= 0 or any lambda_i <= 0.
+        If df <= 0 or any lambda_i <= 0.
     """
     y = np.asarray(y, dtype=float)
     lam = np.asarray(lambda_hat, dtype=float)
     if np.any(lam <= 0):
         raise DiagnosticsError("lambda_hat must be strictly positive")
-    df = int(y.size) - k - 1
+    df = int(y.size) - k - int(intercept)
     if df <= 0:
         raise DiagnosticsError(f"non-positive degrees of freedom (n={y.size}, k={k})")
     chi2 = float(np.sum((y - lam) ** 2 / lam))
@@ -129,7 +135,7 @@ def pseudo_r2(fit: glm.FitResult, baseline: glm.FitResult) -> FitAssessment:
         k_penalty = sum(
             1 for c in fit.coefficients if c != glm.INTERCEPT and c not in dummies
         )
-    phi = dispersion(fit.y, fit.fitted, fit.k).phi_hat
+    phi = dispersion(fit.y, fit.fitted, fit.k, fit.has_intercept).phi_hat
     r2 = 1.0 - (d_model + k_penalty * phi) / d_base
     return FitAssessment(
         deviance_model=d_model,

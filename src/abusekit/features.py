@@ -309,6 +309,19 @@ def _column(header: list[str], name: str, path) -> int:
     return header.index(name)
 
 
+def _short_row(path, header: list[str], positions, rows) -> AllocationError:
+    """The error for the first data row without a cell in one of the ``positions``.
+
+    Loaders call it when indexing a row failed, so the per-row loops pay
+    for no length check. Rows count the header as row 1, as ``load_table``'s
+    errors do.
+    """
+    width = max(positions) + 1
+    lineno, row = next((n, r) for n, r in enumerate(rows, start=2) if r and len(r) < width)
+    name = header[min(i for i in positions if i >= len(row))]
+    return AllocationError(f"{path}: row {lineno}: no value in column {name!r}")
+
+
 def load_allocations(path, delimiter: str = ",") -> AllocationIndex:
     """Read allocations from columns provider_id, ip_start, ip_end into an index."""
     header, rows = _read_rows(path, delimiter, AllocationError)
@@ -316,11 +329,14 @@ def load_allocations(path, delimiter: str = ",") -> AllocationIndex:
     lo = _column(header, "ip_start", path)
     hi = _column(header, "ip_end", path)
     ids, starts, ends = [], [], []
-    for row in rows:
-        if row:
-            ids.append(row[pid].strip())
-            starts.append(parse_ip(row[lo]))
-            ends.append(parse_ip(row[hi]))
+    try:
+        for row in rows:
+            if row:
+                ids.append(row[pid].strip())
+                starts.append(parse_ip(row[lo]))
+                ends.append(parse_ip(row[hi]))
+    except IndexError:
+        raise _short_row(path, header, (pid, lo, hi), rows) from None
     return AllocationIndex(ids, starts, ends)
 
 
@@ -330,10 +346,13 @@ def _read_domain_ips(path, delimiter: str) -> DomainIps:
     dom = _column(header, "domain", path)
     ip = _column(header, "ip", path)
     domains, ips = [], []
-    for row in rows:
-        if row:
-            domains.append(row[dom].strip())
-            ips.append(parse_ip(row[ip]))
+    try:
+        for row in rows:
+            if row:
+                domains.append(row[dom].strip())
+                ips.append(parse_ip(row[ip]))
+    except IndexError:
+        raise _short_row(path, header, (dom, ip), rows) from None
     return DomainIps(domains, ips)
 
 
@@ -361,6 +380,8 @@ def load_enrichment(path, delimiter: str = ",") -> dict[str, dict]:
     for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
+        if len(row) <= pid:
+            raise _short_row(path, header, (pid,), rows)
         values = {}
         for idx, name in enumerate(header):
             if idx == pid or idx >= len(row) or name not in known:

@@ -144,25 +144,28 @@ def build_design(d: Dataset, spec: ModelSpec) -> DesignMatrix:
 
     # Greedy rank filter in column order: a column numerically inside the
     # span of the columns kept before it is dropped, so earlier spec terms
-    # always win over later ones.
+    # always win over later ones. The kept directions fill the leading
+    # columns of Q; each candidate is projected off them by classical
+    # Gram-Schmidt applied twice ("twice is enough", Giraud, Langou and
+    # Rozloznik 2005), two matrix-vector products per pass.
     kept_names: list[str] = []
     kept_cols: list[np.ndarray] = []
     dropped: list[tuple[str, str]] = []
-    basis: list[np.ndarray] = []
+    Q = np.empty((keep.size, len(candidate)), order="F")
     for name, col in candidate:
         norm = np.linalg.norm(col)
         if norm == 0.0:
             dropped.append((name, "all-zero column"))
             continue
         v = col.astype(float)
-        for _ in range(2):  # re-orthogonalize for numerical safety
-            for q in basis:
-                v = v - q * (q @ v)
+        basis = Q[:, : len(kept_names)]
+        for _ in range(2):
+            v -= basis @ (basis.T @ v)
         resid = np.linalg.norm(v)
         if resid <= COLLINEARITY_RTOL * norm:
             dropped.append((name, "collinear with earlier columns"))
             continue
-        basis.append(v / resid)
+        Q[:, len(kept_names)] = v / resid
         kept_names.append(name)
         kept_cols.append(col)
 
@@ -227,6 +230,10 @@ class FitResult:
     @property
     def n_parameters(self) -> int:
         return len(self.coefficients)
+
+    @property
+    def has_intercept(self) -> bool:
+        return INTERCEPT in self.coefficients
 
 
 def fit_poisson(dm: DesignMatrix) -> FitResult:

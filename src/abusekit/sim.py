@@ -189,7 +189,7 @@ def run_monte_carlo(
             data = gen_population(cfg, rep)
             dm = build_design(data, spec)
             fit = fit_poisson(dm)
-            phis[rep] = dispersion(fit.y, fit.fitted, fit.k).phi_hat
+            phis[rep] = dispersion(fit.y, fit.fitted, fit.k, fit.has_intercept).phi_hat
             for j, name in enumerate(names):
                 if name in fit.coefficients:
                     coefs[rep, j] = fit.coefficients[name]

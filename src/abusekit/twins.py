@@ -21,6 +21,10 @@ DEFAULT_MATCH_VARIABLES = (
     "pct_shared",
 )
 
+#: Most seed x population x variable differences ``distance_matrix`` holds
+#: at once (8 MiB of float64); it takes the seeds in blocks under this.
+DISTANCE_BLOCK_CELLS = 1 << 20
+
 
 class MatchingError(ValueError):
     """Raised when matching preconditions fail (e.g. no eligible match)."""
@@ -83,7 +87,9 @@ def distance_matrix(S: Dataset, T: Dataset, cfg: MatchingConfig = MatchingConfig
 
     Standardization parameters (mean, n-1 sd) are computed on the
     population T. A variable with zero variance in T cannot be z-scored;
-    it is excluded from the distance and reported.
+    it is excluded from the distance and reported. Seeds are taken in
+    blocks, so the per-variable differences held at once stay under
+    ``DISTANCE_BLOCK_CELLS`` whatever the number of seeds.
     """
     seed_ids, seed_x, seed_excluded = _matching_rows(S, cfg.variables)
     pop_ids, pop_x, pop_excluded = _matching_rows(T, cfg.variables)
@@ -103,8 +109,11 @@ def distance_matrix(S: Dataset, T: Dataset, cfg: MatchingConfig = MatchingConfig
         seed_x = (seed_x[:, usable] - mean[usable]) / sd[usable]
         pop_x = (pop_x[:, usable] - mean[usable]) / sd[usable]
 
-    diff = seed_x[:, None, :] - pop_x[None, :, :]
-    matrix = np.sqrt(np.sum(diff * diff, axis=2))
+    matrix = np.empty((len(seed_ids), len(pop_ids)))
+    block = max(1, DISTANCE_BLOCK_CELLS // (len(pop_ids) * len(variables)))
+    for lo in range(0, len(seed_ids), block):
+        diff = seed_x[lo : lo + block, None, :] - pop_x[None, :, :]
+        matrix[lo : lo + block] = np.sqrt(np.sum(diff * diff, axis=2))
     return DistanceResult(
         matrix=matrix,
         seed_ids=seed_ids,

@@ -165,6 +165,19 @@ class TestFeatures:
             b"hosted_domains_log10,pct_shared,abuse_count\n"
         )
 
+    def test_short_observation_row_is_a_usage_error(self, tmp_path, capsys):
+        observations = tmp_path / "observations.csv"
+        observations.write_text("domain,ip\na.example,1\nb.example\n")
+        argv = [
+            "features", "--allocations", str(FIXTURE / "allocations.csv"),
+            "--observations", str(observations),
+            "--abuse", str(FIXTURE / "abuse.csv"), "--out-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{observations}: row 3: no value in column 'ip'" in err
+        assert "Traceback" not in err
+
 
 class TestTwins:
     def test_pairings_from_seed_file(self, providers_csv, tmp_path):
@@ -237,6 +250,14 @@ class TestFit:
         lls = [m["log_likelihood"] for m in doc["models"]]
         assert lls[4] >= lls[0]  # likelihood dominance along the nest
         assert (tmp_path / "assessment.json").exists()
+
+    def test_no_intercept_dispersion_df_is_n_minus_p(self, providers_csv, tmp_path):
+        argv = ["fit", "--input", str(providers_csv), "--predictors", STRUCTURAL,
+                "--no-intercept", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        model = json.loads((tmp_path / "fit.json").read_text())["models"][0]
+        assert model["k"] == model["n_parameters"] == 4
+        assert model["dispersion"]["df"] == model["n"] - 4
 
     def test_fixed_effects_table_structure(self, tmp_path):
         # build the twin dataset through the pipeline, then refit via `fit`

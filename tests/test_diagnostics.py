@@ -50,6 +50,25 @@ class TestDispersion:
         with pytest.raises(DiagnosticsError):
             dispersion([1], [0.0], k=0)
 
+    def test_df_counts_estimated_coefficients(self):
+        # df = n minus the number of estimated coefficients
+        assert dispersion([0, 0, 6], [2, 2, 2], k=1).df == 1
+        rep = dispersion([0, 0, 6], [2, 2, 2], k=1, intercept=False)
+        assert rep.df == 2
+        assert rep.phi_hat == pytest.approx(6.0)
+
+    def test_no_intercept_fit_uses_n_minus_p(self, rng):
+        x = rng.uniform(0.5, 2.0, size=30)
+        y = rng.poisson(np.exp(0.8 * x))
+        d = make_dataset(
+            [{"pct_shared": float(x[i]), "abuse_count": int(y[i])} for i in range(30)]
+        )
+        fit = _fit(d, ModelSpec("abuse_count", ("pct_shared",), include_intercept=False))
+        assert fit.n_parameters == fit.k == 1
+        chi2 = float(np.sum((fit.y - fit.fitted) ** 2 / fit.fitted))
+        a = pseudo_r2(fit, fit)
+        assert a.phi_hat == pytest.approx(chi2 / (fit.n - 1), rel=1e-12)
+
 
 class TestDeviance:
     def test_zero_when_equal(self):

@@ -14,6 +14,7 @@ from abusekit.features import (
     classify_shared_ip,
     load_abuse,
     load_allocations,
+    load_enrichment,
     load_observations,
     parse_ip,
     pct_shared,
@@ -330,3 +331,23 @@ class TestLoaders:
         path.write_text("domain,ip\na.example,7\nb.example,4294967296\n")
         with pytest.raises(AllocationError, match=r"^invalid IP address '4294967296': outside"):
             load_abuse(path)
+
+    @pytest.mark.parametrize(
+        "loader, text, column",
+        [
+            (load_observations, "domain,ip\na.example,1\nb.example\n", "ip"),
+            (load_observations, "ip,x,domain\n1,,a.example\n2,\n", "domain"),
+            (load_abuse, "domain,ip,timestamp\na.example,1,2015\nb.example\n", "ip"),
+            (load_allocations, "provider_id,ip_start,ip_end\na,0,9\nb,10\n", "ip_end"),
+            (load_allocations, "ip_start,provider_id,ip_end\n0,a,9\n10\n", "provider_id"),
+            (load_enrichment, "country,provider_id\nUS,a\nDE\n", "provider_id"),
+        ],
+        ids=["observations", "observations-reordered", "abuse", "allocations",
+             "allocations-reordered", "enrichment"],
+    )
+    def test_short_row_names_file_row_and_column(self, tmp_path, loader, text, column):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        with pytest.raises(AllocationError) as err:
+            loader(path)
+        assert str(err.value) == f"{path}: row 3: no value in column {column!r}"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from abusekit.glm import (
+    COLLINEARITY_RTOL,
     INTERCEPT,
     DesignError,
     FitResult,
@@ -39,6 +42,93 @@ def reference_mle(X, y, p):
         options={"gtol": 1e-10, "maxiter": 500},
     )
     return res.x
+
+
+def reference_rank_filter(candidate):
+    """Greedy rank filter as a per-vector modified Gram-Schmidt loop.
+
+    The oracle for ``build_design``'s filter: same column order, same
+    ``COLLINEARITY_RTOL`` test, two projection passes, one basis vector
+    at a time. Returns the kept names and the ``dropped`` list.
+    """
+    kept, dropped, basis = [], [], []
+    for name, col in candidate:
+        norm = np.linalg.norm(col)
+        if norm == 0.0:
+            dropped.append((name, "all-zero column"))
+            continue
+        v = col.astype(float)
+        for _ in range(2):
+            for q in basis:
+                v = v - q * (q @ v)
+        resid = np.linalg.norm(v)
+        if resid <= COLLINEARITY_RTOL * norm:
+            dropped.append((name, "collinear with earlier columns"))
+            continue
+        basis.append(v / resid)
+        kept.append(name)
+    return kept, dropped
+
+
+def candidate_columns(d, spec, dm):
+    """The columns ``build_design`` offers its rank filter, in filter order."""
+    rows = dm.row_index
+    candidate = [(INTERCEPT, np.ones(rows.size))] if spec.include_intercept else []
+    candidate += [(name, d.numeric(name)[rows]) for name in spec.predictors]
+    for factor in spec.fixed_effects:
+        labels = np.array([str(v) for v in d.column(factor)[rows].tolist()])
+        for level in dm.factor_levels[factor][1:]:
+            candidate.append((dummy_name(factor, level), (labels == level).astype(float)))
+    return candidate
+
+
+#: Planted collinearities, each carried by its own predictor column.
+PLANTS = {
+    "scaled_duplicate": "hosting_ips_log10",  # 2 * the base predictor
+    "within_1e-9": "hosted_domains_log10",  # base + 1e-9 noise: collinear
+    "within_1e-6": "pct_shared",  # base + 1e-6 noise: kept
+    "constant_within_twins": "popularity_index",  # last twin dummy collinear
+    "all_zero_after_exclusion": "time_in_business",  # 0 where present
+}
+
+
+@st.composite
+def planted_designs(draw):
+    """A twin dataset and spec with a drawn set of planted collinearities."""
+    # with 10+ rows the 1e-6 plant's residual stays far above the tolerance
+    n_twins = draw(st.integers(min_value=5, max_value=12))
+    plants = draw(st.sets(st.sampled_from(sorted(PLANTS))))
+    factors = draw(
+        st.sampled_from([(), ("twin_id",), ("twin_id", "country"), ("country", "twin_id")])
+    )
+    country_within_twins = draw(st.booleans())
+    include_intercept = draw(st.booleans())
+    r = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    # an all-zero-after-exclusion column needs rows to exclude: one more twin
+    n_rows = 2 * (n_twins + ("all_zero_after_exclusion" in plants))
+    twin = np.arange(n_rows) // 2
+    base = r.uniform(1.0, 2.0, n_rows)
+    columns = {
+        "provider_id": [f"p{i}" for i in range(n_rows)],
+        "assigned_ips_log10": base,
+        "hosting_ips_log10": 2.0 * base,
+        "hosted_domains_log10": base + 1e-9 * r.normal(size=n_rows),
+        "pct_shared": base + 1e-6 * r.normal(size=n_rows),
+        "popularity_index": r.normal(size=twin.max() + 1)[twin],
+        "time_in_business": np.where(twin == twin.max(), np.nan, 0.0),
+        "abuse_count": r.poisson(2.0, n_rows),
+        "twin_id": [f"t{t:02d}" for t in twin],
+    }
+    levels = np.array(["DE", "NL", "US"])
+    if country_within_twins:
+        columns["country"] = levels[twin % 3]
+    else:
+        columns["country"] = levels[r.permutation(n_rows) % 3]
+    d = Dataset(columns)
+    predictors = ("assigned_ips_log10",) + tuple(PLANTS[p] for p in sorted(plants))
+    spec = ModelSpec("abuse_count", predictors, factors, include_intercept)
+    return d, spec, plants
 
 
 class TestBuildDesign:
@@ -132,6 +222,33 @@ class TestBuildDesign:
         assert set(dm.columns) | {name for name, _ in dm.dropped} == set(expected)
         for j, name in enumerate(dm.columns):
             assert dm.X[:, j].tolist() == expected[name]
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_designs())
+    def test_rank_filter_matches_gram_schmidt_loop(self, case):
+        d, spec, plants = case
+        dm = build_design(d, spec)
+        candidate = candidate_columns(d, spec, dm)
+        kept, dropped = reference_rank_filter(candidate)
+        assert dm.columns == kept
+        assert dm.dropped == dropped
+        cols = dict(candidate)
+        assert np.array_equal(dm.X, np.column_stack([cols[name] for name in kept]))
+        # the plants do what they are planted for
+        dropped_names = dict(dropped)
+        if "scaled_duplicate" in plants:
+            assert PLANTS["scaled_duplicate"] in dropped_names
+        if "within_1e-9" in plants:
+            assert PLANTS["within_1e-9"] in dropped_names
+        if "within_1e-6" in plants:
+            assert PLANTS["within_1e-6"] in dm.columns
+        if "all_zero_after_exclusion" in plants:
+            assert dropped_names[PLANTS["all_zero_after_exclusion"]] == "all-zero column"
+            assert dm.excluded_rows == 2
+        if "constant_within_twins" in plants and "twin_id" in spec.fixed_effects:
+            assert PLANTS["constant_within_twins"] in dm.columns
+            if spec.include_intercept:
+                assert any(name.startswith("twin_id[") for name in dropped_names)
 
     def test_single_level_factor_rejected(self):
         d = make_dataset([{"country": "US", "abuse_count": 1}] * 3)

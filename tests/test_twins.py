@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from abusekit import twins
 from abusekit.ingest import Dataset
 from abusekit.twins import (
     MatchingConfig,
@@ -28,6 +29,37 @@ def point_dataset(points, prefix="p"):
             )
         )
     return Dataset.from_records(tuple(records))
+
+
+#: Nine numeric columns usable as matching variables.
+MATCH_COLUMNS = (
+    "assigned_ips_log10",
+    "hosting_ips_log10",
+    "hosted_domains_log10",
+    "pct_shared",
+    "price_per_year",
+    "popularity_index",
+    "time_in_business",
+    "ict_dev_index",
+    "wordpress_use",
+)
+
+def one_broadcast(S, T, cfg):
+    """Every seed-population distance from one |S| x |T| x d broadcast.
+
+    Every variable must vary in T. The z-scoring indexes with a column
+    mask, as ``distance_matrix`` does: the mask makes the arrays column
+    major, which sets the summation order of the squares when d >= 8.
+    """
+    seed_x = np.column_stack([S.numeric(v) for v in cfg.variables])
+    pop_x = np.column_stack([T.numeric(v) for v in cfg.variables])
+    if cfg.standardize:
+        mean, sd = pop_x.mean(axis=0), pop_x.std(axis=0, ddof=1)
+        usable = sd > 0
+        seed_x = (seed_x[:, usable] - mean[usable]) / sd[usable]
+        pop_x = (pop_x[:, usable] - mean[usable]) / sd[usable]
+    diff = seed_x[:, None, :] - pop_x[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 CFG2 = MatchingConfig(
@@ -100,6 +132,30 @@ class TestDistanceMatrix:
     def test_string_matching_variable_rejected(self):
         with pytest.raises(ValueError, match="numeric"):
             MatchingConfig(variables=("assigned_ips_log10", "country"))
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("n_vars", [2, 9])
+    @pytest.mark.parametrize("seeds_per_block", [1, 5, 17])
+    def test_seed_blocks_match_one_broadcast(self, monkeypatch, standardize, n_vars, seeds_per_block):
+        # data differ per case, so no freed matrix of an earlier case holds
+        # the values an unfilled row of this one would have to show
+        r = np.random.default_rng([seeds_per_block, n_vars, standardize])
+        n_pop = 23
+
+        def table(prefix, n):
+            # integer-valued coordinates, so many distances tie exactly
+            cols = {v: r.integers(0, 4, n).astype(float) for v in MATCH_COLUMNS}
+            cols.update(provider_id=[f"{prefix}{i:02d}" for i in range(n)], abuse_count=[0] * n)
+            return Dataset(cols)
+
+        S, T = table("s", 17), table("t", n_pop)
+        cfg = MatchingConfig(variables=MATCH_COLUMNS[:n_vars], standardize=standardize)
+        monkeypatch.setattr(twins, "DISTANCE_BLOCK_CELLS", seeds_per_block * n_pop * n_vars)
+        blocked = distance_matrix(S, T, cfg).matrix
+        blocked_pairs = match_twins(S, T, cfg)
+        assert np.array_equal(blocked, one_broadcast(S, T, cfg))
+        monkeypatch.setattr(twins, "DISTANCE_BLOCK_CELLS", 10**12)
+        assert match_twins(S, T, cfg) == blocked_pairs
 
 
 class TestMatchTwins:
