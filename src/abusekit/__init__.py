@@ -8,12 +8,11 @@ Monte Carlo robustness study of noisy size proxies.
 
 __version__ = "0.1.0"
 
-from .ingest import Dataset, ProviderRecord, describe, load_table, log10_transform
+from .ingest import Dataset, describe, load_table, log10_transform
 from .glm import FitResult, ModelSpec, build_design, fit_poisson, predict
 
 __all__ = [
     "Dataset",
-    "ProviderRecord",
     "describe",
     "load_table",
     "log10_transform",

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import COLUMNS, Dataset, _parse_cell, _read_rows, log10_transform
+from .ingest import COLUMNS, Dataset, LoadError, _parse_cell, _read_rows, log10_transform
 
 #: An IP address is "shared" when it hosts more than this many domains.
 SHARED_DOMAIN_THRESHOLD = 10
@@ -309,22 +309,23 @@ def _column(header: list[str], name: str, path) -> int:
     return header.index(name)
 
 
-def _short_row(path, header: list[str], positions, rows) -> AllocationError:
+def _short_row(path, header: list[str], positions, rows, first: int) -> AllocationError:
     """The error for the first data row without a cell in one of the ``positions``.
 
     Loaders call it when indexing a row failed, so the per-row loops pay
-    for no length check. Rows count the header as row 1, as ``load_table``'s
+    for no length check. ``rows`` and ``first`` are as ``_read_rows``
+    returns them, so the error names the physical line, as ``load_table``'s
     errors do.
     """
     width = max(positions) + 1
-    lineno, row = next((n, r) for n, r in enumerate(rows, start=2) if r and len(r) < width)
+    lineno, row = next((n, r) for n, r in enumerate(rows, start=first) if r and len(r) < width)
     name = header[min(i for i in positions if i >= len(row))]
     return AllocationError(f"{path}: row {lineno}: no value in column {name!r}")
 
 
 def load_allocations(path, delimiter: str = ",") -> AllocationIndex:
     """Read allocations from columns provider_id, ip_start, ip_end into an index."""
-    header, rows = _read_rows(path, delimiter, AllocationError)
+    header, rows, first = _read_rows(path, delimiter, AllocationError)
     pid = _column(header, "provider_id", path)
     lo = _column(header, "ip_start", path)
     hi = _column(header, "ip_end", path)
@@ -336,13 +337,13 @@ def load_allocations(path, delimiter: str = ",") -> AllocationIndex:
                 starts.append(parse_ip(row[lo]))
                 ends.append(parse_ip(row[hi]))
     except IndexError:
-        raise _short_row(path, header, (pid, lo, hi), rows) from None
+        raise _short_row(path, header, (pid, lo, hi), rows, first) from None
     return AllocationIndex(ids, starts, ends)
 
 
 def _read_domain_ips(path, delimiter: str) -> DomainIps:
     """Columns domain and ip of a delimited file; other columns are ignored."""
-    header, rows = _read_rows(path, delimiter, AllocationError)
+    header, rows, first = _read_rows(path, delimiter, AllocationError)
     dom = _column(header, "domain", path)
     ip = _column(header, "ip", path)
     domains, ips = [], []
@@ -352,7 +353,7 @@ def _read_domain_ips(path, delimiter: str) -> DomainIps:
                 domains.append(row[dom].strip())
                 ips.append(parse_ip(row[ip]))
     except IndexError:
-        raise _short_row(path, header, (dom, ip), rows) from None
+        raise _short_row(path, header, (dom, ip), rows, first) from None
     return DomainIps(domains, ips)
 
 
@@ -374,20 +375,23 @@ def load_enrichment(path, delimiter: str = ",") -> dict[str, dict]:
     columns are ignored.
     """
     known = set(COLUMNS)
-    header, rows = _read_rows(path, delimiter, AllocationError)
+    header, rows, first = _read_rows(path, delimiter, AllocationError)
     pid = _column(header, "provider_id", path)
     out: dict[str, dict] = {}
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) <= pid:
-            raise _short_row(path, header, (pid,), rows)
-        values = {}
-        for idx, name in enumerate(header):
-            if idx == pid or idx >= len(row) or name not in known:
+    try:
+        for lineno, row in enumerate(rows, start=first):
+            if not row:
                 continue
-            parsed = _parse_cell(name, row[idx], lineno)
-            if parsed is not None:
-                values[name] = parsed
-        out[row[pid].strip()] = values
+            if len(row) <= pid:
+                raise _short_row(path, header, (pid,), rows, first)
+            values = {}
+            for idx, name in enumerate(header):
+                if idx == pid or idx >= len(row) or name not in known:
+                    continue
+                parsed = _parse_cell(name, row[idx], lineno)
+                if parsed is not None:
+                    values[name] = parsed
+            out[row[pid].strip()] = values
+    except LoadError as exc:
+        raise LoadError(f"{path}: {exc}") from None
     return out

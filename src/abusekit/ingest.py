@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,27 +56,11 @@ class LoadError(ValueError):
     """Raised when an input file violates the table contract."""
 
 
-@dataclass(frozen=True)
-class ProviderRecord:
-    """One hosting provider: structural variables, enrichment and abuse count."""
-
-    provider_id: str
-    assigned_ips_log10: float
-    hosting_ips_log10: float
-    hosted_domains_log10: float
-    pct_shared: float
-    abuse_count: int
-    country: str | None = None
-    price_per_year: float | None = None
-    popularity_index: float | None = None
-    time_in_business: float | None = None
-    ict_dev_index: float | None = None
-    wordpress_use: float | None = None
-    twin_id: str | None = None
-
-
-#: Every column, in file order; also the field order of ProviderRecord.
+#: Every column, in file order.
 COLUMNS = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
+
+#: One table row, as iterating over a ``Dataset`` yields it.
+_Row = namedtuple("_Row", COLUMNS)
 
 
 def _as_column(name: str, values) -> np.ndarray:
@@ -125,25 +110,13 @@ class Dataset:
     def source_label(self) -> str:
         return self._source_label
 
-    @classmethod
-    def from_records(
-        cls, records: Iterable[ProviderRecord], source_label: str = ""
-    ) -> "Dataset":
-        """Build a table from row objects; ``None`` fields load as missing."""
-        rows = list(records)
-        return cls({c: [getattr(r, c) for r in rows] for c in COLUMNS}, source_label)
+    def __iter__(self) -> Iterator[tuple]:
+        """Rows as named tuples in ``COLUMNS`` order; NaN marks a missing number.
 
-    @property
-    def records(self) -> tuple[ProviderRecord, ...]:
-        """Row view with ``None`` for missing values, built on each access."""
-        cols = [self._columns[c].tolist() for c in COLUMNS]
-        # v != v holds only for NaN, the missing marker of numeric columns
-        return tuple(
-            ProviderRecord(*(None if v != v else v for v in row)) for row in zip(*cols)
-        )
-
-    def __iter__(self) -> Iterator[ProviderRecord]:
-        return iter(self.records)
+        Only ``perfbench/tracing.py`` iterates a table (it reads ``twin_id``
+        per row); everything else reads columns.
+        """
+        return map(_Row._make, zip(*(col.tolist() for col in self._columns.values())))
 
     def __len__(self) -> int:
         return len(self._columns["provider_id"])
@@ -274,15 +247,15 @@ def load_table(
     ------
     LoadError
         On a missing required column, a non-numeric or non-finite cell in
-        a numeric column or a duplicate provider key, each reported with its row
-        number (physical line, header = row 1).
+        a numeric column or a duplicate provider key, each reported with the
+        file and its row number (physical line, comment lines included).
     """
     schema = dict(schema or {})
     unknown = set(schema) - set(COLUMNS)
     if unknown:
         raise LoadError(f"schema maps unknown canonical columns: {sorted(unknown)}")
 
-    header, rows = _read_rows(path, delimiter, LoadError)
+    header, rows, first = _read_rows(path, delimiter, LoadError)
     positions: dict[str, int] = {}
     for canonical in COLUMNS:
         file_col = schema.get(canonical, canonical)
@@ -293,45 +266,52 @@ def load_table(
 
     columns: dict[str, list] = {canonical: [] for canonical in positions}
     seen: set[tuple] = set()
-    for lineno, raw in enumerate(rows, start=2):
-        if not raw:
-            continue
-        values = {
-            canonical: _parse_cell(canonical, raw[idx] if idx < len(raw) else "", lineno)
-            for canonical, idx in positions.items()
-        }
-        for required in ("provider_id", "abuse_count"):
-            if values[required] is None:
+    try:
+        for lineno, raw in enumerate(rows, start=first):
+            if not raw:
+                continue
+            values = {
+                canonical: _parse_cell(canonical, raw[idx] if idx < len(raw) else "", lineno)
+                for canonical, idx in positions.items()
+            }
+            for required in ("provider_id", "abuse_count"):
+                if values[required] is None:
+                    raise LoadError(
+                        f"row {lineno}: missing value in required column {required!r}"
+                    )
+            # Twin datasets repeat providers (one row per twin slot), so the
+            # uniqueness key includes twin_id when that column is present.
+            key = (values["provider_id"], values.get("twin_id"))
+            if key in seen:
                 raise LoadError(
-                    f"row {lineno}: missing value in required column {required!r}"
+                    f"row {lineno}: duplicate provider_id {values['provider_id']!r}"
                 )
-        # Twin datasets repeat providers (one row per twin slot), so the
-        # uniqueness key includes twin_id when that column is present.
-        key = (values["provider_id"], values.get("twin_id"))
-        if key in seen:
-            raise LoadError(
-                f"row {lineno}: duplicate provider_id {values['provider_id']!r}"
-            )
-        seen.add(key)
-        for canonical, value in values.items():
-            columns[canonical].append(value)
+            seen.add(key)
+            for canonical, value in values.items():
+                columns[canonical].append(value)
+    except LoadError as exc:
+        raise LoadError(f"{path}: {exc}") from None
 
     return Dataset(columns)
 
 
 def _read_rows(
     path, delimiter: str, error: type[Exception]
-) -> tuple[list[str], list[list[str]]]:
-    """Stripped header and data rows of a delimited file, skipping ``#`` lines.
+) -> tuple[list[str], list[list[str]], int]:
+    """Stripped header, data rows and the physical line of the first data row.
 
-    Raises ``error`` when the file holds no header.
+    The header is the first line that is neither empty nor a ``#`` comment.
+    Comment lines after it read as empty rows, which callers skip, so data
+    row ``i`` sits on physical line ``first + i``. Raises ``error`` when the
+    file holds no header.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = (line for line in fh if not line.lstrip().startswith("#"))
+        lines = ("" if line.lstrip().startswith("#") else line for line in fh)
         rows = list(csv.reader(lines, delimiter=delimiter))
-    if not rows:
+    at = next((i for i, row in enumerate(rows) if row), None)
+    if at is None:
         raise error(f"{path}: empty file")
-    return [h.strip() for h in rows[0]], rows[1:]
+    return [h.strip() for h in rows[at]], rows[at + 1:], at + 2
 
 
 def write_table(

@@ -16,9 +16,20 @@ import numpy as np
 from .glm import FitResult, predict
 from .ingest import Dataset
 
-#: Baseline values for the four structural predictors, in their spec order.
-SMALL_SHARED_BASELINE = (0.47, 0.47, 1.95, 100.0)
-LARGE_DEDICATED_BASELINE = (6.85, 5.67, 5.68, 0.48)
+#: Baseline values of a typical small shared-hosting provider and a large
+#: dedicated-hosting provider on the four structural predictors.
+SMALL_SHARED_BASELINE = {
+    "assigned_ips_log10": 0.47,
+    "hosting_ips_log10": 0.47,
+    "hosted_domains_log10": 1.95,
+    "pct_shared": 100.0,
+}
+LARGE_DEDICATED_BASELINE = {
+    "assigned_ips_log10": 6.85,
+    "hosting_ips_log10": 5.67,
+    "hosted_domains_log10": 5.68,
+    "pct_shared": 0.48,
+}
 
 
 class ScenarioError(ValueError):
@@ -135,23 +146,11 @@ def median_scenario(d: Dataset, predictors: Sequence[str]) -> ScenarioSpec:
 def builtin_scenarios(d: Dataset, predictors: Sequence[str]) -> list[ScenarioSpec]:
     """The three standard baselines: medians, small-shared, large-dedicated.
 
-    The small/large presets describe a typical small shared-hosting
-    provider and a large dedicated-hosting provider on the four structural
-    variables; they only apply when the model uses exactly those
-    predictors in order.
+    The small/large presets only apply when the model's predictors are
+    exactly the four structural variables they give values for.
     """
     out = [median_scenario(d, predictors)]
-    if len(predictors) == len(SMALL_SHARED_BASELINE):
-        out.append(
-            ScenarioSpec(
-                name="small-shared-provider",
-                baseline=dict(zip(predictors, SMALL_SHARED_BASELINE)),
-            )
-        )
-        out.append(
-            ScenarioSpec(
-                name="large-dedicated-provider",
-                baseline=dict(zip(predictors, LARGE_DEDICATED_BASELINE)),
-            )
-        )
+    if sorted(predictors) == sorted(SMALL_SHARED_BASELINE):
+        out.append(ScenarioSpec("small-shared-provider", dict(SMALL_SHARED_BASELINE)))
+        out.append(ScenarioSpec("large-dedicated-provider", dict(LARGE_DEDICATED_BASELINE)))
     return out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abusekit.ingest import Dataset, ProviderRecord
+from abusekit.ingest import COLUMNS, Dataset
 
 #: One PASS/FAIL line per acceptance criterion, echoed in the run summary.
 ACCEPTANCE_LINES = []
@@ -14,29 +14,39 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def make_record(i, abuse_count=0, **overrides):
-    """Provider record with neutral structural values unless overridden."""
-    base = dict(
-        provider_id=f"p{i:04d}",
-        assigned_ips_log10=0.0,
-        hosting_ips_log10=0.0,
-        hosted_domains_log10=0.0,
-        pct_shared=0.0,
-        abuse_count=abuse_count,
-    )
-    base.update(overrides)
-    return ProviderRecord(**base)
+#: Neutral structural values of every generated row unless overridden.
+ROW_DEFAULTS = dict(
+    assigned_ips_log10=0.0,
+    hosting_ips_log10=0.0,
+    hosted_domains_log10=0.0,
+    pct_shared=0.0,
+    abuse_count=0,
+)
 
 
 def make_dataset(rows, source_label=""):
-    """Build a Dataset from dicts of per-record overrides (or ints = counts)."""
-    records = []
-    for i, row in enumerate(rows):
-        if isinstance(row, int):
-            records.append(make_record(i, abuse_count=row))
-        else:
-            records.append(make_record(i, **row))
-    return Dataset.from_records(tuple(records), source_label=source_label)
+    """Build a Dataset from dicts of per-row overrides (or ints = counts).
+
+    Row ``i`` is provider ``p{i:04d}`` with the ``ROW_DEFAULTS`` values
+    unless overridden; any other column a row does not set is missing.
+    """
+    rows = [{"abuse_count": row} if isinstance(row, int) else row for row in rows]
+    columns = {"provider_id": [row.get("provider_id", f"p{i:04d}") for i, row in enumerate(rows)]}
+    for name in set(ROW_DEFAULTS).union(*rows) - {"provider_id"}:
+        default = ROW_DEFAULTS.get(name)
+        columns[name] = [row.get(name, default) for row in rows]
+    return Dataset(columns, source_label=source_label)
+
+
+def same_table(a, b):
+    """Whether two datasets hold the same values in every column.
+
+    NaN, the missing marker of float columns, equals NaN here.
+    """
+    return all(
+        np.array_equal(a.column(c), b.column(c), equal_nan=a.column(c).dtype.kind == "f")
+        for c in COLUMNS
+    )
 
 
 @pytest.fixture

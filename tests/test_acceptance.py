@@ -15,7 +15,7 @@ from abusekit.scenarios import partial_effect
 from abusekit.sim import PROXY_COLUMNS, MEASURED_NOISE, SimulationConfig, run_monte_carlo
 from abusekit.twins import MatchingConfig, listwise_exclude, match_twins
 
-from conftest import make_dataset, make_record
+from conftest import make_dataset
 from test_glm import manual_fit, reference_mle
 from test_twins import exhaustive_oracle, point_dataset
 
@@ -155,18 +155,17 @@ def test_criterion_08_matching_oracle():
         variables=("assigned_ips_log10", "hosting_ips_log10"), standardize=False
     )
     agreements = 0
+    names = [f"h{i:05d}" for i in range(10_000)]
     for trial in range(100):
         n_pop = int(rng.integers(4, 10_001))
         if trial % 3 == 0:
             coords = rng.integers(0, 8, size=(n_pop, 2)).astype(float)  # force ties
         else:
             coords = rng.normal(size=(n_pop, 2))
-        pop = point_dataset([(f"h{i:05d}", tuple(coords[i])) for i in range(n_pop)])
+        pop = point_dataset(zip(names, coords.tolist()))
         n_seeds = int(rng.integers(1, 4))
         chosen = rng.choice(n_pop, n_seeds, replace=False)
-        from abusekit.ingest import Dataset
-
-        S = Dataset.from_records(tuple(pop.records[i] for i in chosen))
+        S = pop.take(chosen)
         got = [(p.seed_id, p.match_id) for p in match_twins(S, pop, cfg)]
         want = [(s, m) for s, m, _ in exhaustive_oracle(S, pop, cfg)]
         agreements += got == want
@@ -208,24 +207,19 @@ def test_criterion_09_pseudo_r2_boundaries():
 def test_criterion_10_twin_listwise_exclusion():
     from abusekit.twins import TwinPairing, twin_label
 
-    records, pairings = [], []
+    rows, pairings = [], []
     for t in range(105):
         seed_id, match_id = f"s{t:03d}", f"m{t:03d}"
-        records.append(
-            make_record(2 * t, provider_id=seed_id, price_per_year=9.0, abuse_count=1)
-        )
-        records.append(
-            make_record(
-                2 * t + 1,
+        rows.append(dict(provider_id=seed_id, price_per_year=9.0, abuse_count=1))
+        rows.append(
+            dict(
                 provider_id=match_id,
                 price_per_year=19.0 if t < 42 else None,
                 abuse_count=2,
             )
         )
         pairings.append(TwinPairing(twin_label(seed_id), seed_id, match_id, 0.0))
-    from abusekit.ingest import Dataset
-
-    d = Dataset.from_records(tuple(records))
+    d = make_dataset(rows)
     out = listwise_exclude(pairings, d, ["price_per_year"])
     check(10, f"105 twins with 42 price-complete pairs keep {len(out)} modeling rows",
           len(out) == 84)

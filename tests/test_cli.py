@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import abusekit
 from abusekit.cli import load_sim_config, main
 
 FIXTURE = Path(__file__).parent / "data" / "fixture"
@@ -636,10 +638,14 @@ def test_single_command_matches_golden_bytes(case, tmp_path):
 
 
 def test_console_invocation_smoke(tmp_path):
+    # the child imports the abusekit this process imported, installed or not
+    src = str(Path(abusekit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "abusekit.cli", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "abusekit" in proc.stdout

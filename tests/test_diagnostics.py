@@ -9,9 +9,8 @@ from abusekit.diagnostics import (
     rank_providers,
 )
 from abusekit.glm import ModelSpec, build_design, fit_poisson
-from abusekit.ingest import Dataset
 
-from conftest import make_dataset, make_record
+from conftest import make_dataset
 
 
 class TestDispersion:
@@ -207,11 +206,8 @@ class TestRankProviders:
     def test_ordering_invariant_under_relabeling(self, rng):
         y = rng.poisson(6.0, size=30)
         d1 = make_dataset([int(v) for v in y])
-        d2 = Dataset.from_records(
-            tuple(
-                make_record(i, abuse_count=int(y[i]), provider_id=f"zz{i:04d}")
-                for i in range(30)
-            )
+        d2 = make_dataset(
+            [{"abuse_count": int(y[i]), "provider_id": f"zz{i:04d}"} for i in range(30)]
         )
         s1 = rank_providers(d1, _fit(d1, ModelSpec("abuse_count")))
         s2 = rank_providers(d2, _fit(d2, ModelSpec("abuse_count")))

@@ -20,6 +20,12 @@ from abusekit.features import (
     pct_shared,
     popularity_index,
 )
+from abusekit.ingest import LoadError, load_table
+
+#: Header of a provider table holding the required columns only.
+PROVIDER_HEADER = (
+    "provider_id,assigned_ips_log10,hosting_ips_log10,hosted_domains_log10,pct_shared,abuse_count"
+)
 
 
 def index(*ranges):
@@ -278,13 +284,13 @@ class TestBuildProviderTable:
         observations += [obs("solo.example", 1)]
         abuse = [("d0.example", 0), ("gone.example", 5000)]
         table, report = build_provider_table(allocations, rows(observations), rows(abuse))
-        rec = {r.provider_id: r for r in table}
-        assert rec["a"].assigned_ips_log10 == pytest.approx(3.0)  # 1000 addresses
-        assert rec["a"].hosting_ips_log10 == pytest.approx(0.30103, abs=1e-5)  # 2 IPs
-        assert rec["a"].hosted_domains_log10 == pytest.approx(1.0791812, abs=1e-6)
-        assert rec["a"].pct_shared == pytest.approx(100 * 11 / 12)
-        assert rec["a"].abuse_count == 1
-        assert rec["b"].abuse_count == 0
+        a, b = (table.provider_ids().index(pid) for pid in ("a", "b"))
+        assert table.column("assigned_ips_log10")[a] == pytest.approx(3.0)  # 1000 addresses
+        assert table.column("hosting_ips_log10")[a] == pytest.approx(0.30103, abs=1e-5)  # 2 IPs
+        assert table.column("hosted_domains_log10")[a] == pytest.approx(1.0791812, abs=1e-6)
+        assert table.column("pct_shared")[a] == pytest.approx(100 * 11 / 12)
+        assert table.column("abuse_count")[a] == 1
+        assert table.column("abuse_count")[b] == 0
         assert report.skipped_abuse_records == 1
         assert report.zero_domain_providers == 1
 
@@ -351,3 +357,35 @@ class TestLoaders:
         with pytest.raises(AllocationError) as err:
             loader(path)
         assert str(err.value) == f"{path}: row 3: no value in column {column!r}"
+
+    @pytest.mark.parametrize(
+        "loader, text, error, message",
+        [
+            (
+                load_table,
+                "# manifest\n" + PROVIDER_HEADER + "\na,1,1,1,10,3\n# note\nb,1,1,1,x,0\n",
+                LoadError,
+                "row 5: non-numeric value 'x' in column 'pct_shared'",
+            ),
+            (
+                load_observations,
+                "# manifest\ndomain,ip\na.example,1\nb.example\n",
+                AllocationError,
+                "row 4: no value in column 'ip'",
+            ),
+            (
+                load_enrichment,
+                "# manifest\nprovider_id,price_per_year\na,x\n",
+                LoadError,
+                "row 3: non-numeric value 'x' in column 'price_per_year'",
+            ),
+        ],
+        ids=["providers", "observations", "enrichment"],
+    )
+    def test_errors_name_file_and_physical_line(self, tmp_path, loader, text, error, message):
+        # comment lines count: the row is the line number an editor shows
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        with pytest.raises(error) as err:
+            loader(path)
+        assert str(err.value) == f"{path}: {message}"

@@ -23,7 +23,7 @@ from abusekit.glm import (
 )
 from abusekit.ingest import Dataset
 
-from conftest import make_dataset, make_record
+from conftest import make_dataset
 
 
 def poisson_nll(beta, X, y):
@@ -202,23 +202,25 @@ class TestBuildDesign:
         factors = ("country", "time_in_business")
         dm = build_design(d, ModelSpec("abuse_count", ("price_per_year",), factors))
         # row-wise reference: complete rows, str() levels in sorted order
-        records = d.records
         used = ("abuse_count", "price_per_year") + factors
+        by_row = [dict(zip(used, row)) for row in zip(*(d.column(c).tolist() for c in used))]
+        # missing is None in string columns and NaN (v != v) in float columns
         keep = [
-            i for i, r in enumerate(records) if all(getattr(r, c) is not None for c in used)
+            i for i, r in enumerate(by_row)
+            if all(r[c] is not None and r[c] == r[c] for c in used)
         ]
-        kept = [records[i] for i in keep]
+        kept = [by_row[i] for i in keep]
         expected = {
             INTERCEPT: [1.0] * len(kept),
-            "price_per_year": [r.price_per_year for r in kept],
+            "price_per_year": [r["price_per_year"] for r in kept],
         }
         for factor in factors:
-            values = [str(getattr(r, factor)) for r in kept]
+            values = [str(r[factor]) for r in kept]
             assert dm.factor_levels[factor] == sorted(set(values))
             for level in sorted(set(values))[1:]:
                 expected[f"{factor}[{level}]"] = [float(v == level) for v in values]
         assert dm.row_index.tolist() == keep
-        assert dm.y.tolist() == [float(r.abuse_count) for r in kept]
+        assert dm.y.tolist() == [float(r["abuse_count"]) for r in kept]
         assert set(dm.columns) | {name for name, _ in dm.dropped} == set(expected)
         for j, name in enumerate(dm.columns):
             assert dm.X[:, j].tolist() == expected[name]
@@ -366,17 +368,16 @@ class TestFitPoisson:
             y = rng.poisson(np.exp(X @ beta_true))
             if y.sum() == 0:
                 continue
-            d = Dataset.from_records(
-                tuple(
-                    make_record(
-                        i,
+            d = make_dataset(
+                [
+                    dict(
                         abuse_count=int(y[i]),
                         assigned_ips_log10=float(abs(X[i, 1])) if k > 0 else 0.0,
                         hosting_ips_log10=float(abs(X[i, 2])) if k > 1 else 0.0,
                         hosted_domains_log10=float(abs(X[i, 3])) if k > 2 else 0.0,
                     )
                     for i in range(n)
-                )
+                ]
             )
             predictors = ("assigned_ips_log10", "hosting_ips_log10", "hosted_domains_log10")[:k]
             dm = build_design(d, ModelSpec("abuse_count", predictors))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from abusekit import ingest
 from abusekit.ingest import LoadError, describe, load_table, log10_transform, write_table
 
-from conftest import make_dataset
+from conftest import make_dataset, same_table
 
 
 HEADER = (
@@ -28,9 +28,9 @@ class TestLoadTable:
         path = write_csv(tmp_path, "a,1,1,1,10,3\nb,2,1,1,20,0\nc,3,2,2,30,7\n")
         d = load_table(path)
         assert len(d) == 3
-        assert d.records[0].provider_id == "a"
-        assert d.records[2].abuse_count == 7
-        assert d.records[1].price_per_year is None
+        assert d.column("provider_id")[0] == "a"
+        assert d.column("abuse_count")[2] == 7
+        assert d.missing("price_per_year")[1]
 
     def test_negative_abuse_names_row_and_column(self, tmp_path):
         path = write_csv(tmp_path, "a,1,1,1,10,3\nb,2,1,1,20,-1\n")
@@ -45,8 +45,8 @@ class TestLoadTable:
     def test_missing_optional_column_loads_as_missing(self, tmp_path):
         path = write_csv(tmp_path, "a,1,1,1,10,3\n")
         d = load_table(path)
-        assert d.records[0].price_per_year is None
-        assert d.records[0].country is None
+        assert d.missing("price_per_year")[0]
+        assert d.missing("country")[0]
 
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -74,7 +74,7 @@ class TestLoadTable:
         header = HEADER.replace("abuse_count", "phish_feed_a")
         path = write_csv(tmp_path, "a,1,1,1,10,9\n", header=header)
         d = load_table(path, schema={"abuse_count": "phish_feed_a"})
-        assert d.records[0].abuse_count == 9
+        assert d.column("abuse_count")[0] == 9
 
     @pytest.mark.parametrize(
         "column,text",
@@ -110,10 +110,10 @@ class TestLoadTable:
         path = tmp_path / "t.csv"
         path.write_text(HEADER.replace(",", ";") + "\na;1;1;1;10;3\n", encoding="utf-8")
         d = load_table(path, delimiter=";")
-        assert d.records[0].abuse_count == 3
+        assert d.column("abuse_count")[0] == 3
         out = tmp_path / "o.csv"
         write_table(d, out, delimiter=";")
-        assert load_table(out, delimiter=";").records == d.records
+        assert same_table(load_table(out, delimiter=";"), d)
 
     def test_round_trip_identity(self, tmp_path):
         path = write_csv(
@@ -133,7 +133,7 @@ class TestLoadTable:
         out = tmp_path / "out.csv"
         write_table(d1, out)
         d2 = load_table(out)
-        assert d1.records == d2.records
+        assert same_table(d1, d2)
         write_table(d2, tmp_path / "out2.csv")
         assert (tmp_path / "out.csv").read_text() == (tmp_path / "out2.csv").read_text()
 

@@ -72,8 +72,8 @@ class TestScenarioTable:
         rows = scenario_table(
             fit,
             [
-                ScenarioSpec("small", dict(zip(STRUCTURAL, SMALL_SHARED_BASELINE))),
-                ScenarioSpec("large", dict(zip(STRUCTURAL, LARGE_DEDICATED_BASELINE))),
+                ScenarioSpec("small", SMALL_SHARED_BASELINE),
+                ScenarioSpec("large", LARGE_DEDICATED_BASELINE),
             ],
         )
         assert {r.scenario for r in rows} == {"small", "large"}
@@ -82,7 +82,7 @@ class TestScenarioTable:
     def test_ratio_identity(self):
         fit = structural_fit()
         rows = scenario_table(
-            fit, [ScenarioSpec("small", dict(zip(STRUCTURAL, SMALL_SHARED_BASELINE)))]
+            fit, [ScenarioSpec("small", SMALL_SHARED_BASELINE)]
         )
         for r in rows:
             assert r.incremented_lambda / r.baseline_lambda == pytest.approx(
@@ -95,8 +95,8 @@ class TestScenarioTable:
     def test_multiplier_baseline_independent_but_changes_differ(self):
         fit = structural_fit()
         baselines = [
-            dict(zip(STRUCTURAL, SMALL_SHARED_BASELINE)),
-            dict(zip(STRUCTURAL, LARGE_DEDICATED_BASELINE)),
+            SMALL_SHARED_BASELINE,
+            LARGE_DEDICATED_BASELINE,
             dict(zip(STRUCTURAL, (3.2, 1.7, 1.8, 59.0))),
         ]
         tables = [
@@ -132,7 +132,7 @@ class TestScenarioTable:
         fit = structural_fit()
         spec = ScenarioSpec(
             "s",
-            dict(zip(STRUCTURAL, SMALL_SHARED_BASELINE)),
+            SMALL_SHARED_BASELINE,
             deltas={"pct_shared": 10.0},
         )
         rows = {r.variable: r for r in scenario_table(fit, [spec])}
@@ -160,9 +160,16 @@ class TestBuiltinScenarios:
             "large-dedicated-provider",
         ]
         small = specs[1]
-        assert tuple(small.baseline[v] for v in STRUCTURAL) == SMALL_SHARED_BASELINE
+        assert small.baseline == SMALL_SHARED_BASELINE
 
     def test_presets_skipped_for_other_predictor_sets(self):
         d = make_dataset([{"price_per_year": float(i)} for i in range(5)])
         specs = builtin_scenarios(d, ["price_per_year"])
+        assert [s.name for s in specs] == ["median-provider"]
+
+    def test_presets_skipped_for_four_other_predictors(self):
+        # four predictors, but not the structural ones the presets describe
+        predictors = ["price_per_year", "popularity_index", "time_in_business", "wordpress_use"]
+        d = make_dataset([{p: 0.1 * i for p in predictors} for i in range(5)])
+        specs = builtin_scenarios(d, predictors)
         assert [s.name for s in specs] == ["median-provider"]

@@ -13,22 +13,17 @@ from abusekit.twins import (
     twin_label,
 )
 
-from conftest import make_dataset, make_record
+from conftest import make_dataset
 
 
-def point_dataset(points, prefix="p"):
+def point_dataset(points):
     """Dataset whose (assigned, hosting) variables hold 2-d coordinates."""
-    records = []
-    for i, (name, (x, y)) in enumerate(points):
-        records.append(
-            make_record(
-                i,
-                provider_id=name,
-                assigned_ips_log10=float(x),
-                hosting_ips_log10=float(y),
-            )
-        )
-    return Dataset.from_records(tuple(records))
+    return make_dataset(
+        [
+            {"provider_id": name, "assigned_ips_log10": float(x), "hosting_ips_log10": float(y)}
+            for name, (x, y) in points
+        ]
+    )
 
 
 #: Nine numeric columns usable as matching variables.
@@ -69,19 +64,25 @@ CFG2 = MatchingConfig(
 
 def exhaustive_oracle(S, T, cfg):
     """Plain-loop nearest-neighbor scan with the documented tie-break."""
+
+    def rows(d):
+        """(provider_id, matching values) per row, as Python scalars."""
+        return list(zip(d.provider_ids(), zip(*(d.column(v).tolist() for v in cfg.variables))))
+
+    candidates = rows(T)
     pairs = []
-    for seed in S:
+    for seed_id, svec in rows(S):
         best = None
-        svec = [getattr(seed, v) for v in cfg.variables]
-        for cand in T:
-            if cand.provider_id == seed.provider_id:
+        for cand_id, cvec in candidates:
+            if cand_id == seed_id:
                 continue
-            cvec = [getattr(cand, v) for v in cfg.variables]
-            dist = sum((a - b) ** 2 for a, b in zip(svec, cvec)) ** 0.5
-            key = (dist, cand.provider_id)
+            squares = 0.0
+            for a, b in zip(svec, cvec):
+                squares += (a - b) ** 2
+            key = (squares**0.5, cand_id)
             if best is None or key < best:
                 best = key
-        pairs.append((seed.provider_id, best[1], best[0]))
+        pairs.append((seed_id, best[1], best[0]))
     return pairs
 
 
@@ -119,11 +120,12 @@ class TestDistanceMatrix:
         assert np.allclose(np.diag(res.matrix), 0.0)
 
     def test_missing_matching_rows_excluded(self):
-        records = (
-            make_record(0, provider_id="a", price_per_year=1.0),
-            make_record(1, provider_id="b", price_per_year=None),
+        d = make_dataset(
+            [
+                dict(provider_id="a", price_per_year=1.0),
+                dict(provider_id="b", price_per_year=None),
+            ]
         )
-        d = Dataset.from_records(records)
         cfg = MatchingConfig(variables=("price_per_year",), standardize=False)
         res = distance_matrix(d, d, cfg)
         assert res.excluded_seed_ids == ["b"]
@@ -200,9 +202,9 @@ class TestMatchTwins:
             [(f"h{i:04d}", tuple(rng.normal(size=2))) for i in range(n_pop)]
         )
         seed_ids = set(
-            str(s) for s in rng.choice([r.provider_id for r in pop], n_seeds, replace=False)
+            str(s) for s in rng.choice(pop.provider_ids(), n_seeds, replace=False)
         )
-        S = Dataset.from_records(tuple(r for r in pop if r.provider_id in seed_ids))
+        S = pop.take([pid in seed_ids for pid in pop.provider_ids()])
         pairs = match_twins(S, pop, CFG2)
         assert len(pairs) == n_seeds
         distinct = {p.seed_id for p in pairs} | {p.match_id for p in pairs}
@@ -217,7 +219,7 @@ class TestMatchTwins:
             )
             n_seeds = int(rng.integers(1, min(8, n_pop)))
             chosen = rng.choice(n_pop, n_seeds, replace=False)
-            S = Dataset.from_records(tuple(pop.records[i] for i in chosen))
+            S = pop.take(chosen)
             got = match_twins(S, pop, CFG2)
             want = exhaustive_oracle(S, pop, CFG2)
             assert [(p.seed_id, p.match_id) for p in got] == [
@@ -233,8 +235,8 @@ class TestMatchTwins:
             [(f"h{i:03d}", tuple(pts[i] * 7.0 + 3.0)) for i in range(50)]
         )
         cfg = MatchingConfig(variables=CFG2.variables, standardize=True)
-        S1 = Dataset.from_records(pop.records[:6])
-        S2 = Dataset.from_records(scaled.records[:6])
+        S1 = pop.take(range(6))
+        S2 = scaled.take(range(6))
         m1 = match_twins(S1, pop, cfg)
         m2 = match_twins(S2, scaled, cfg)
         assert [(p.seed_id, p.match_id) for p in m1] == [
@@ -248,25 +250,20 @@ class TestListwiseExclude:
         ``price_complete`` twins, missing for one member otherwise."""
         from abusekit.twins import TwinPairing
 
-        records, pairings = [], []
+        rows, pairings = [], []
         for t in range(n_twins):
             seed_id, match_id = f"s{t:03d}", f"m{t:03d}"
             complete = t < price_complete
-            records.append(
-                make_record(
-                    2 * t, provider_id=seed_id, price_per_year=10.0, abuse_count=1
-                )
-            )
-            records.append(
-                make_record(
-                    2 * t + 1,
+            rows.append(dict(provider_id=seed_id, price_per_year=10.0, abuse_count=1))
+            rows.append(
+                dict(
                     provider_id=match_id,
                     price_per_year=20.0 if complete else None,
                     abuse_count=2,
                 )
             )
             pairings.append(TwinPairing(twin_label(seed_id), seed_id, match_id, 0.0))
-        return Dataset.from_records(tuple(records)), pairings
+        return make_dataset(rows), pairings
 
     def test_missing_member_drops_both(self):
         d, pairings = self.make_pairs_dataset(1, price_complete=0)
@@ -277,7 +274,7 @@ class TestListwiseExclude:
         d, pairings = self.make_pairs_dataset(3, price_complete=3)
         out = listwise_exclude(pairings, d, ["price_per_year"])
         assert len(out) == 6
-        assert [r.twin_id for r in out][:2] == [twin_label("s000")] * 2
+        assert out.column("twin_id").tolist()[:2] == [twin_label("s000")] * 2
 
     def test_42_of_105_complete_twins_give_84_rows(self):
         d, pairings = self.make_pairs_dataset(105, price_complete=42)
@@ -289,8 +286,8 @@ class TestListwiseExclude:
         out = listwise_exclude(pairings, d, ["price_per_year"])
         assert len(out) % 2 == 0
         sizes = {}
-        for r in out:
-            sizes[r.twin_id] = sizes.get(r.twin_id, 0) + 1
+        for twin_id in out.column("twin_id").tolist():
+            sizes[twin_id] = sizes.get(twin_id, 0) + 1
         assert all(v == 2 for v in sizes.values())
 
     def test_unknown_provider_rejected(self):
