@@ -555,10 +555,21 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _delimiter(text: str) -> str:
+    """Argument type of ``--delimiter``: one character that csv can split on."""
+    if len(text) != 1 or text in '"\r\n':
+        raise argparse.ArgumentTypeError(
+            f"must be exactly one character other than '\"', CR and LF, got {text!r}"
+        )
+    return text
+
+
 def _add_table_args(p, with_out_dir=True):
     p.add_argument("--input", required=True, help="provider table (delimited text)")
     p.add_argument("--schema", help="canonical=column mappings, comma separated")
-    p.add_argument("--delimiter", default=",", help="cell separator (default ,)")
+    p.add_argument(
+        "--delimiter", type=_delimiter, default=",", help="cell separator (default ,)"
+    )
     if with_out_dir:
         p.add_argument("--out-dir", required=True, help="directory for artifacts")
 
@@ -623,7 +634,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--abuse", required=True)
     p.add_argument("--enrichment", help="optional per-provider enrichment table")
     p.add_argument("--source-label", default="abuse")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_features)
 
@@ -673,7 +684,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--abuse-alt", help="alternative abuse feed for cross-validation")
     p.add_argument("--enrichment", required=True)
     p.add_argument("--source-label", default="abuse")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",")
     _add_matching_args(p)
     p.add_argument("--required", help="columns forcing twin-level list-wise exclusion")
     p.add_argument("--response", default="abuse_count")

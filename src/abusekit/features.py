@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -323,37 +324,102 @@ def _short_row(path, header: list[str], positions, rows, first: int) -> Allocati
     return AllocationError(f"{path}: row {lineno}: no value in column {name!r}")
 
 
-def load_allocations(path, delimiter: str = ",") -> AllocationIndex:
-    """Read allocations from columns provider_id, ip_start, ip_end into an index."""
+def _split_plain(path, delimiter: str, names: Sequence[str]) -> list[list[str]] | None:
+    """The named columns of a plain delimited file, as lists of cell strings.
+
+    A file is plain when it holds no quote and no carriage return and
+    every data line holds exactly as many delimiters as the header; then
+    csv parsing is one ``split`` per line, and the data lines are joined
+    and split once, each column taken by stride. The flat list holds only
+    strings, which the cyclic garbage collector does not track, where
+    ``csv.reader`` builds one tracked list per row. Blank and ``#`` lines
+    are dropped as ``_read_rows`` drops them. Returns None for any other
+    file or a delimiter that is not one character, and the caller reads
+    it with ``_read_rows``; a missing column raises here as it does there.
+    """
+    if len(delimiter) != 1:
+        return None  # csv.reader raises the error
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line for line in lines if line and not line.lstrip().startswith("#")]
+    else:
+        lines = list(filter(None, lines))
+    if not lines:
+        return None  # _read_rows raises the empty-file error
+    header = [h.strip() for h in lines[0].split(delimiter)]
+    positions = [_column(header, name, path) for name in names]
+    data = lines[1:]
+    width = len(header)
+    if data and set(map(str.count, data, repeat(delimiter))) != {width - 1}:
+        return None
+    cells = delimiter.join(data).split(delimiter) if data else []
+    return [cells[p::width] for p in positions]
+
+
+def _parse_ips(*columns: list[str]) -> list[np.ndarray]:
+    """IP cell columns of equal length as int64 arrays, as ``parse_ip`` reads them.
+
+    Integer cells are converted with ``int``, which is what ``parse_ip``
+    does with a cell without a dot, and range-checked in one pass. Any
+    other column set, a dotted quad or a bad cell among it, goes through
+    ``parse_ip`` cell by cell in row-major order, so the first bad cell
+    in file order raises its usual error.
+    """
+    n = len(columns[0])
+    try:
+        arrays = [np.fromiter(map(int, col), np.int64, n) for col in columns]
+    except (ValueError, OverflowError):
+        pass
+    else:
+        if all(((a >= 0) & (a <= MAX_IPV4)).all() for a in arrays):
+            return arrays
+    flat = np.fromiter(
+        map(parse_ip, chain.from_iterable(zip(*columns))), np.int64, n * len(columns)
+    )
+    return list(flat.reshape(n, len(columns)).T.copy())
+
+
+def _read_columns(
+    path, delimiter: str, key: str, ips: Sequence[str]
+) -> tuple[list[str], list[np.ndarray]]:
+    """The stripped ``key`` column and the ``ips`` columns as int64 addresses.
+
+    Other columns are ignored. Plain files are split whole
+    (``_split_plain``); any other file is read row by row through
+    ``_read_rows``, each row's cells in ``key``, ``ips`` order, which also
+    names the first short row.
+    """
+    names = [key, *ips]
+    cells = _split_plain(path, delimiter, names)
+    if cells is not None:
+        return list(map(str.strip, cells[0])), _parse_ips(*cells[1:])
     header, rows, first = _read_rows(path, delimiter, AllocationError)
-    pid = _column(header, "provider_id", path)
-    lo = _column(header, "ip_start", path)
-    hi = _column(header, "ip_end", path)
-    ids, starts, ends = [], [], []
+    positions = [_column(header, name, path) for name in names]
+    parsers = [str.strip] + [parse_ip] * len(ips)
+    columns: list[list] = [[] for _ in names]
     try:
         for row in rows:
             if row:
-                ids.append(row[pid].strip())
-                starts.append(parse_ip(row[lo]))
-                ends.append(parse_ip(row[hi]))
+                for column, pos, parse in zip(columns, positions, parsers):
+                    column.append(parse(row[pos]))
     except IndexError:
-        raise _short_row(path, header, (pid, lo, hi), rows, first) from None
+        raise _short_row(path, header, positions, rows, first) from None
+    return columns[0], [np.array(c, dtype=np.int64) for c in columns[1:]]
+
+
+def load_allocations(path, delimiter: str = ",") -> AllocationIndex:
+    """Read allocations from columns provider_id, ip_start, ip_end into an index."""
+    ids, (starts, ends) = _read_columns(path, delimiter, "provider_id", ("ip_start", "ip_end"))
     return AllocationIndex(ids, starts, ends)
 
 
 def _read_domain_ips(path, delimiter: str) -> DomainIps:
     """Columns domain and ip of a delimited file; other columns are ignored."""
-    header, rows, first = _read_rows(path, delimiter, AllocationError)
-    dom = _column(header, "domain", path)
-    ip = _column(header, "ip", path)
-    domains, ips = [], []
-    try:
-        for row in rows:
-            if row:
-                domains.append(row[dom].strip())
-                ips.append(parse_ip(row[ip]))
-    except IndexError:
-        raise _short_row(path, header, (dom, ip), rows, first) from None
+    domains, (ips,) = _read_columns(path, delimiter, "domain", ("ip",))
     return DomainIps(domains, ips)
 
 
@@ -372,7 +438,7 @@ def load_enrichment(path, delimiter: str = ",") -> dict[str, dict]:
 
     Canonical columns go through the same cell validation as provider
     tables (ranges, numeric parsing); empty cells are missing; unknown
-    columns are ignored.
+    columns are ignored. A provider_id may appear on one row only.
     """
     known = set(COLUMNS)
     header, rows, first = _read_rows(path, delimiter, AllocationError)
@@ -391,7 +457,10 @@ def load_enrichment(path, delimiter: str = ",") -> dict[str, dict]:
                 parsed = _parse_cell(name, row[idx], lineno)
                 if parsed is not None:
                     values[name] = parsed
-            out[row[pid].strip()] = values
+            key = row[pid].strip()
+            if key in out:
+                raise LoadError(f"row {lineno}: duplicate provider_id {key!r}")
+            out[key] = values
     except LoadError as exc:
         raise LoadError(f"{path}: {exc}") from None
     return out

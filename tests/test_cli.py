@@ -626,6 +626,24 @@ def test_option_the_command_ignores_is_rejected(command, option, providers_csv, 
     assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delimiter", [";;", "", '"', "\n"])
+@pytest.mark.parametrize("command", ["features", "pipeline", "fit"])
+def test_delimiter_is_one_plain_character(command, delimiter, providers_csv, tmp_path, capsys):
+    inputs = {
+        "features": fixture_args()[:6],
+        "pipeline": [*fixture_args(), "--predictors", TWIN_PREDICTORS],
+        "fit": ["--input", str(providers_csv)],
+    }[command]
+    argv = [command, *inputs, "--delimiter", delimiter, "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --delimiter: must be exactly one character" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_COMMAND_CASES))
 def test_single_command_matches_golden_bytes(case, tmp_path):
     # Regenerate with tests/data/make_golden.py after an intended change.

@@ -1,10 +1,12 @@
+import csv
 from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from abusekit import features, ingest
 from abusekit.features import (
     AllocationError,
     AllocationIndex,
@@ -21,6 +23,18 @@ from abusekit.features import (
     popularity_index,
 )
 from abusekit.ingest import LoadError, load_table
+
+#: Columns each raw loader reads, in the order its row loop visits them.
+LOADER_COLUMNS = {
+    "allocations": ("provider_id", "ip_start", "ip_end"),
+    "observations": ("domain", "ip"),
+    "abuse": ("domain", "ip"),
+}
+LOADERS = {
+    "allocations": load_allocations,
+    "observations": load_observations,
+    "abuse": load_abuse,
+}
 
 #: Header of a provider table holding the required columns only.
 PROVIDER_HEADER = (
@@ -389,3 +403,165 @@ class TestLoaders:
         with pytest.raises(error) as err:
             loader(path)
         assert str(err.value) == f"{path}: {message}"
+
+    def test_duplicate_enrichment_provider_rejected(self, tmp_path):
+        path = tmp_path / "enrichment.csv"
+        path.write_text("provider_id,price_per_year\na,1.0\n# note\n a ,2.0\n")
+        with pytest.raises(LoadError) as err:
+            load_enrichment(path)
+        assert str(err.value) == f"{path}: row 4: duplicate provider_id 'a'"
+
+
+def row_loop_oracle(path, delimiter, loader):
+    """The raw loaders as a csv row loop: ``_read_rows``, then ``parse_ip`` per cell."""
+    header, rows, first = features._read_rows(path, delimiter, AllocationError)
+    positions = [features._column(header, name, path) for name in LOADER_COLUMNS[loader]]
+    if loader == "allocations":
+        pid, lo, hi = positions
+        ids, starts, ends = [], [], []
+        try:
+            for row in rows:
+                if row:
+                    ids.append(row[pid].strip())
+                    starts.append(parse_ip(row[lo]))
+                    ends.append(parse_ip(row[hi]))
+        except IndexError:
+            raise features._short_row(path, header, positions, rows, first) from None
+        return AllocationIndex(ids, starts, ends)
+    dom, ip = positions
+    domains, ips = [], []
+    try:
+        for row in rows:
+            if row:
+                domains.append(row[dom].strip())
+                ips.append(parse_ip(row[ip]))
+    except IndexError:
+        raise features._short_row(path, header, positions, rows, first) from None
+    return DomainIps(domains, ips)
+
+
+def loaded_columns(result):
+    """The columns of a loader's result as Python lists, with the IP dtype."""
+    if isinstance(result, AllocationIndex):
+        return (
+            result.provider_ids.tolist(),
+            result.assigned_sizes.tolist(),
+            result._starts.tolist(),
+            result._ends.tolist(),
+            result._owner.tolist(),
+            result._starts.dtype,
+        )
+    return result.domains.tolist(), result.ips.tolist(), result.ips.dtype
+
+
+def outcome(read, path, delimiter):
+    """The loaded columns, or the type and message of the error raised."""
+    try:
+        return loaded_columns(read(path, delimiter))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+#: IP cells ``parse_ip`` accepts or rejects in ways a vectorised parse must keep.
+ODD_IP_CELLS = (
+    " 8 ", "+9", "1_000", "-1", "4294967296", "99999999999999999999", "1.2.3",
+    "0.0.4.1", " 0.0.5.0 ", "300.1.2.3", "0x10", "x", "",
+)
+TEXT_CELLS = ("a", " b ", "c.example", "d,x", "e\tz", "#f", "", "g h")
+
+
+@st.composite
+def raw_files(draw):
+    """A raw input file's text, its delimiter and the loader to read it with.
+
+    IP cells are mostly integers that keep allocations sorted and disjoint,
+    so whole files load; the rest are odd cells. Comment and blank lines
+    may appear anywhere. Half of the files are messy: quoted cells,
+    short and long rows, whitespace-only lines and CRLF endings, which
+    the plain split must leave to the csv fallback.
+    """
+    loader = draw(st.sampled_from(sorted(LOADER_COLUMNS)))
+    names = list(LOADER_COLUMNS[loader]) + draw(st.sampled_from([[], ["timestamp"]]))
+    if draw(st.integers(0, 19)) == 0:
+        names.pop(draw(st.integers(0, len(names) - 1)))  # a missing column
+    names = draw(st.permutations(names))
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    messy = draw(st.booleans())
+    newline = draw(st.sampled_from(["\n", "\r\n"])) if messy else "\n"
+    odd = st.sampled_from(ODD_IP_CELLS)
+
+    def cell(name, i):
+        if name in ("ip_start", "ip_end", "ip"):
+            if draw(st.integers(0, 9)):
+                return str(1000 * i + (9 if name == "ip_end" else 0))
+            return draw(odd)
+        return draw(st.sampled_from([c for c in TEXT_CELLS if messy or delimiter not in c]))
+
+    def quoted(value):
+        if messy and draw(st.integers(0, 9)) == 0:
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
+    lines = []
+    for _ in range(draw(st.integers(0, 2))):
+        lines.append(draw(st.sampled_from(["# manifest", "  # note", ""])))
+    lines.append(delimiter.join(names))
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 19 if messy else 9))
+        if kind == 0:
+            blank = ["# comment", "", "   ", "\t"] if messy else ["# comment", ""]
+            lines.append(draw(st.sampled_from(blank)))
+            continue
+        cells = [quoted(cell(name, i)) for name in names]
+        if messy and kind == 1:
+            cells.append("extra")
+        elif messy and kind == 2:
+            cells.pop()
+        lines.append(delimiter.join(cells))
+    ending = draw(st.sampled_from([newline, ""]))
+    return newline.join(lines) + ending, delimiter, loader
+
+
+class TestRawReader:
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(raw_files())
+    def test_matches_csv_row_loop(self, tmp_path, case):
+        text, delimiter, loader = case
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(LOADERS[loader], path, delimiter) == outcome(
+            lambda p, d: row_loop_oracle(p, d, loader), path, delimiter
+        )
+
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\n"])
+    def test_delimiter_csv_rejects_or_reads_whole_lines(self, tmp_path, delimiter):
+        # csv.reader rejects these or reads each line as one cell
+        path = tmp_path / "observations.csv"
+        path.write_text(f"domain{delimiter}ip\na.example{delimiter}7\n")
+        assert outcome(load_observations, path, delimiter) == outcome(
+            lambda p, d: row_loop_oracle(p, d, "observations"), path, delimiter
+        )
+
+    def test_plain_file_is_split_without_csv(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("plain file read row by row")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+        monkeypatch.setattr(ingest, "_read_rows", refuse)
+        monkeypatch.setattr(features, "_read_rows", refuse)
+        path = tmp_path / "observations.csv"
+        path.write_text("# manifest\ndomain,ip\na.example,7\n\n b.example ,4294967295\n")
+        loaded = load_observations(path)
+        assert loaded.domains.tolist() == ["a.example", "b.example"]
+        assert loaded.ips.tolist() == [7, 2**32 - 1]
+
+    def test_quoted_cell_keeps_its_delimiter(self, tmp_path):
+        path = tmp_path / "observations.csv"
+        path.write_text('domain,ip\n"b,x.example",8\n')
+        loaded = load_observations(path)
+        assert loaded.domains.tolist() == ["b,x.example"]
+        assert loaded.ips.tolist() == [8]
