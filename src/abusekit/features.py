@@ -14,12 +14,22 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import COLUMNS, Dataset, LoadError, _parse_cell, _read_rows, log10_transform
+from .ingest import (
+    COLUMNS,
+    Dataset,
+    LoadError,
+    _parse_cell,
+    _parse_column,
+    _position,
+    _read_rows,
+    _split_plain,
+    log10_transform,
+)
 
 #: An IP address is "shared" when it hosts more than this many domains.
 SHARED_DOMAIN_THRESHOLD = 10
@@ -305,9 +315,10 @@ def merge_enrichment(d: Dataset, rows: dict[str, dict], columns: Sequence[str]) 
 
 
 def _column(header: list[str], name: str, path) -> int:
-    if name not in header:
+    pos = _position(header, name, path, AllocationError)
+    if pos is None:
         raise AllocationError(f"{path}: missing required column {name!r}")
-    return header.index(name)
+    return pos
 
 
 def _short_row(path, header: list[str], positions, rows, first: int) -> AllocationError:
@@ -322,42 +333,6 @@ def _short_row(path, header: list[str], positions, rows, first: int) -> Allocati
     lineno, row = next((n, r) for n, r in enumerate(rows, start=first) if r and len(r) < width)
     name = header[min(i for i in positions if i >= len(row))]
     return AllocationError(f"{path}: row {lineno}: no value in column {name!r}")
-
-
-def _split_plain(path, delimiter: str, names: Sequence[str]) -> list[list[str]] | None:
-    """The named columns of a plain delimited file, as lists of cell strings.
-
-    A file is plain when it holds no quote and no carriage return and
-    every data line holds exactly as many delimiters as the header; then
-    csv parsing is one ``split`` per line, and the data lines are joined
-    and split once, each column taken by stride. The flat list holds only
-    strings, which the cyclic garbage collector does not track, where
-    ``csv.reader`` builds one tracked list per row. Blank and ``#`` lines
-    are dropped as ``_read_rows`` drops them. Returns None for any other
-    file or a delimiter that is not one character, and the caller reads
-    it with ``_read_rows``; a missing column raises here as it does there.
-    """
-    if len(delimiter) != 1:
-        return None  # csv.reader raises the error
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    if '"' in text or "\r" in text:
-        return None
-    lines = text.split("\n")
-    if "#" in text:
-        lines = [line for line in lines if line and not line.lstrip().startswith("#")]
-    else:
-        lines = list(filter(None, lines))
-    if not lines:
-        return None  # _read_rows raises the empty-file error
-    header = [h.strip() for h in lines[0].split(delimiter)]
-    positions = [_column(header, name, path) for name in names]
-    data = lines[1:]
-    width = len(header)
-    if data and set(map(str.count, data, repeat(delimiter))) != {width - 1}:
-        return None
-    cells = delimiter.join(data).split(delimiter) if data else []
-    return [cells[p::width] for p in positions]
 
 
 def _parse_ips(*columns: list[str]) -> list[np.ndarray]:
@@ -394,9 +369,12 @@ def _read_columns(
     names the first short row.
     """
     names = [key, *ips]
-    cells = _split_plain(path, delimiter, names)
-    if cells is not None:
-        return list(map(str.strip, cells[0])), _parse_ips(*cells[1:])
+    plain = _split_plain(path, delimiter)
+    if plain is not None:
+        header, cells = plain
+        width = len(header)
+        key_cells, *ip_cells = (cells[_column(header, name, path)::width] for name in names)
+        return list(map(str.strip, key_cells)), _parse_ips(*ip_cells)
     header, rows, first = _read_rows(path, delimiter, AllocationError)
     positions = [_column(header, name, path) for name in names]
     parsers = [str.strip] + [parse_ip] * len(ips)
@@ -438,11 +416,27 @@ def load_enrichment(path, delimiter: str = ",") -> dict[str, dict]:
 
     Canonical columns go through the same cell validation as provider
     tables (ranges, numeric parsing); empty cells are missing; unknown
-    columns are ignored. A provider_id may appear on one row only.
+    columns are ignored. A provider_id may appear on one row only, and a
+    canonical column once in the header.
     """
-    known = set(COLUMNS)
+    plain = _split_plain(path, delimiter)
+    if plain is not None:
+        header, cells = plain
+        pid, positions = _enrichment_positions(header, path)
+        width = len(header)
+        ids = list(map(str.strip, cells[pid::width]))
+        columns = [_parse_column(name, cells[pos::width]) for name, pos in positions.items()]
+        if len(set(ids)) == len(ids) and not any(c is None for c in columns):
+            names = list(positions)
+            values = map(_cell_values, names, columns)
+            return {
+                key: {n: v for n, v in zip(names, row) if v is not None}
+                for key, *row in zip(ids, *values)
+            }
+        # a cell failed a check: the row loop raises its error
+
     header, rows, first = _read_rows(path, delimiter, AllocationError)
-    pid = _column(header, "provider_id", path)
+    pid, positions = _enrichment_positions(header, path)
     out: dict[str, dict] = {}
     try:
         for lineno, row in enumerate(rows, start=first):
@@ -451,8 +445,8 @@ def load_enrichment(path, delimiter: str = ",") -> dict[str, dict]:
             if len(row) <= pid:
                 raise _short_row(path, header, (pid,), rows, first)
             values = {}
-            for idx, name in enumerate(header):
-                if idx == pid or idx >= len(row) or name not in known:
+            for name, idx in positions.items():
+                if idx >= len(row):
                     continue
                 parsed = _parse_cell(name, row[idx], lineno)
                 if parsed is not None:
@@ -464,3 +458,23 @@ def load_enrichment(path, delimiter: str = ",") -> dict[str, dict]:
     except LoadError as exc:
         raise LoadError(f"{path}: {exc}") from None
     return out
+
+
+def _enrichment_positions(header: list[str], path) -> tuple[int, dict[str, int]]:
+    """Position of ``provider_id`` and of each other canonical column, in header order."""
+    pid = _column(header, "provider_id", path)
+    known = set(COLUMNS) - {"provider_id"}
+    return pid, {name: _column(header, name, path) for name in header if name in known}
+
+
+def _cell_values(name: str, column) -> list:
+    """A column from ``_parse_column`` as ``_parse_cell`` returns its cells."""
+    if isinstance(column, list):
+        return column
+    missing = np.isnan(column)
+    if name == "abuse_count":
+        column = np.where(missing, 0, column).astype(np.int64)
+    values = column.tolist()
+    for i in np.flatnonzero(missing).tolist():
+        values[i] = None
+    return values

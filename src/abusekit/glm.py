@@ -128,15 +128,17 @@ def build_design(d: Dataset, spec: ModelSpec) -> DesignMatrix:
     for name in spec.predictors:
         candidate.append((name, d.numeric(name)[keep]))
     for factor in spec.fixed_effects:
-        # levels are str() of the Python values, sorted lexicographically
+        # levels are str() of the Python values, sorted by code point
         labels = [str(v) for v in d.column(factor)[keep].tolist()]
-        levels, codes = np.unique(labels, return_inverse=True)
+        levels = sorted(set(labels))
         if len(levels) < 2:
             raise DesignError(
                 f"fixed effect {factor!r} has a single level after exclusions"
             )
-        factor_levels[factor] = levels.tolist()
-        for code, level in enumerate(factor_levels[factor][1:], start=1):
+        code_of = {level: code for code, level in enumerate(levels)}
+        codes = np.fromiter(map(code_of.__getitem__, labels), np.int64, len(labels))
+        factor_levels[factor] = levels
+        for code, level in enumerate(levels[1:], start=1):
             candidate.append((dummy_name(factor, level), (codes == code).astype(float)))
 
     if not candidate:

@@ -1,9 +1,9 @@
 """Loading, validating and summarizing provider/abuse datasets.
 
 Datasets are delimiter-separated text files with a header row, UTF-8
-encoded, "." as decimal separator and empty cells for missing values.
-Lines starting with "#" are treated as comments (run manifests are
-embedded that way) and skipped.
+encoded (a leading byte-order mark is skipped), "." as decimal separator
+and empty cells for missing values. Lines starting with "#" are treated
+as comments (run manifests are embedded that way) and skipped.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import csv
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -50,6 +51,21 @@ NONNEGATIVE_COLUMNS = (
     "time_in_business",
     "ict_dev_index",
 )
+
+
+#: Closed range a present numeric cell must lie in, and the error it
+#: raises otherwise, by column; the largest float below 2**63 bounds
+#: ``abuse_count`` so that its counts fit int64.
+_BOUNDS: dict[str, tuple[float, float, str]] = {
+    "abuse_count": (
+        0.0,
+        math.nextafter(2.0**63, 0.0),
+        "column 'abuse_count' must be a non-negative integer below 2**63",
+    ),
+    "pct_shared": (0.0, 100.0, "'pct_shared' must lie in [0, 100]"),
+    "wordpress_use": (0.0, 1.0, "'wordpress_use' must lie in [0, 1]"),
+    **{c: (0.0, math.inf, f"column {c!r} must be >= 0") for c in NONNEGATIVE_COLUMNS},
+}
 
 
 class LoadError(ValueError):
@@ -208,20 +224,19 @@ def _parse_cell(column: str, text: str, row: int):
         ) from None
     if not math.isfinite(value):
         raise LoadError(f"row {row}: non-finite value {text!r} in column {column!r}")
-    if column == "abuse_count":
-        if value < 0 or value != int(value) or value >= 2.0**63:
-            raise LoadError(
-                f"row {row}: column 'abuse_count' must be a non-negative "
-                f"integer below 2**63, got {text!r}"
-            )
-        return int(value)
-    if column == "pct_shared" and not 0.0 <= value <= 100.0:
-        raise LoadError(f"row {row}: 'pct_shared' must lie in [0, 100], got {text!r}")
-    if column == "wordpress_use" and not 0.0 <= value <= 1.0:
-        raise LoadError(f"row {row}: 'wordpress_use' must lie in [0, 1], got {text!r}")
-    if column in NONNEGATIVE_COLUMNS and value < 0:
-        raise LoadError(f"row {row}: column {column!r} must be >= 0, got {text!r}")
-    return value
+    if column in _BOUNDS and not _in_bounds(column, value):
+        raise LoadError(f"row {row}: {_BOUNDS[column][2]}, got {text!r}")
+    return int(value) if column == "abuse_count" else value
+
+
+def _in_bounds(column: str, values):
+    """Whether finite ``values``, a float or an array, pass ``column``'s bounds.
+
+    Elementwise for an array. ``abuse_count`` must also be integral.
+    """
+    low, high, _ = _BOUNDS[column]
+    ok = (values >= low) & (values <= high)
+    return ok & (values % 1 == 0) if column == "abuse_count" else ok
 
 
 def load_table(
@@ -246,23 +261,36 @@ def load_table(
     Raises
     ------
     LoadError
-        On a missing required column, a non-numeric or non-finite cell in
-        a numeric column or a duplicate provider key, each reported with the
-        file and its row number (physical line, comment lines included).
+        On a missing required column, a used column named twice in the
+        header, a non-numeric or non-finite cell in a numeric column or a
+        duplicate provider key, each reported with the file and its row
+        number (physical line, comment lines included).
     """
     schema = dict(schema or {})
     unknown = set(schema) - set(COLUMNS)
     if unknown:
         raise LoadError(f"schema maps unknown canonical columns: {sorted(unknown)}")
 
-    header, rows, first = _read_rows(path, delimiter, LoadError)
+    plain = _split_plain(path, delimiter)
+    if plain is None:
+        header, rows, first = _read_rows(path, delimiter, LoadError)
+    else:
+        header, cells = plain
     positions: dict[str, int] = {}
     for canonical in COLUMNS:
         file_col = schema.get(canonical, canonical)
-        if file_col in header:
-            positions[canonical] = header.index(file_col)
+        pos = _position(header, file_col, path, LoadError)
+        if pos is not None:
+            positions[canonical] = pos
         elif canonical in REQUIRED_COLUMNS or canonical in schema:
             raise LoadError(f"{path}: missing required column {file_col!r}")
+
+    if plain is not None:
+        columns = _table_columns(cells, len(header), positions)
+        if columns is not None:
+            return Dataset(columns)
+        # a cell failed a check: the row loop raises its error
+        _, rows, first = _read_rows(path, delimiter, LoadError)
 
     columns: dict[str, list] = {canonical: [] for canonical in positions}
     seen: set[tuple] = set()
@@ -295,6 +323,104 @@ def load_table(
     return Dataset(columns)
 
 
+def _table_columns(
+    cells: list[str], width: int, positions: Mapping[str, int]
+) -> dict[str, list | np.ndarray] | None:
+    """The table's columns from a plain file's cells, or None if a check fails.
+
+    Holds every check of the row loop in ``load_table``: each cell as
+    ``_parse_column`` checks it, ``provider_id`` and ``abuse_count``
+    present, and the ``(provider_id, twin_id)`` keys unique.
+    """
+    columns = {}
+    for canonical, pos in positions.items():
+        column = _parse_column(canonical, cells[pos::width])
+        if column is None:
+            return None
+        columns[canonical] = column
+    ids, counts = columns["provider_id"], columns["abuse_count"]
+    if None in ids or np.isnan(counts).any():
+        return None
+    keys = zip(ids, columns["twin_id"]) if "twin_id" in columns else ids
+    if len(set(keys)) != len(ids):
+        return None
+    columns["abuse_count"] = counts.astype(np.int64)
+    return columns
+
+
+def _parse_column(name: str, cells: list[str]) -> list | np.ndarray | None:
+    """One column of cells as ``_parse_cell`` reads each, or None if one fails.
+
+    A string column becomes a list of stripped cells, ``None`` for an
+    empty one. A numeric column becomes a float64 array, NaN for an empty
+    cell. ``float`` strips a cell as ``_parse_cell`` does, so a cell
+    ``float`` rejects (a whitespace-only one among them) or that is not
+    finite or outside its column's range returns None; the caller then
+    reads the file row by row, which loads or rejects it with its message.
+    """
+    if name in STRING_COLUMNS:
+        stripped = list(map(str.strip, cells))
+        return [cell or None for cell in stripped] if "" in stripped else stripped
+    present = np.fromiter(map(bool, cells), bool, len(cells)) if "" in cells else None
+    try:
+        values = np.fromiter(
+            map(float, cells if present is None else compress(cells, present)), float
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all() or (
+        name in _BOUNDS and not _in_bounds(name, values).all()
+    ):
+        return None
+    if present is None:
+        return values
+    column = np.full(len(cells), math.nan)
+    column[present] = values
+    return column
+
+
+def _position(header: list[str], name: str, path, error: type[Exception]) -> int | None:
+    """Index of ``name`` in ``header``, None if absent; raises ``error`` if it is there twice."""
+    if name not in header:
+        return None
+    if header.count(name) > 1:
+        raise error(f"{path}: column {name!r} appears twice in the header")
+    return header.index(name)
+
+
+def _split_plain(path, delimiter: str) -> tuple[list[str], list[str]] | None:
+    """The stripped header and every data cell of a plain file, row after row.
+
+    A file is plain when it holds no quote and no carriage return and
+    every data line holds exactly as many delimiters as the header; then
+    csv parsing is one ``split`` per line, and the data lines are joined
+    and split once. Column ``i`` is ``cells[i::len(header)]``. The flat
+    list holds only strings, which the cyclic garbage collector does not
+    track, where ``csv.reader`` builds one tracked list per row. Blank and
+    ``#`` lines are dropped as ``_read_rows`` drops them. Returns None for
+    any other file or a delimiter that is not one character; the caller
+    then reads it with ``_read_rows``.
+    """
+    if len(delimiter) != 1:
+        return None  # csv.reader raises the error
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        text = fh.read()
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line for line in lines if line and not line.lstrip().startswith("#")]
+    else:
+        lines = list(filter(None, lines))
+    if not lines:
+        return None  # _read_rows raises the empty-file error
+    header = [h.strip() for h in lines[0].split(delimiter)]
+    data = lines[1:]
+    if data and set(map(str.count, data, repeat(delimiter))) != {len(header) - 1}:
+        return None
+    return header, delimiter.join(data).split(delimiter) if data else []
+
+
 def _read_rows(
     path, delimiter: str, error: type[Exception]
 ) -> tuple[list[str], list[list[str]], int]:
@@ -305,7 +431,7 @@ def _read_rows(
     row ``i`` sits on physical line ``first + i``. Raises ``error`` when the
     file holds no header.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         lines = ("" if line.lstrip().startswith("#") else line for line in fh)
         rows = list(csv.reader(lines, delimiter=delimiter))
     at = next((i for i, row in enumerate(rows) if row), None)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from abusekit.ingest import COLUMNS, Dataset
+from abusekit.ingest import COLUMNS, OPTIONAL_COLUMNS, REQUIRED_COLUMNS, STRING_COLUMNS, Dataset
 
 #: One PASS/FAIL line per acceptance criterion, echoed in the run summary.
 ACCEPTANCE_LINES = []
@@ -85,3 +86,99 @@ def overparameterized_noise_dataset(seed=30, n=40, n_outliers=12):
         for i in range(n)
     ]
     return make_dataset(rows)
+
+
+#: Numeric cells that ``float`` reads, or rejects, in ways the table
+#: readers must reproduce.
+ODD_NUMBER_CELLS = (
+    "", "  ", "\t", " 5 ", "5.0", "1_000", "-1", "-0", "0.5", "2", "150", "1e19",
+    "1e400", "nan", "NaN", "-nan", "inf", "-Infinity", "x", "1,5", " 7", "٣",
+)
+#: String cells, blank and padded ones among them.
+STRING_CELLS = ("NL", " DE ", "", "  ", "a b", "t1", "t2")
+
+
+@st.composite
+def provider_files(draw, enrichment=False):
+    """A provider table's text, its delimiter and a ``--schema`` mapping.
+
+    With ``enrichment`` the file is an enrichment table: ``provider_id``
+    plus canonical and unknown columns, and no schema. Cells are mostly
+    valid, in range and unique per key; some files draw odd cells,
+    repeated providers (with or without ``twin_id``), a missing or
+    renamed column, comment and blank lines. Half of the files are messy:
+    quoted cells, CRLF endings, short and long rows and whitespace-only
+    lines, which the plain split must leave to the row loop.
+    """
+    if enrichment:
+        others = draw(st.sets(st.sampled_from(COLUMNS[1:])))
+        names = ["provider_id", *sorted(others)]
+    else:
+        names = list(REQUIRED_COLUMNS) + sorted(draw(st.sets(st.sampled_from(OPTIONAL_COLUMNS))))
+        if draw(st.integers(0, 19)) == 10:
+            names.remove(draw(st.sampled_from(names)))  # a missing column
+    schema = {}
+    if not enrichment:
+        for name in draw(st.sets(st.sampled_from(names))):
+            schema[name] = f"{name}_file"
+        if draw(st.integers(0, 19)) == 10:
+            schema["ict_dev_index"] = "ict_file"  # mapped, perhaps absent
+    header = [schema.get(name, name) for name in names]
+    if draw(st.booleans()):
+        header.append("note")
+    order = draw(st.permutations(range(len(header))))
+    header = [header[i] for i in order]
+    canonical = {schema.get(name, name): name for name in names}
+
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    messy = draw(st.booleans())
+    newline = draw(st.sampled_from(["\n", "\r\n"])) if messy else "\n"
+    odd_rate = draw(st.sampled_from([0, 0, 8, 30]))
+    # few odd kinds per file, so a file can hold one kind of fault alone
+    odd_cells = draw(
+        st.lists(st.sampled_from(ODD_NUMBER_CELLS + STRING_CELLS), min_size=1, max_size=2)
+    )
+    repeats = draw(st.integers(0, 4)) == 0
+
+    def cell(column, i):
+        name = canonical.get(column)
+        if name is None:
+            return draw(st.sampled_from(["x", "", "1"]))
+        if odd_rate and draw(st.integers(0, odd_rate)) == 0:
+            return draw(st.sampled_from(odd_cells))
+        if name == "provider_id":
+            return draw(st.sampled_from(["a", " a ", "b"])) if repeats else f"p{i}"
+        if name == "twin_id":
+            return draw(st.sampled_from(["t1", "t2", ""])) if repeats else f"t{i}"
+        if name in STRING_COLUMNS:
+            return draw(st.sampled_from(STRING_CELLS))
+        if name == "wordpress_use":
+            return draw(st.sampled_from(["0", "0.25", "1", ""]))
+        if name == "abuse_count":
+            return str(draw(st.integers(0, 50)))
+        if name == "pct_shared":
+            return str(draw(st.integers(0, 100)))
+        return draw(st.sampled_from(["0", "1.5", "3", "12.25", ""]))
+
+    def quoted(value):
+        if messy and draw(st.integers(0, 9)) == 0:
+            return '"' + value + '"'
+        return value.replace(delimiter, "")  # a stray delimiter would shift cells
+
+    lines = [draw(st.sampled_from(["# manifest {}", "  # note", ""]))
+             for _ in range(draw(st.integers(0, 2)))]
+    lines.append(delimiter.join(header))
+    for i in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 19 if messy else 9))
+        if kind == 0:
+            blank = ["# comment", "", "   "] if messy else ["# comment", ""]
+            lines.append(draw(st.sampled_from(blank)))
+            continue
+        cells = [quoted(cell(column, i)) for column in header]
+        if messy and kind == 1:
+            cells.append("extra")
+        elif messy and kind == 2:
+            cells.pop()
+        lines.append(delimiter.join(cells))
+    ending = draw(st.sampled_from([newline, ""]))
+    return newline.join(lines) + ending, delimiter, schema

@@ -22,7 +22,9 @@ from abusekit.features import (
     pct_shared,
     popularity_index,
 )
-from abusekit.ingest import LoadError, load_table
+from abusekit.ingest import COLUMNS, LoadError, load_table
+
+from conftest import provider_files
 
 #: Columns each raw loader reads, in the order its row loop visits them.
 LOADER_COLUMNS = {
@@ -410,6 +412,128 @@ class TestLoaders:
         with pytest.raises(LoadError) as err:
             load_enrichment(path)
         assert str(err.value) == f"{path}: row 4: duplicate provider_id 'a'"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "crlf"])
+    @pytest.mark.parametrize(
+        "loader, text",
+        [
+            (load_table, PROVIDER_HEADER + "\na,1,1,1,10,3"),
+            (load_allocations, "provider_id,ip_start,ip_end\na,0,9"),
+            (load_observations, "domain,ip\na.example,7"),
+            (load_enrichment, "provider_id,price_per_year\na,9.5"),
+        ],
+        ids=["providers", "allocations", "observations", "enrichment"],
+    )
+    def test_utf8_byte_order_mark_accepted(self, tmp_path, loader, text, newline):
+        path = tmp_path / "input.csv"
+        path.write_text("\ufeff" + text.replace("\n", newline) + newline, encoding="utf-8")
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text + "\n")
+        assert loaded(loader(path)) == loaded(loader(plain))
+
+    @pytest.mark.parametrize(
+        "loader, text, column",
+        [
+            (load_allocations, "provider_id,ip_start,ip_start,ip_end\na,0,1,9\n", "ip_start"),
+            (load_observations, "domain,ip,domain\na.example,7,b.example\n", "domain"),
+            (load_enrichment, "provider_id,country,country\na,NL,DE\n", "country"),
+            (load_enrichment, 'provider_id,x,provider_id\n"a",1,b\n', "provider_id"),
+        ],
+        ids=["allocations", "observations", "enrichment", "enrichment-quoted"],
+    )
+    def test_used_column_twice_in_header_rejected(self, tmp_path, loader, text, column):
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        with pytest.raises(AllocationError) as err:
+            loader(path)
+        assert str(err.value) == f"{path}: column {column!r} appears twice in the header"
+
+    def test_unread_column_may_repeat(self, tmp_path):
+        path = tmp_path / "abuse.csv"
+        path.write_text("domain,ip,timestamp,timestamp\na.example,7,1,2\n")
+        assert load_abuse(path).ips.tolist() == [7]
+        path.write_text("provider_id,note,note,country\na,1,2,NL\n")
+        assert load_enrichment(path) == {"a": {"country": "NL"}}
+
+    def test_plain_enrichment_parsed_by_columns(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("plain file read row by row")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+        monkeypatch.setattr(ingest, "_read_rows", refuse)
+        monkeypatch.setattr(features, "_read_rows", refuse)
+        path = tmp_path / "enrichment.csv"
+        path.write_text(
+            "# manifest\nprovider_id,note,price_per_year,abuse_count,country\n"
+            "a,x, 9.5 ,3,NL\n\n b ,y,,,\n"
+        )
+        assert load_enrichment(path) == {
+            "a": {"price_per_year": 9.5, "abuse_count": 3, "country": "NL"},
+            "b": {},
+        }
+        assert type(load_enrichment(path)["a"]["abuse_count"]) is int
+
+
+def loaded(result):
+    """A loader's result as plain Python values, for comparison."""
+    if isinstance(result, (AllocationIndex, DomainIps)):
+        return loaded_columns(result)
+    if isinstance(result, dict):
+        return result
+    return {c: result.column(c).tolist() for c in COLUMNS if not result.missing(c).all()}
+
+
+def enrichment_row_loop(path, delimiter):
+    """``load_enrichment`` as a csv row loop: ``_read_rows``, then ``_parse_cell`` per cell."""
+    known = set(COLUMNS)
+    header, rows, first = features._read_rows(path, delimiter, AllocationError)
+    pid = features._column(header, "provider_id", path)
+    out = {}
+    try:
+        for lineno, row in enumerate(rows, start=first):
+            if not row:
+                continue
+            if len(row) <= pid:
+                raise features._short_row(path, header, (pid,), rows, first)
+            values = {}
+            for idx, name in enumerate(header):
+                if idx == pid or idx >= len(row) or name not in known:
+                    continue
+                parsed = ingest._parse_cell(name, row[idx], lineno)
+                if parsed is not None:
+                    values[name] = parsed
+            key = row[pid].strip()
+            if key in out:
+                raise LoadError(f"row {lineno}: duplicate provider_id {key!r}")
+            out[key] = values
+    except LoadError as exc:
+        raise LoadError(f"{path}: {exc}") from None
+    return out
+
+
+def enrichment_outcome(read, path, delimiter):
+    """The loaded rows with each value's type, or the error's type and message."""
+    try:
+        rows = read(path, delimiter)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(key, [(n, type(v), v) for n, v in values.items()]) for key, values in rows.items()]
+
+
+class TestEnrichmentReader:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(provider_files(enrichment=True))
+    def test_matches_row_loop(self, tmp_path, case):
+        text, delimiter, _ = case
+        path = tmp_path / "enrichment.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert enrichment_outcome(load_enrichment, path, delimiter) == enrichment_outcome(
+            enrichment_row_loop, path, delimiter
+        )
 
 
 def row_loop_oracle(path, delimiter, loader):

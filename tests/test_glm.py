@@ -252,6 +252,23 @@ class TestBuildDesign:
             if spec.include_intercept:
                 assert any(name.startswith("twin_id[") for name in dropped_names)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.text(st.characters(exclude_characters="\x00"), max_size=4),
+            min_size=2,
+            max_size=30,
+        ).filter(lambda labels: len(set(labels)) > 1)
+    )
+    def test_factor_coding_matches_np_unique(self, labels):
+        # numpy's "<U" strings drop trailing NULs, so labels hold none
+        d = make_dataset([{"country": label} for label in labels])
+        dm = build_design(d, ModelSpec("abuse_count", fixed_effects=("country",)))
+        levels, codes = np.unique(labels, return_inverse=True)
+        assert dm.factor_levels["country"] == levels.tolist()
+        assert dm.columns == [INTERCEPT] + [dummy_name("country", v) for v in levels[1:].tolist()]
+        assert np.array_equal(dm.X[:, 1:], codes[:, None] == np.arange(1, len(levels)))
+
     def test_single_level_factor_rejected(self):
         d = make_dataset([{"country": "US", "abuse_count": 1}] * 3)
         with pytest.raises(DesignError, match="single level"):

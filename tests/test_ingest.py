@@ -1,20 +1,32 @@
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from abusekit import ingest
-from abusekit.ingest import LoadError, describe, load_table, log10_transform, write_table
+from abusekit.ingest import (
+    COLUMNS,
+    REQUIRED_COLUMNS,
+    Dataset,
+    LoadError,
+    describe,
+    load_table,
+    log10_transform,
+    write_table,
+)
 
-from conftest import make_dataset, same_table
+from conftest import ODD_NUMBER_CELLS, STRING_CELLS, make_dataset, provider_files, same_table
 
 
 HEADER = (
     "provider_id,assigned_ips_log10,hosting_ips_log10,hosted_domains_log10,"
     "pct_shared,abuse_count"
 )
+
+COUNT_BOUND = "column 'abuse_count' must be a non-negative integer below 2**63"
 
 
 def write_csv(tmp_path, body, name="table.csv", header=HEADER):
@@ -101,6 +113,37 @@ class TestLoadTable:
         with pytest.raises(LoadError, match="pct_shared"):
             load_table(path)
 
+    @pytest.mark.parametrize(
+        "column,edge,beyond,message",
+        [
+            ("abuse_count", "0", "-1", COUNT_BOUND),
+            ("abuse_count", "9223372036854774784", "9223372036854775808", COUNT_BOUND),
+            ("abuse_count", "5.0", "2.5", COUNT_BOUND),
+            ("pct_shared", "100", "100.5", "'pct_shared' must lie in [0, 100]"),
+            ("pct_shared", "0", "-0.5", "'pct_shared' must lie in [0, 100]"),
+            ("wordpress_use", "1", "1.01", "'wordpress_use' must lie in [0, 1]"),
+            ("price_per_year", "0", "-0.01", "column 'price_per_year' must be >= 0"),
+            ("hosted_domains_log10", "0", "-3", "column 'hosted_domains_log10' must be >= 0"),
+        ],
+    )
+    def test_bounds_same_on_plain_and_quoted_files(
+        self, tmp_path, column, edge, beyond, message
+    ):
+        header = HEADER + ",price_per_year,wordpress_use"
+        names = header.split(",")
+        for text, error in ((edge, None), (beyond, f"row 2: {message}, got {beyond!r}")):
+            cells = dict(zip(names, "a,1,1,1,10,3,9.5,0.5".split(",")))
+            cells[column] = text
+            for quote in ("", '"'):
+                line = ",".join(quote + cell + quote for cell in cells.values())
+                path = write_csv(tmp_path, line + "\n", header=header)
+                if error is None:
+                    assert load_table(path).column(column)[0] == float(text)
+                else:
+                    with pytest.raises(LoadError) as exc:
+                        load_table(path)
+                    assert str(exc.value) == f"{path}: {error}"
+
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("# manifest {}\n" + HEADER + "\na,1,1,1,10,3\n", encoding="utf-8")
@@ -136,6 +179,132 @@ class TestLoadTable:
         assert same_table(d1, d2)
         write_table(d2, tmp_path / "out2.csv")
         assert (tmp_path / "out.csv").read_text() == (tmp_path / "out2.csv").read_text()
+
+    def test_used_column_twice_in_header_rejected(self, tmp_path):
+        path = write_csv(tmp_path, "a,1,1,1,10,3,7\n", header=HEADER + ",abuse_count")
+        with pytest.raises(LoadError) as err:
+            load_table(path)
+        assert str(err.value) == f"{path}: column 'abuse_count' appears twice in the header"
+        header = HEADER.replace("abuse_count", "feed") + ",feed"
+        path = write_csv(tmp_path, "a,1,1,1,10,3,7\n", header=header)
+        with pytest.raises(LoadError, match="column 'feed' appears twice"):
+            load_table(path, schema={"abuse_count": "feed"})
+
+    def test_unused_or_shared_column_may_repeat(self, tmp_path):
+        # an unread column may repeat; one file column may feed two schema entries
+        path = write_csv(tmp_path, "a,1,1,1,10,3,x,y\n", header=HEADER + ",note,note")
+        assert load_table(path).column("abuse_count").tolist() == [3]
+        d = load_table(path, schema={"price_per_year": "pct_shared"})
+        assert d.column("price_per_year").tolist() == d.column("pct_shared").tolist() == [10.0]
+
+    def test_plain_file_parsed_by_columns(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("plain table read row by row")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+        monkeypatch.setattr(ingest, "_read_rows", refuse)
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "# manifest {}\n"
+            + HEADER + ",country,twin_id\n"
+            + "a,1,1,1,10,3,,t1\n"
+            + "# note\n"
+            + "a, 1.5 ,1,1,0,0,NL,t2\n"
+            + "\n"
+            + "b,2,1,1_000,100,7,,t1\n",
+            encoding="utf-8",
+        )
+        d = load_table(path)
+        assert d.provider_ids() == ["a", "a", "b"]
+        assert d.column("twin_id").tolist() == ["t1", "t2", "t1"]
+        assert d.column("country").tolist() == [None, "NL", None]
+        assert d.column("assigned_ips_log10").tolist() == [1.0, 1.5, 2.0]
+        assert d.column("hosted_domains_log10").tolist() == [1.0, 1.0, 1000.0]
+        assert d.column("abuse_count").tolist() == [3, 0, 7]
+        assert d.column("abuse_count").dtype == np.int64
+        assert d.missing("price_per_year").all()
+
+    def test_each_odd_cell_matches_row_loop(self, tmp_path):
+        # every column with each odd cell alone, in an otherwise valid plain file
+        header = COLUMNS + ("note",)
+        valid = ["p1", "1", "2", "3", "50", "4", "NL", "9.5", "1", "7", "0.5", "0.25", "t1", "x"]
+        path = tmp_path / "table.csv"
+        for column in range(len(header)):
+            for odd in ODD_NUMBER_CELLS + STRING_CELLS:
+                cells = [odd if j == column else v for j, v in enumerate(valid)]
+                row = ",".join(cells)
+                first = ",".join(["p0"] + valid[1:])
+                path.write_text(",".join(header) + f"\n# note\n{first}\n{row}\n")
+                assert table_outcome(load_table, path, None, ",") == table_outcome(
+                    row_loop_oracle, path, None, ","
+                ), (header[column], odd)
+
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(provider_files())
+    def test_matches_row_loop(self, tmp_path, case):
+        text, delimiter, schema = case
+        path = tmp_path / "table.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert table_outcome(load_table, path, schema, delimiter) == table_outcome(
+            row_loop_oracle, path, schema, delimiter
+        )
+
+
+def row_loop_oracle(path, schema=None, delimiter=","):
+    """``load_table`` as a csv row loop: ``_read_rows``, then ``_parse_cell`` per cell."""
+    schema = dict(schema or {})
+    header, rows, first = ingest._read_rows(path, delimiter, LoadError)
+    positions = {}
+    for canonical in COLUMNS:
+        file_col = schema.get(canonical, canonical)
+        if file_col in header:
+            positions[canonical] = header.index(file_col)
+        elif canonical in REQUIRED_COLUMNS or canonical in schema:
+            raise LoadError(f"{path}: missing required column {file_col!r}")
+    columns = {canonical: [] for canonical in positions}
+    seen = set()
+    try:
+        for lineno, raw in enumerate(rows, start=first):
+            if not raw:
+                continue
+            values = {
+                canonical: ingest._parse_cell(
+                    canonical, raw[idx] if idx < len(raw) else "", lineno
+                )
+                for canonical, idx in positions.items()
+            }
+            for required in ("provider_id", "abuse_count"):
+                if values[required] is None:
+                    raise LoadError(
+                        f"row {lineno}: missing value in required column {required!r}"
+                    )
+            key = (values["provider_id"], values.get("twin_id"))
+            if key in seen:
+                raise LoadError(
+                    f"row {lineno}: duplicate provider_id {values['provider_id']!r}"
+                )
+            seen.add(key)
+            for canonical, value in values.items():
+                columns[canonical].append(value)
+    except LoadError as exc:
+        raise LoadError(f"{path}: {exc}") from None
+    return Dataset(columns)
+
+
+def table_outcome(load, path, schema, delimiter):
+    """Every column as (dtype, values), NaN as None, or the error's type and message."""
+    try:
+        d = load(path, schema, delimiter)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return {
+        c: (d.column(c).dtype, [None if v != v else v for v in d.column(c).tolist()])
+        for c in COLUMNS
+    }
 
 
 class TestDescribe:
