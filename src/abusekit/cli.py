@@ -86,8 +86,10 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
     complete for the widest specification, so their likelihoods, AICs and
     pseudo-R2 values stay comparable. Returns those rows (each fit's
     ``row_index`` points into them), one column per model and the number
-    of rows excluded for missing values. Each distinct spec is fitted
-    once: a stepwise model equal to a baseline shares its fit.
+    of rows excluded for missing values. Only the widest design is built;
+    every other spec's design is restricted from it when its fit needs it.
+    Each distinct spec is fitted once: a stepwise model equal to a
+    baseline shares its fit.
     """
     dm = build_design(d, spec)
     rows = d.take(dm.row_index)
@@ -97,7 +99,7 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
 
     def fit(s: ModelSpec) -> FitResult:
         if s not in fits:
-            fits[s] = fit_poisson(build_design(rows, s))
+            fits[s] = fit_poisson(widest.restrict(s))
         return fits[s]
 
     steps = range(len(spec.predictors) + 1) if stepwise else [len(spec.predictors)]
@@ -208,7 +210,7 @@ def cmd_features(args) -> int:
 
 def _read_seed_ids(path) -> list[str]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if line and not line.startswith("#"):
@@ -398,7 +400,7 @@ def _noise_pair(text: str, where: str) -> tuple[float, float]:
 def load_sim_config(path) -> tuple[sim.SimulationConfig, dict[str, float] | None]:
     """Parse a simulation config (INI-style key = value sections)."""
     parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         parser.read_file(fh, source=str(path))
 
     kwargs: dict = {}

@@ -78,7 +78,12 @@ def dummy_name(factor: str, level: str) -> str:
 
 @dataclass
 class DesignMatrix:
-    """Numeric expansion of a ModelSpec over one dataset."""
+    """Numeric expansion of a ModelSpec over one dataset.
+
+    Also keeps, privately, the expanded candidate block of its spec and
+    that block's R factor, from which ``restrict`` gives the design of any
+    narrower spec on the same rows.
+    """
 
     columns: list[str]
     X: np.ndarray
@@ -88,10 +93,100 @@ class DesignMatrix:
     dropped: list[tuple[str, str]]
     excluded_rows: int
     row_index: np.ndarray
+    _block: _Block = field(repr=False)
 
     @property
     def n(self) -> int:
         return int(self.X.shape[0])
+
+    def restrict(self, spec: ModelSpec) -> DesignMatrix:
+        """The design of ``spec`` on this design's rows, without a new expansion.
+
+        ``spec`` must have this design's response and a subset of its
+        predictors and fixed effects; it may include the intercept even if
+        this design does not. The columns, their order and the dropped
+        ones are those ``build_design`` gives for ``spec`` on these rows;
+        ``excluded_rows`` and ``row_index`` are this design's.
+        """
+        own = self.spec
+        if (
+            spec.response != own.response
+            or not set(spec.predictors) <= set(own.predictors)
+            or not set(spec.fixed_effects) <= set(own.fixed_effects)
+        ):
+            raise DesignError(f"{spec} is not a restriction of {own}")
+        levels = {factor: self.factor_levels[factor] for factor in spec.fixed_effects}
+        return self._block.select(spec, self.y, levels, self.excluded_rows, self.row_index)
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Every candidate column of one spec on its rows, and their R factor.
+
+    Column 0 of ``C`` is the intercept, whether the spec has one or not.
+    ``position`` maps a column name to its column in ``C`` and ``R``.
+    """
+
+    C: np.ndarray
+    R: np.ndarray
+    position: dict[str, int]
+
+    def select(self, spec, y, factor_levels, excluded_rows, row_index) -> DesignMatrix:
+        """Rank-filter the candidates of ``spec`` and take the kept columns."""
+        candidate = [INTERCEPT] if spec.include_intercept else []
+        candidate += spec.predictors
+        for factor in spec.fixed_effects:
+            candidate += [dummy_name(factor, level) for level in factor_levels[factor][1:]]
+        if not candidate:
+            raise DesignError("empty design: no intercept and no predictors")
+
+        # Greedy rank filter in column order: a column numerically inside the
+        # span of the columns kept before it is dropped, so earlier spec terms
+        # always win over later ones. It runs on R's columns: C = QR with
+        # orthonormal Q, so every residual of a column of C after projection
+        # on others has the norm of the same residual among R's columns,
+        # which are m-long instead of n-long. The kept directions fill the
+        # leading columns of Qk; each candidate is projected off them by
+        # classical Gram-Schmidt applied twice ("twice is enough", Giraud,
+        # Langou and Rozloznik 2005), two matrix-vector products per pass.
+        kept_names: list[str] = []
+        kept: list[int] = []
+        dropped: list[tuple[str, str]] = []
+        Qk = np.empty((self.R.shape[0], len(candidate)), order="F")
+        for name in candidate:
+            j = self.position[name]
+            v = self.R[:, j].copy()
+            norm = np.linalg.norm(v)
+            if norm == 0.0:
+                dropped.append((name, "all-zero column"))
+                continue
+            basis = Qk[:, : len(kept)]
+            for _ in range(2):
+                v -= basis @ (basis.T @ v)
+            resid = np.linalg.norm(v)
+            if resid <= COLLINEARITY_RTOL * norm:
+                dropped.append((name, "collinear with earlier columns"))
+                continue
+            Qk[:, len(kept)] = v / resid
+            kept_names.append(name)
+            kept.append(j)
+
+        if not kept:
+            raise DesignError("empty design: all columns dropped")
+
+        # np.take keeps X C-ordered, as the fit's BLAS products expect.
+        whole = kept == list(range(self.C.shape[1]))
+        return DesignMatrix(
+            columns=kept_names,
+            X=self.C if whole else np.take(self.C, kept, axis=1),
+            y=y,
+            spec=spec,
+            factor_levels=factor_levels,
+            dropped=dropped,
+            excluded_rows=excluded_rows,
+            row_index=row_index,
+            _block=self,
+        )
 
 
 def build_design(d: Dataset, spec: ModelSpec) -> DesignMatrix:
@@ -103,6 +198,11 @@ def build_design(d: Dataset, spec: ModelSpec) -> DesignMatrix:
     the span of earlier columns, are dropped and logged. Column order is
     intercept, predictors in spec order, then each factor's non-reference
     levels in lexicographic order.
+
+    The candidate columns, with the intercept always among them, are
+    expanded once into one block and factored by one QR; the rank filter
+    runs on the columns of its R factor, and ``DesignMatrix.restrict``
+    reuses both for narrower specs.
     """
     used = (spec.response,) + spec.predictors + spec.fixed_effects
     missing = np.zeros(len(d), dtype=bool)
@@ -122,11 +222,8 @@ def build_design(d: Dataset, spec: ModelSpec) -> DesignMatrix:
         raise DesignError(f"response {spec.response!r} must hold non-negative integers")
 
     factor_levels: dict[str, list[str]] = {}
-    candidate: list[tuple[str, np.ndarray]] = []
-    if spec.include_intercept:
-        candidate.append((INTERCEPT, np.ones(keep.size)))
-    for name in spec.predictors:
-        candidate.append((name, d.numeric(name)[keep]))
+    codes: list[np.ndarray] = []
+    names = [INTERCEPT, *spec.predictors]
     for factor in spec.fixed_effects:
         # levels are str() of the Python values, sorted by code point
         labels = [str(v) for v in d.column(factor)[keep].tolist()]
@@ -136,54 +233,22 @@ def build_design(d: Dataset, spec: ModelSpec) -> DesignMatrix:
                 f"fixed effect {factor!r} has a single level after exclusions"
             )
         code_of = {level: code for code, level in enumerate(levels)}
-        codes = np.fromiter(map(code_of.__getitem__, labels), np.int64, len(labels))
+        codes.append(np.fromiter(map(code_of.__getitem__, labels), np.int64, len(labels)))
         factor_levels[factor] = levels
-        for code, level in enumerate(levels[1:], start=1):
-            candidate.append((dummy_name(factor, level), (codes == code).astype(float)))
+        names += [dummy_name(factor, level) for level in levels[1:]]
 
-    if not candidate:
-        raise DesignError("empty design: no intercept and no predictors")
+    C = np.empty((keep.size, len(names)))
+    C[:, 0] = 1.0
+    for j, name in enumerate(spec.predictors, 1):
+        C[:, j] = d.numeric(name)[keep]
+    j = 1 + len(spec.predictors)
+    for factor, code in zip(spec.fixed_effects, codes):
+        width = len(factor_levels[factor]) - 1
+        C[:, j : j + width] = code[:, None] == np.arange(1, width + 1)
+        j += width
 
-    # Greedy rank filter in column order: a column numerically inside the
-    # span of the columns kept before it is dropped, so earlier spec terms
-    # always win over later ones. The kept directions fill the leading
-    # columns of Q; each candidate is projected off them by classical
-    # Gram-Schmidt applied twice ("twice is enough", Giraud, Langou and
-    # Rozloznik 2005), two matrix-vector products per pass.
-    kept_names: list[str] = []
-    kept_cols: list[np.ndarray] = []
-    dropped: list[tuple[str, str]] = []
-    Q = np.empty((keep.size, len(candidate)), order="F")
-    for name, col in candidate:
-        norm = np.linalg.norm(col)
-        if norm == 0.0:
-            dropped.append((name, "all-zero column"))
-            continue
-        v = col.astype(float)
-        basis = Q[:, : len(kept_names)]
-        for _ in range(2):
-            v -= basis @ (basis.T @ v)
-        resid = np.linalg.norm(v)
-        if resid <= COLLINEARITY_RTOL * norm:
-            dropped.append((name, "collinear with earlier columns"))
-            continue
-        Q[:, len(kept_names)] = v / resid
-        kept_names.append(name)
-        kept_cols.append(col)
-
-    if not kept_names:
-        raise DesignError("empty design: all columns dropped")
-
-    return DesignMatrix(
-        columns=kept_names,
-        X=np.column_stack(kept_cols),
-        y=y,
-        spec=spec,
-        factor_levels=factor_levels,
-        dropped=dropped,
-        excluded_rows=excluded,
-        row_index=keep,
-    )
+    block = _Block(C, np.linalg.qr(C, mode="r"), {name: j for j, name in enumerate(names)})
+    return block.select(spec, y, factor_levels, excluded, keep)
 
 
 def log_likelihood(y, lam) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import abusekit
+from abusekit import cli
 from abusekit.cli import load_sim_config, main
 
 FIXTURE = Path(__file__).parent / "data" / "fixture"
@@ -216,6 +217,17 @@ class TestTwins:
             tmp_path / "b" / "pairings.csv"
         ).read_bytes()
 
+    def test_seed_file_with_byte_order_mark(self, providers_csv, tmp_path):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text((FIXTURE / "seeds.txt").read_text(), encoding="utf-8-sig")
+        for sub, path in (("plain", FIXTURE / "seeds.txt"), ("bom", seeds)):
+            argv = ["twins", "--input", str(providers_csv), "--seeds", str(path),
+                    "--out-dir", str(tmp_path / sub)]
+            assert main(argv) == 0
+        assert strip_manifest(tmp_path / "bom" / "pairings.csv") == strip_manifest(
+            tmp_path / "plain" / "pairings.csv"
+        )
+
     def test_unknown_seed_id(self, providers_csv, tmp_path, capsys):
         seeds = tmp_path / "seeds.txt"
         seeds.write_text("zz99\n")
@@ -260,6 +272,27 @@ class TestFit:
         model = json.loads((tmp_path / "fit.json").read_text())["models"][0]
         assert model["k"] == model["n_parameters"] == 4
         assert model["dispersion"]["df"] == model["n"] - 4
+
+    def test_stepwise_with_both_baselines_builds_one_design(
+        self, providers_csv, tmp_path, monkeypatch
+    ):
+        built, build_design = [], cli.build_design
+
+        def counting_build_design(d, spec):
+            built.append(spec)
+            return build_design(d, spec)
+
+        monkeypatch.setattr(cli, "build_design", counting_build_design)
+        argv = ["fit", "--input", str(providers_csv), "--predictors", STRUCTURAL,
+                "--fixed-effects", "country", "--stepwise", "--baseline", "both",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(built) == 1
+        models = json.loads((tmp_path / "fit.json").read_text())["models"]
+        assert len(models) == 5
+        assert len({m["n"] for m in models}) == 1
+        # model (1) is its own fixed-effects baseline
+        assert [len(m["assessments"]) for m in models] == [1, 2, 2, 2, 2]
 
     def test_fixed_effects_table_structure(self, tmp_path):
         # build the twin dataset through the pipeline, then refit via `fit`
@@ -498,6 +531,13 @@ class TestSimulate:
         cfg.write_text("replicates = 4\n")  # key before any section header
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         assert "line" in capsys.readouterr().err
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(SIM_CONFIG, encoding="utf-8-sig")
+        parsed, _reference = load_sim_config(cfg)
+        assert parsed.replicates == 4
+        assert parsed.rng_seed == 17
 
     def test_reference_section_parsed(self, tmp_path):
         cfg = tmp_path / "sim.ini"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,30 @@ class TestBuildDesign:
         assert dm.dropped == dropped
         cols = dict(candidate)
         assert np.array_equal(dm.X, np.column_stack([cols[name] for name in kept]))
+        assert dm.X.flags.c_contiguous
+        # the narrower specs a fit command restricts from this design: each
+        # stepwise prefix and the fixed-effects-only and intercept-only
+        # baselines, each with and without intercept
+        narrower = [replace(spec, predictors=spec.predictors[:k])
+                    for k in range(len(spec.predictors) + 1)]
+        narrower += [ModelSpec(spec.response, (), spec.fixed_effects), ModelSpec(spec.response)]
+        for base in narrower:
+            for sub_spec in (replace(base, include_intercept=flag) for flag in (True, False)):
+                sub_candidate = candidate_columns(d, sub_spec, dm)
+                sub_kept, sub_dropped = reference_rank_filter(sub_candidate)
+                if not sub_kept:
+                    with pytest.raises(DesignError, match="empty design"):
+                        dm.restrict(sub_spec)
+                    continue
+                sub = dm.restrict(sub_spec)
+                assert (sub.columns, sub.dropped) == (sub_kept, sub_dropped)
+                sub_cols = dict(sub_candidate)
+                assert np.array_equal(sub.X, np.column_stack([sub_cols[n] for n in sub_kept]))
+                assert sub.X.flags.c_contiguous
+                assert np.array_equal(sub.y, dm.y)
+                assert np.array_equal(sub.row_index, dm.row_index)
+        with pytest.raises(DesignError, match="not a restriction"):
+            dm.restrict(replace(spec, predictors=spec.predictors + ("price_per_year",)))
         # the plants do what they are planted for
         dropped_names = dict(dropped)
         if "scaled_duplicate" in plants:
