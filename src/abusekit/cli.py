@@ -175,9 +175,9 @@ def _build_features(
         index, observations, abuse, source_label=args.source_label
     )
     if args.enrichment:
-        rows = features.load_enrichment(args.enrichment, args.delimiter)
+        enrichment = features.load_enrichment(args.enrichment, args.delimiter)
         merge_cols = [c for c in ingest.OPTIONAL_COLUMNS if c != "twin_id"]
-        table = features.merge_enrichment(table, rows, merge_cols)
+        table = features.merge_enrichment(table, enrichment, merge_cols)
     return table, rep, index
 
 

@@ -3,31 +3,35 @@
 All inputs arrive as delimited files: IP allocations (provider_id with an
 inclusive address range), hosting observations (domain, ip) and abuse
 records (domain, ip). IP addresses are accepted in dotted-quad or plain
-integer form and normalized to integers internally. Every input is held
-as columns: an ``AllocationIndex`` over the ranges and one ``DomainIps``
-per observation or abuse file. Each file's rows are attributed to
-providers by one vectorised owner lookup, distinct counts come from
-sorted integer keys, and per-provider results are arrays in
+integer form and normalized to integers internally. Every file is parsed
+by whole columns (``ingest._read_cells``), quoted and ragged files too,
+and held as columns: an ``AllocationIndex`` over the ranges and one
+``DomainIps`` per observation or abuse file. Each file's rows are
+attributed to providers by one vectorised owner lookup, distinct counts
+come from sorted integer keys, and per-provider results are arrays in
 ``AllocationIndex.provider_ids`` order.
 """
 from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import repeat
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
 from .ingest import (
     COLUMNS,
+    STRING_COLUMNS,
     Dataset,
-    LoadError,
-    _parse_cell,
-    _parse_column,
+    _fail,
+    _first_repeat,
+    _parse_columns,
+    _parse_or,
     _position,
-    _read_rows,
-    _split_plain,
+    _raise_first,
+    _read_cells,
     log10_transform,
 )
 
@@ -300,17 +304,27 @@ def build_provider_table(
     return table, report
 
 
-def merge_enrichment(d: Dataset, rows: dict[str, dict], columns: Sequence[str]) -> Dataset:
+def merge_enrichment(d: Dataset, enrichment: tuple, columns: Sequence[str]) -> Dataset:
     """Merge enrichment columns (price, country, ...) into a provider table.
 
-    ``rows`` maps provider_id to a dict of enrichment values; providers
-    absent from the mapping, or without a value, keep their current one.
+    ``enrichment`` is what ``load_enrichment`` returns: provider ids and
+    columns of their values, ``None`` or NaN marking a missing one. Each of
+    ``columns`` the enrichment holds overwrites the table's value of every
+    provider with a present value; other providers, and columns the
+    enrichment lacks, keep their current values.
     """
-    extras = [rows.get(pid, {}) for pid in d.provider_ids()]
+    ids, values = enrichment
+    position = dict(zip(ids, range(len(ids))))
+    at = np.fromiter(map(position.get, d.provider_ids(), repeat(-1)), np.int64, len(d))
+    rows = np.flatnonzero(at >= 0)
     merged = {}
     for c in columns:
-        current = d.column(c).tolist()
-        merged[c] = [v if e.get(c) is None else e[c] for v, e in zip(current, extras)]
+        if c in values:
+            new = np.asarray(values[c], dtype=d.column(c).dtype)[at[rows]]
+            present = ~(np.equal(new, None) if c in STRING_COLUMNS else np.isnan(new))
+            column = d.column(c).copy()
+            column[rows[present]] = new[present]
+            merged[c] = column
     return d.with_columns(merged)
 
 
@@ -321,72 +335,65 @@ def _column(header: list[str], name: str, path) -> int:
     return pos
 
 
-def _short_row(path, header: list[str], positions, rows, first: int) -> AllocationError:
-    """The error for the first data row without a cell in one of the ``positions``.
+def _short_faults(path, header: list[str], positions: Sequence[int], short: Mapping[int, int]):
+    """The fault of the first data row without a cell at one of ``positions``, if any.
 
-    Loaders call it when indexing a row failed, so the per-row loops pay
-    for no length check. ``rows`` and ``first`` are as ``_read_rows``
-    returns them, so the error names the physical line, as ``load_table``'s
-    errors do.
+    A row loop reading the cells at ``positions`` in order fails at the first
+    one the row lacks, which gives the rank; the error names the absent
+    column that comes first in the header.
     """
     width = max(positions) + 1
-    lineno, row = next((n, r) for n, r in enumerate(rows, start=first) if r and len(r) < width)
-    name = header[min(i for i in positions if i >= len(row))]
-    return AllocationError(f"{path}: row {lineno}: no value in column {name!r}")
+    for row, length in short.items():
+        if length < width:
+            rank = next(k for k, pos in enumerate(positions) if pos >= length)
+            name = header[min(pos for pos in positions if pos >= length)]
+            return [(row, rank, partial(_no_value, path, name))]
+    return []
 
 
-def _parse_ips(*columns: list[str]) -> list[np.ndarray]:
-    """IP cell columns of equal length as int64 arrays, as ``parse_ip`` reads them.
+def _no_value(path, name: str, line: int) -> NoReturn:
+    raise AllocationError(f"{path}: row {line}: no value in column {name!r}")
 
-    Integer cells are converted with ``int``, which is what ``parse_ip``
-    does with a cell without a dot, and range-checked in one pass. Any
-    other column set, a dotted quad or a bad cell among it, goes through
-    ``parse_ip`` cell by cell in row-major order, so the first bad cell
-    in file order raises its usual error.
+
+def _parse_ips(cells: list[str]) -> tuple[np.ndarray, int | None]:
+    """IP cells as an int64 array, as ``parse_ip`` reads them, and the first bad cell.
+
+    Integer cells are converted with ``int``, as ``parse_ip`` converts a
+    cell without a dot, and range-checked in one pass. Any other column goes
+    through ``parse_ip`` cell by cell, a rejected cell read as -1.
     """
-    n = len(columns[0])
     try:
-        arrays = [np.fromiter(map(int, col), np.int64, n) for col in columns]
+        ips = np.fromiter(map(int, cells), np.int64, len(cells))
     except (ValueError, OverflowError):
         pass
     else:
-        if all(((a >= 0) & (a <= MAX_IPV4)).all() for a in arrays):
-            return arrays
-    flat = np.fromiter(
-        map(parse_ip, chain.from_iterable(zip(*columns))), np.int64, n * len(columns)
-    )
-    return list(flat.reshape(n, len(columns)).T.copy())
+        if ((ips >= 0) & (ips <= MAX_IPV4)).all():
+            return ips, None
+    ips = np.fromiter(map(partial(_parse_or, -1, parse_ip), cells), np.int64, len(cells))
+    bad = np.flatnonzero(ips < 0)
+    return ips, int(bad[0]) if bad.size else None
 
 
-def _read_columns(
-    path, delimiter: str, key: str, ips: Sequence[str]
-) -> tuple[list[str], list[np.ndarray]]:
+def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[list, list]:
     """The stripped ``key`` column and the ``ips`` columns as int64 addresses.
 
-    Other columns are ignored. Plain files are split whole
-    (``_split_plain``); any other file is read row by row through
-    ``_read_rows``, each row's cells in ``key``, ``ips`` order, which also
-    names the first short row.
+    Other columns are ignored. A bad file raises the error a row loop
+    reading each row's cells in ``key``, ``ips`` order would raise first.
     """
-    names = [key, *ips]
-    plain = _split_plain(path, delimiter)
-    if plain is not None:
-        header, cells = plain
-        width = len(header)
-        key_cells, *ip_cells = (cells[_column(header, name, path)::width] for name in names)
-        return list(map(str.strip, key_cells)), _parse_ips(*ip_cells)
-    header, rows, first = _read_rows(path, delimiter, AllocationError)
-    positions = [_column(header, name, path) for name in names]
-    parsers = [str.strip] + [parse_ip] * len(ips)
-    columns: list[list] = [[] for _ in names]
-    try:
-        for row in rows:
-            if row:
-                for column, pos, parse in zip(columns, positions, parsers):
-                    column.append(parse(row[pos]))
-    except IndexError:
-        raise _short_row(path, header, positions, rows, first) from None
-    return columns[0], [np.array(c, dtype=np.int64) for c in columns[1:]]
+    header, cells, short = _read_cells(path, delimiter, AllocationError)
+    positions = [_column(header, name, path) for name in (key, *ips)]
+    width = len(header)
+    # listed first: the absent cell reads as "", which parse_ip rejects too
+    faults = _short_faults(path, header, positions, short)
+    columns = []
+    for rank, pos in enumerate(positions[1:], start=1):
+        column, bad = _parse_ips(cells[pos::width])
+        if bad is not None:
+            faults.append((bad, rank, lambda line, text=cells[pos + bad * width]: parse_ip(text)))
+        columns.append(column)
+    if faults:
+        _raise_first(faults, path, delimiter)
+    return list(map(str.strip, cells[positions[0]::width])), columns
 
 
 def load_allocations(path, delimiter: str = ",") -> AllocationIndex:
@@ -411,70 +418,34 @@ def load_abuse(path, delimiter: str = ",") -> DomainIps:
     return _read_domain_ips(path, delimiter)
 
 
-def load_enrichment(path, delimiter: str = ",") -> dict[str, dict]:
-    """Read an enrichment table keyed by provider_id.
+def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Sequence]]:
+    """Read an enrichment table: provider ids and their columns, in file order.
 
     Canonical columns go through the same cell validation as provider
-    tables (ranges, numeric parsing); empty cells are missing; unknown
-    columns are ignored. A provider_id may appear on one row only, and a
-    canonical column once in the header.
+    tables (ranges, numeric parsing); unknown columns are ignored. A
+    provider_id may appear on one row only, and a canonical column once in
+    the header. Returns the stripped ids and, per canonical column in
+    header order, its values: a list of str for a string column, a float64
+    array for a numeric one and an object array of int for
+    ``abuse_count``; ``None`` or NaN marks an empty cell.
     """
-    plain = _split_plain(path, delimiter)
-    if plain is not None:
-        header, cells = plain
-        pid, positions = _enrichment_positions(header, path)
-        width = len(header)
-        ids = list(map(str.strip, cells[pid::width]))
-        columns = [_parse_column(name, cells[pos::width]) for name, pos in positions.items()]
-        if len(set(ids)) == len(ids) and not any(c is None for c in columns):
-            names = list(positions)
-            values = map(_cell_values, names, columns)
-            return {
-                key: {n: v for n, v in zip(names, row) if v is not None}
-                for key, *row in zip(ids, *values)
-            }
-        # a cell failed a check: the row loop raises its error
-
-    header, rows, first = _read_rows(path, delimiter, AllocationError)
-    pid, positions = _enrichment_positions(header, path)
-    out: dict[str, dict] = {}
-    try:
-        for lineno, row in enumerate(rows, start=first):
-            if not row:
-                continue
-            if len(row) <= pid:
-                raise _short_row(path, header, (pid,), rows, first)
-            values = {}
-            for name, idx in positions.items():
-                if idx >= len(row):
-                    continue
-                parsed = _parse_cell(name, row[idx], lineno)
-                if parsed is not None:
-                    values[name] = parsed
-            key = row[pid].strip()
-            if key in out:
-                raise LoadError(f"row {lineno}: duplicate provider_id {key!r}")
-            out[key] = values
-    except LoadError as exc:
-        raise LoadError(f"{path}: {exc}") from None
-    return out
-
-
-def _enrichment_positions(header: list[str], path) -> tuple[int, dict[str, int]]:
-    """Position of ``provider_id`` and of each other canonical column, in header order."""
+    header, cells, short = _read_cells(path, delimiter, AllocationError)
     pid = _column(header, "provider_id", path)
     known = set(COLUMNS) - {"provider_id"}
-    return pid, {name: _column(header, name, path) for name in header if name in known}
-
-
-def _cell_values(name: str, column) -> list:
-    """A column from ``_parse_column`` as ``_parse_cell`` returns its cells."""
-    if isinstance(column, list):
-        return column
-    missing = np.isnan(column)
-    if name == "abuse_count":
-        column = np.where(missing, 0, column).astype(np.int64)
-    values = column.tolist()
-    for i in np.flatnonzero(missing).tolist():
-        values[i] = None
-    return values
+    positions = {name: _column(header, name, path) for name in header if name in known}
+    # ranked as a row loop checks one row: provider_id present, the cells,
+    # then the id unique
+    columns, faults = _parse_columns(cells, len(header), positions, 1)
+    faults += _short_faults(path, header, (pid,), short)
+    ids = list(map(str.strip, cells[pid::len(header)]))
+    row = _first_repeat(ids)
+    if row is not None:
+        duplicate = partial(_fail, f"duplicate provider_id {ids[row]!r}")
+        faults.append((row, len(positions) + 1, duplicate))
+    if faults:
+        _raise_first(faults, path, delimiter)
+    if "abuse_count" in columns:  # ints, as _parse_cell reads a count
+        missing = np.isnan(columns["abuse_count"])
+        counts = np.where(missing, 0, columns["abuse_count"]).astype(np.int64).astype(object)
+        columns["abuse_count"] = np.where(missing, None, counts)
+    return ids, columns

@@ -11,8 +11,10 @@ import csv
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import compress, repeat
-from typing import Iterator, Mapping, Sequence
+from functools import partial
+from itertools import chain, compress, repeat
+from operator import itemgetter
+from typing import Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -271,11 +273,7 @@ def load_table(
     if unknown:
         raise LoadError(f"schema maps unknown canonical columns: {sorted(unknown)}")
 
-    plain = _split_plain(path, delimiter)
-    if plain is None:
-        header, rows, first = _read_rows(path, delimiter, LoadError)
-    else:
-        header, cells = plain
+    header, cells, _ = _read_cells(path, delimiter, LoadError)
     positions: dict[str, int] = {}
     for canonical in COLUMNS:
         file_col = schema.get(canonical, canonical)
@@ -285,98 +283,109 @@ def load_table(
         elif canonical in REQUIRED_COLUMNS or canonical in schema:
             raise LoadError(f"{path}: missing required column {file_col!r}")
 
-    if plain is not None:
-        columns = _table_columns(cells, len(header), positions)
-        if columns is not None:
-            return Dataset(columns)
-        # a cell failed a check: the row loop raises its error
-        _, rows, first = _read_rows(path, delimiter, LoadError)
-
-    columns: dict[str, list] = {canonical: [] for canonical in positions}
-    seen: set[tuple] = set()
-    try:
-        for lineno, raw in enumerate(rows, start=first):
-            if not raw:
-                continue
-            values = {
-                canonical: _parse_cell(canonical, raw[idx] if idx < len(raw) else "", lineno)
-                for canonical, idx in positions.items()
-            }
-            for required in ("provider_id", "abuse_count"):
-                if values[required] is None:
-                    raise LoadError(
-                        f"row {lineno}: missing value in required column {required!r}"
-                    )
-            # Twin datasets repeat providers (one row per twin slot), so the
-            # uniqueness key includes twin_id when that column is present.
-            key = (values["provider_id"], values.get("twin_id"))
-            if key in seen:
-                raise LoadError(
-                    f"row {lineno}: duplicate provider_id {values['provider_id']!r}"
-                )
-            seen.add(key)
-            for canonical, value in values.items():
-                columns[canonical].append(value)
-    except LoadError as exc:
-        raise LoadError(f"{path}: {exc}") from None
-
+    # ranked as a row loop checks one row: its cells, the two required
+    # values, then the key
+    columns, faults = _parse_columns(cells, len(header), positions, 0)
+    ids, counts, rank = columns["provider_id"], columns["abuse_count"], len(positions)
+    if None in ids:
+        fail = partial(_fail, "missing value in required column 'provider_id'")
+        faults.append((ids.index(None), rank, fail))
+    missing = np.isnan(counts)
+    if missing.any():
+        fail = partial(_fail, "missing value in required column 'abuse_count'")
+        faults.append((int(missing.argmax()), rank + 1, fail))
+    # Twin datasets repeat providers (one row per twin slot), so the
+    # uniqueness key includes twin_id when that column is present.
+    row = _first_repeat(list(zip(ids, columns["twin_id"])) if "twin_id" in columns else ids)
+    if row is not None:
+        fail = partial(_fail, f"duplicate provider_id {ids[row]!r}")
+        faults.append((row, rank + 2, fail))
+    if faults:
+        _raise_first(faults, path, delimiter)
+    columns["abuse_count"] = counts.astype(np.int64)
     return Dataset(columns)
 
 
-def _table_columns(
-    cells: list[str], width: int, positions: Mapping[str, int]
-) -> dict[str, list | np.ndarray] | None:
-    """The table's columns from a plain file's cells, or None if a check fails.
+def _fail(message: str, line: int) -> NoReturn:
+    raise LoadError(f"row {line}: {message}")
 
-    Holds every check of the row loop in ``load_table``: each cell as
-    ``_parse_column`` checks it, ``provider_id`` and ``abuse_count``
-    present, and the ``(provider_id, twin_id)`` keys unique.
+
+def _first_repeat(keys: list) -> int | None:
+    """Index of the first key equal to an earlier one, None if all are distinct."""
+    if len(set(keys)) == len(keys):
+        return None
+    first: dict = {}
+    return next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
+
+
+def _raise_first(faults: list[tuple], path, delimiter: str) -> NoReturn:
+    """Raise the error a row loop would raise first; a ``LoadError`` gets the path prefixed.
+
+    A fault is ``(row, rank, fail)``: the first data row failing a check,
+    the place of that check among those a row loop makes in one row, and a
+    callable raising its error for a physical line. The lowest ``(row,
+    rank)`` wins, the first listed on a tie. Only here are lines numbered.
     """
-    columns = {}
-    for canonical, pos in positions.items():
-        column = _parse_column(canonical, cells[pos::width])
-        if column is None:
-            return None
-        columns[canonical] = column
-    ids, counts = columns["provider_id"], columns["abuse_count"]
-    if None in ids or np.isnan(counts).any():
-        return None
-    keys = zip(ids, columns["twin_id"]) if "twin_id" in columns else ids
-    if len(set(keys)) != len(ids):
-        return None
-    columns["abuse_count"] = counts.astype(np.int64)
-    return columns
+    row, _, fail = min(faults, key=itemgetter(0, 1))
+    try:
+        fail(_read_rows(path, delimiter, LoadError)[2][row])
+    except LoadError as exc:
+        raise LoadError(f"{path}: {exc}") from None
+    raise AssertionError(f"{path}: data row {row} failed no check")
 
 
-def _parse_column(name: str, cells: list[str]) -> list | np.ndarray | None:
-    """One column of cells as ``_parse_cell`` reads each, or None if one fails.
+def _parse_or(default, parse, text: str):
+    """``parse(text)``, or ``default`` if it raises a ValueError."""
+    try:
+        return parse(text)
+    except ValueError:
+        return default
 
-    A string column becomes a list of stripped cells, ``None`` for an
-    empty one. A numeric column becomes a float64 array, NaN for an empty
-    cell. ``float`` strips a cell as ``_parse_cell`` does, so a cell
-    ``float`` rejects (a whitespace-only one among them) or that is not
-    finite or outside its column's range returns None; the caller then
-    reads the file row by row, which loads or rejects it with its message.
+
+def _parse_columns(cells: list[str], width: int, positions: Mapping[str, int], first_rank: int):
+    """Each column at ``positions`` by ``_parse_column``, and faults ranked from ``first_rank``."""
+    columns, faults = {}, []
+    for rank, (name, pos) in enumerate(positions.items(), start=first_rank):
+        columns[name], bad = _parse_column(name, cells[pos::width])
+        if bad is not None:
+            faults.append((bad, rank, partial(_parse_cell, name, cells[pos + bad * width])))
+    return columns, faults
+
+
+def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, int | None]:
+    """One column of cells as ``_parse_cell`` reads each, and its first bad cell.
+
+    A string column becomes a list of stripped cells, ``None`` for an empty
+    one; a numeric column a float64 array, NaN for an empty or whitespace-only
+    cell. The index of the first cell ``_parse_cell`` rejects comes second,
+    None if there is none. ``float`` strips a cell as ``_parse_cell`` does, so
+    only a whitespace-only or a bad cell fails the first parse; the cells are
+    then stripped and a bad one read as NaN.
     """
     if name in STRING_COLUMNS:
         stripped = list(map(str.strip, cells))
-        return [cell or None for cell in stripped] if "" in stripped else stripped
+        return [cell or None for cell in stripped] if "" in stripped else stripped, None
     present = np.fromiter(map(bool, cells), bool, len(cells)) if "" in cells else None
     try:
         values = np.fromiter(
             map(float, cells if present is None else compress(cells, present)), float
         )
     except ValueError:
-        return None
-    if not np.isfinite(values).all() or (
-        name in _BOUNDS and not _in_bounds(name, values).all()
-    ):
-        return None
+        cells = list(map(str.strip, cells))
+        present = np.fromiter(map(bool, cells), bool, len(cells))
+        parse = partial(_parse_or, math.nan, float)
+        values = np.fromiter(map(parse, compress(cells, present)), float)
+    ok = np.isfinite(values)
+    if name in _BOUNDS:
+        with np.errstate(invalid="ignore"):  # inf % 1
+            ok &= _in_bounds(name, values)
+    bad = None if ok.all() else int(np.argmin(ok))
     if present is None:
-        return values
+        return values, bad
+    rows = np.flatnonzero(present)
     column = np.full(len(cells), math.nan)
-    column[present] = values
-    return column
+    column[rows] = values
+    return column, None if bad is None else int(rows[bad])
 
 
 def _position(header: list[str], name: str, path, error: type[Exception]) -> int | None:
@@ -388,18 +397,34 @@ def _position(header: list[str], name: str, path, error: type[Exception]) -> int
     return header.index(name)
 
 
+def _read_cells(path, delimiter: str, error: type[Exception]) -> tuple[list, list, dict]:
+    """The stripped header, every data cell row after row, and the short rows.
+
+    Column ``i`` is ``cells[i::len(header)]``. A plain file is split by
+    ``_split_plain``; any other is read by ``csv.reader``, which alone reads
+    quotes, and its rows padded with ``""`` or cut to the header's width.
+    ``short`` maps each data row shorter than the header to its length.
+    """
+    plain = _split_plain(path, delimiter)
+    if plain is not None:
+        return *plain, {}
+    header, rows, _ = _read_rows(path, delimiter, error)
+    width, pad = len(header), [""] * len(header)
+    short = {i: len(row) for i, row in enumerate(rows) if len(row) < width}
+    return header, list(chain.from_iterable((row + pad)[:width] for row in rows)), short
+
+
 def _split_plain(path, delimiter: str) -> tuple[list[str], list[str]] | None:
     """The stripped header and every data cell of a plain file, row after row.
 
     A file is plain when it holds no quote and no carriage return and
     every data line holds exactly as many delimiters as the header; then
     csv parsing is one ``split`` per line, and the data lines are joined
-    and split once. Column ``i`` is ``cells[i::len(header)]``. The flat
-    list holds only strings, which the cyclic garbage collector does not
-    track, where ``csv.reader`` builds one tracked list per row. Blank and
-    ``#`` lines are dropped as ``_read_rows`` drops them. Returns None for
-    any other file or a delimiter that is not one character; the caller
-    then reads it with ``_read_rows``.
+    and split once. The flat list holds only strings, which the cyclic
+    garbage collector does not track, where ``csv.reader`` builds one
+    tracked list per row. Blank and ``#`` lines are dropped as
+    ``_read_rows`` drops them. Returns None for any other file or a
+    delimiter that is not one character.
     """
     if len(delimiter) != 1:
         return None  # csv.reader raises the error
@@ -421,23 +446,26 @@ def _split_plain(path, delimiter: str) -> tuple[list[str], list[str]] | None:
     return header, delimiter.join(data).split(delimiter) if data else []
 
 
-def _read_rows(
-    path, delimiter: str, error: type[Exception]
-) -> tuple[list[str], list[list[str]], int]:
-    """Stripped header, data rows and the physical line of the first data row.
+def _read_rows(path, delimiter: str, error: type[Exception]) -> tuple[list, list, list[int]]:
+    """Stripped header, data rows and the physical line each data row starts on.
 
-    The header is the first line that is neither empty nor a ``#`` comment.
-    Comment lines after it read as empty rows, which callers skip, so data
-    row ``i`` sits on physical line ``first + i``. Raises ``error`` when the
-    file holds no header.
+    The header is the first row; blank and ``#`` comment lines yield no
+    row. A quoted cell may span lines, so line numbers come from
+    ``csv.reader``'s count of the lines it has read. Raises ``error`` when
+    the file holds no header.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         lines = ("" if line.lstrip().startswith("#") else line for line in fh)
-        rows = list(csv.reader(lines, delimiter=delimiter))
-    at = next((i for i, row in enumerate(rows) if row), None)
-    if at is None:
+        reader = csv.reader(lines, delimiter=delimiter)
+        rows, starts, start = [], [], 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                starts.append(start)
+            start = reader.line_num + 1
+    if not rows:
         raise error(f"{path}: empty file")
-    return [h.strip() for h in rows[at]], rows[at + 1:], at + 2
+    return [h.strip() for h in rows[0]], rows[1:], starts[1:]
 
 
 def write_table(

@@ -107,8 +107,9 @@ def provider_files(draw, enrichment=False):
     valid, in range and unique per key; some files draw odd cells,
     repeated providers (with or without ``twin_id``), a missing or
     renamed column, comment and blank lines. Half of the files are messy:
-    quoted cells, CRLF endings, short and long rows and whitespace-only
-    lines, which the plain split must leave to the row loop.
+    quoted cells (a text cell among them may span two lines), CRLF
+    endings, short and long rows and whitespace-only lines, which the
+    plain split must leave to ``csv.reader``.
     """
     if enrichment:
         others = draw(st.sets(st.sampled_from(COLUMNS[1:])))
@@ -160,11 +161,15 @@ def provider_files(draw, enrichment=False):
             return str(draw(st.integers(0, 100)))
         return draw(st.sampled_from(["0", "1.5", "3", "12.25", ""]))
 
-    def quoted(value):
+    def quoted(value, is_text):
         if messy and draw(st.integers(0, 9)) == 0:
+            if is_text and draw(st.booleans()):
+                value += newline + "L"
             return '"' + value + '"'
         return value.replace(delimiter, "")  # a stray delimiter would shift cells
 
+    # string columns and the unknown "note" column hold text
+    text = [canonical.get(column) in (*STRING_COLUMNS, None) for column in header]
     lines = [draw(st.sampled_from(["# manifest {}", "  # note", ""]))
              for _ in range(draw(st.integers(0, 2)))]
     lines.append(delimiter.join(header))
@@ -174,7 +179,7 @@ def provider_files(draw, enrichment=False):
             blank = ["# comment", "", "   "] if messy else ["# comment", ""]
             lines.append(draw(st.sampled_from(blank)))
             continue
-        cells = [quoted(cell(column, i)) for column in header]
+        cells = [quoted(cell(column, i), is_text) for column, is_text in zip(header, text)]
         if messy and kind == 1:
             cells.append("extra")
         elif messy and kind == 2:

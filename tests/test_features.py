@@ -395,8 +395,21 @@ class TestLoaders:
                 LoadError,
                 "row 3: non-numeric value 'x' in column 'price_per_year'",
             ),
+            (
+                load_table,
+                PROVIDER_HEADER + ',country\na,1,1,1,10,3,"N\nL"\nb,1,1,1,x,0,DE\n',
+                LoadError,
+                "row 4: non-numeric value 'x' in column 'pct_shared'",
+            ),
+            (
+                load_observations,
+                'domain,ip\n"a\nL",1\nb.example\n',
+                AllocationError,
+                "row 4: no value in column 'ip'",
+            ),
         ],
-        ids=["providers", "observations", "enrichment"],
+        ids=["providers", "observations", "enrichment", "providers-multiline",
+             "observations-multiline"],
     )
     def test_errors_name_file_and_physical_line(self, tmp_path, loader, text, error, message):
         # comment lines count: the row is the line number an editor shows
@@ -412,6 +425,10 @@ class TestLoaders:
         with pytest.raises(LoadError) as err:
             load_enrichment(path)
         assert str(err.value) == f"{path}: row 4: duplicate provider_id 'a'"
+        # within one row a bad cell is reported before the duplicate id
+        path.write_text("provider_id,price_per_year\na,1.0\na,x\n")
+        with pytest.raises(LoadError, match=r"row 3: non-numeric value 'x'"):
+            load_enrichment(path)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["plain", "crlf"])
     @pytest.mark.parametrize(
@@ -453,7 +470,7 @@ class TestLoaders:
         path.write_text("domain,ip,timestamp,timestamp\na.example,7,1,2\n")
         assert load_abuse(path).ips.tolist() == [7]
         path.write_text("provider_id,note,note,country\na,1,2,NL\n")
-        assert load_enrichment(path) == {"a": {"country": "NL"}}
+        assert load_enrichment(path) == (["a"], {"country": ["NL"]})
 
     def test_plain_enrichment_parsed_by_columns(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -461,40 +478,61 @@ class TestLoaders:
 
         monkeypatch.setattr(csv, "reader", refuse)
         monkeypatch.setattr(ingest, "_read_rows", refuse)
-        monkeypatch.setattr(features, "_read_rows", refuse)
         path = tmp_path / "enrichment.csv"
         path.write_text(
             "# manifest\nprovider_id,note,price_per_year,abuse_count,country\n"
             "a,x, 9.5 ,3,NL\n\n b ,y,,,\n"
         )
-        assert load_enrichment(path) == {
-            "a": {"price_per_year": 9.5, "abuse_count": 3, "country": "NL"},
-            "b": {},
-        }
-        assert type(load_enrichment(path)["a"]["abuse_count"]) is int
+        expected = [
+            ("a", [("price_per_year", float, 9.5), ("abuse_count", int, 3),
+                   ("country", str, "NL")]),
+            ("b", []),
+        ]
+        assert enrichment_facts(load_enrichment(path)) == expected
+
+        # a quoted, CRLF, ragged file is parsed by columns too
+        monkeypatch.undo()
+        monkeypatch.setattr(ingest, "_parse_cell", refuse)
+        path.write_bytes(
+            b"provider_id,note,price_per_year,abuse_count,country\r\n"
+            b'"a",x, 9.5 ,3,"NL"\r\n\r\n b ,"y\r\nz"\r\n'
+        )
+        assert enrichment_facts(load_enrichment(path)) == expected
 
 
 def loaded(result):
     """A loader's result as plain Python values, for comparison."""
     if isinstance(result, (AllocationIndex, DomainIps)):
         return loaded_columns(result)
-    if isinstance(result, dict):
-        return result
+    if isinstance(result, tuple):
+        return enrichment_facts(result)
     return {c: result.column(c).tolist() for c in COLUMNS if not result.missing(c).all()}
+
+
+def short_row(path, header, positions, rows, lines):
+    """The error for the first data row without a cell in one of the ``positions``.
+
+    ``rows`` and ``lines`` are as ``_read_rows`` returns them, so the error
+    names the physical line, as ``load_table``'s errors do.
+    """
+    width = max(positions) + 1
+    lineno, row = next((n, r) for n, r in zip(lines, rows) if r and len(r) < width)
+    name = header[min(i for i in positions if i >= len(row))]
+    return AllocationError(f"{path}: row {lineno}: no value in column {name!r}")
 
 
 def enrichment_row_loop(path, delimiter):
     """``load_enrichment`` as a csv row loop: ``_read_rows``, then ``_parse_cell`` per cell."""
     known = set(COLUMNS)
-    header, rows, first = features._read_rows(path, delimiter, AllocationError)
+    header, rows, lines = ingest._read_rows(path, delimiter, AllocationError)
     pid = features._column(header, "provider_id", path)
     out = {}
     try:
-        for lineno, row in enumerate(rows, start=first):
+        for lineno, row in zip(lines, rows):
             if not row:
                 continue
             if len(row) <= pid:
-                raise features._short_row(path, header, (pid,), rows, first)
+                raise short_row(path, header, (pid,), rows, lines)
             values = {}
             for idx, name in enumerate(header):
                 if idx == pid or idx >= len(row) or name not in known:
@@ -511,13 +549,28 @@ def enrichment_row_loop(path, delimiter):
     return out
 
 
+def enrichment_facts(result):
+    """Per id of ``load_enrichment``'s result, in file order, each present value and its type.
+
+    Values come in header order; ``None`` and NaN mark missing ones.
+    """
+    ids, columns = result
+    values = [col if isinstance(col, list) else col.tolist() for col in columns.values()]
+    return [
+        (key, [(n, type(v), v) for n, v in zip(columns, row) if v is not None and v == v])
+        for key, *row in zip(ids, *values)
+    ]
+
+
 def enrichment_outcome(read, path, delimiter):
     """The loaded rows with each value's type, or the error's type and message."""
     try:
-        rows = read(path, delimiter)
+        result = read(path, delimiter)
     except (TypeError, ValueError) as exc:
         return type(exc), str(exc)
-    return [(key, [(n, type(v), v) for n, v in values.items()]) for key, values in rows.items()]
+    if isinstance(result, tuple):
+        return enrichment_facts(result)
+    return [(key, [(n, type(v), v) for n, v in values.items()]) for key, values in result.items()]
 
 
 class TestEnrichmentReader:
@@ -538,7 +591,7 @@ class TestEnrichmentReader:
 
 def row_loop_oracle(path, delimiter, loader):
     """The raw loaders as a csv row loop: ``_read_rows``, then ``parse_ip`` per cell."""
-    header, rows, first = features._read_rows(path, delimiter, AllocationError)
+    header, rows, lines = ingest._read_rows(path, delimiter, AllocationError)
     positions = [features._column(header, name, path) for name in LOADER_COLUMNS[loader]]
     if loader == "allocations":
         pid, lo, hi = positions
@@ -550,7 +603,7 @@ def row_loop_oracle(path, delimiter, loader):
                     starts.append(parse_ip(row[lo]))
                     ends.append(parse_ip(row[hi]))
         except IndexError:
-            raise features._short_row(path, header, positions, rows, first) from None
+            raise short_row(path, header, positions, rows, lines) from None
         return AllocationIndex(ids, starts, ends)
     dom, ip = positions
     domains, ips = [], []
@@ -560,7 +613,7 @@ def row_loop_oracle(path, delimiter, loader):
                 domains.append(row[dom].strip())
                 ips.append(parse_ip(row[ip]))
     except IndexError:
-        raise features._short_row(path, header, positions, rows, first) from None
+        raise short_row(path, header, positions, rows, lines) from None
     return DomainIps(domains, ips)
 
 
@@ -600,9 +653,10 @@ def raw_files(draw):
 
     IP cells are mostly integers that keep allocations sorted and disjoint,
     so whole files load; the rest are odd cells. Comment and blank lines
-    may appear anywhere. Half of the files are messy: quoted cells,
-    short and long rows, whitespace-only lines and CRLF endings, which
-    the plain split must leave to the csv fallback.
+    may appear anywhere. Half of the files are messy: quoted cells (a
+    text cell among them may span two lines), short and long rows,
+    whitespace-only lines and CRLF endings, which the plain split must
+    leave to ``csv.reader``.
     """
     loader = draw(st.sampled_from(sorted(LOADER_COLUMNS)))
     names = list(LOADER_COLUMNS[loader]) + draw(st.sampled_from([[], ["timestamp"]]))
@@ -621,8 +675,10 @@ def raw_files(draw):
             return draw(odd)
         return draw(st.sampled_from([c for c in TEXT_CELLS if messy or delimiter not in c]))
 
-    def quoted(value):
+    def quoted(value, is_text):
         if messy and draw(st.integers(0, 9)) == 0:
+            if is_text and draw(st.booleans()):
+                value += newline + "L"
             return '"' + value.replace('"', '""') + '"'
         return value
 
@@ -636,7 +692,7 @@ def raw_files(draw):
             blank = ["# comment", "", "   ", "\t"] if messy else ["# comment", ""]
             lines.append(draw(st.sampled_from(blank)))
             continue
-        cells = [quoted(cell(name, i)) for name in names]
+        cells = [quoted(cell(name, i), name not in ("ip_start", "ip_end", "ip")) for name in names]
         if messy and kind == 1:
             cells.append("extra")
         elif messy and kind == 2:
@@ -676,12 +732,22 @@ class TestRawReader:
 
         monkeypatch.setattr(csv, "reader", refuse)
         monkeypatch.setattr(ingest, "_read_rows", refuse)
-        monkeypatch.setattr(features, "_read_rows", refuse)
         path = tmp_path / "observations.csv"
         path.write_text("# manifest\ndomain,ip\na.example,7\n\n b.example ,4294967295\n")
         loaded = load_observations(path)
         assert loaded.domains.tolist() == ["a.example", "b.example"]
         assert loaded.ips.tolist() == [7, 2**32 - 1]
+
+        # a quoted, CRLF, ragged file is parsed by columns too
+        monkeypatch.undo()
+        monkeypatch.setattr(features, "parse_ip", refuse)
+        path.write_bytes(
+            b'domain,ip\r\n"a.example",7,extra\r\n\r\n b.example ,"4294967295"\r\n'
+            b'"c\r\nd",0\r\n'
+        )
+        loaded = load_observations(path)
+        assert loaded.domains.tolist() == ["a.example", "b.example", "c\r\nd"]
+        assert loaded.ips.tolist() == [7, 2**32 - 1, 0]
 
     def test_quoted_cell_keeps_its_delimiter(self, tmp_path):
         path = tmp_path / "observations.csv"

@@ -224,6 +224,23 @@ class TestLoadTable:
         assert d.column("abuse_count").dtype == np.int64
         assert d.missing("price_per_year").all()
 
+        # a quoted, CRLF, ragged file is parsed by columns too
+        monkeypatch.undo()
+        monkeypatch.setattr(ingest, "_parse_cell", refuse)
+        path.write_bytes(
+            (HEADER + ",country,twin_id\r\n").encode()
+            + b'"a",1,1,1,10,3,,t1\r\n'
+            + b'a, 1.5 ,1,1,0,0,"N\r\nL",t2,extra\r\n'
+            + b"\r\n"
+            + b'b,2,1,1_000,100," 7 "\r\n'
+        )
+        d = load_table(path)
+        assert d.provider_ids() == ["a", "a", "b"]
+        assert d.column("twin_id").tolist() == ["t1", "t2", None]
+        assert d.column("country").tolist() == [None, "N\r\nL", None]
+        assert d.column("hosted_domains_log10").tolist() == [1.0, 1.0, 1000.0]
+        assert d.column("abuse_count").tolist() == [3, 0, 7]
+
     def test_each_odd_cell_matches_row_loop(self, tmp_path):
         # every column with each odd cell alone, in an otherwise valid plain file
         header = COLUMNS + ("note",)
@@ -257,7 +274,7 @@ class TestLoadTable:
 def row_loop_oracle(path, schema=None, delimiter=","):
     """``load_table`` as a csv row loop: ``_read_rows``, then ``_parse_cell`` per cell."""
     schema = dict(schema or {})
-    header, rows, first = ingest._read_rows(path, delimiter, LoadError)
+    header, rows, lines = ingest._read_rows(path, delimiter, LoadError)
     positions = {}
     for canonical in COLUMNS:
         file_col = schema.get(canonical, canonical)
@@ -268,7 +285,7 @@ def row_loop_oracle(path, schema=None, delimiter=","):
     columns = {canonical: [] for canonical in positions}
     seen = set()
     try:
-        for lineno, raw in enumerate(rows, start=first):
+        for lineno, raw in zip(lines, rows):
             if not raw:
                 continue
             values = {
