@@ -40,16 +40,31 @@ GOLDEN_COMMANDS = Path(__file__).parent / "data" / "golden_commands"
 STRUCTURAL = "assigned_ips_log10,hosting_ips_log10,hosted_domains_log10,pct_shared"
 TWIN_PREDICTORS = "price_per_year,wordpress_use"
 
-#: Single-command runs, by case name: (command, input table under
-#: ``GOLDEN`` or None, further arguments). The table commands read the
-#: golden pipeline tables; ``features`` reads the fixture's raw inputs.
-#: Their artifacts are stored under ``GOLDEN_COMMANDS / case``.
+#: A provider table whose ``price_per_year`` has one non-missing value.
+SINGLE_VALUE_TABLE = Path(__file__).parent / "data" / "single_value.csv"
+
+#: Single-command runs, by case name: (command, input table or None,
+#: further arguments). A relative table name is a file under ``GOLDEN``,
+#: so the table commands read the golden pipeline tables; ``features``
+#: reads the fixture's raw inputs and ``simulate`` reads no file. Their
+#: artifacts are stored under ``GOLDEN_COMMANDS / case``.
 GOLDEN_COMMAND_CASES = {
     "features": (
         "features", None,
         ["--allocations", str(FIXTURE / "allocations.csv"),
          "--observations", str(FIXTURE / "observations.csv"),
          "--abuse", str(FIXTURE / "abuse.csv")],
+    ),
+    "describe_csv": ("describe", "providers.csv", ["--format", "csv"]),
+    "describe_md": ("describe", "providers.csv", ["--format", "md"]),
+    "describe_json_single_value": (
+        "describe", SINGLE_VALUE_TABLE,
+        ["--format", "json", "--columns", "assigned_ips_log10,price_per_year,abuse_count"],
+    ),
+    "twins_sampled": ("twins", "providers.csv", ["--sample-seeds", "5", "--seed", "2"]),
+    "simulate_measured": (
+        "simulate", None,
+        ["--n", "400", "--replicates", "4", "--preset", "measured", "--seed", "3"],
     ),
     "fit_stepwise": ("fit", "providers.csv", ["--predictors", STRUCTURAL, "--stepwise"]),
     "fit_stepwise_fe_baseline": (
@@ -68,6 +83,9 @@ GOLDEN_COMMAND_CASES = {
     ),
     "scenarios_json": (
         "scenarios", "providers.csv", ["--predictors", STRUCTURAL, "--format", "json"],
+    ),
+    "scenarios_csv": (
+        "scenarios", "providers.csv", ["--predictors", STRUCTURAL, "--format", "csv"],
     ),
     "rank_rows_excluded": ("rank", "providers.csv", ["--predictors", "price_per_year"]),
     "rank_twin_fe": (
