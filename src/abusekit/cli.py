@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import sys
-from dataclasses import replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,8 @@ from .glm import (
 )
 from .report import (
     ModelColumn,
+    _csv_text,
+    _names,
     build_manifest,
     describe_document,
     fit_document,
@@ -192,16 +193,7 @@ def cmd_features(args) -> int:
     ingest.write_table(
         table, out / "providers.csv", args.delimiter, [manifest.comment_line()]
     )
-    write_json_document(
-        out / "features_report.json",
-        {
-            "n_providers": rep.n_providers,
-            "skipped_observations": rep.skipped_observations,
-            "skipped_abuse_records": rep.skipped_abuse_records,
-            "zero_domain_providers": rep.zero_domain_providers,
-        },
-        manifest,
-    )
+    write_json_document(out / "features_report.json", asdict(rep), manifest)
     return 0
 
 
@@ -228,15 +220,9 @@ def _resolve_seeds(args, d: ingest.Dataset) -> list[str]:
     raise ValueError("provide --seeds FILE or --sample-seeds N")
 
 
-def _pairings_csv(pairings, delimiter: str) -> str:
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-    w.writerow(["twin_id", "seed_id", "match_id", "distance"])
-    for p in pairings:
-        w.writerow([p.twin_id, p.seed_id, p.match_id, repr(p.distance)])
-    return buf.getvalue()
+def _write_pairings(out: Path, pairings: list[twins.TwinPairing], args, manifest) -> None:
+    text = _csv_text(_names(twins.TwinPairing), map(astuple, pairings), args.delimiter)
+    write_text_document(out / "pairings.csv", text, manifest)
 
 
 def _match(args, d: ingest.Dataset) -> list[twins.TwinPairing]:
@@ -266,7 +252,7 @@ def cmd_twins(args) -> int:
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_text_document(out / "pairings.csv", _pairings_csv(pairings, args.delimiter), manifest)
+    _write_pairings(out, pairings, args, manifest)
     return 0
 
 
@@ -417,13 +403,10 @@ def load_sim_config(path) -> tuple[sim.SimulationConfig, dict[str, float] | None
         kwargs["target_mean"] = float(link["target_mean"])
     if parser.has_section("noise"):
         noise_section = parser["noise"]
-        preset = noise_section.get("preset")
-        if preset == "measured":
-            kwargs["noise"] = dict(sim.MEASURED_NOISE)
-        elif preset == "zero" or preset is None:
-            kwargs["noise"] = {c: (0.0, 0.0) for c in sim.PROXY_COLUMNS}
-        else:
+        preset = noise_section.get("preset", "zero")
+        if preset not in sim.NOISE_PRESETS:
             raise ValueError(f"{path}: unknown noise preset {preset!r}")
+        kwargs["noise"] = dict(sim.NOISE_PRESETS[preset])
         for col in sim.PROXY_COLUMNS:
             if col in noise_section:
                 kwargs["noise"][col] = _noise_pair(noise_section[col], f"[noise] {col}")
@@ -447,11 +430,9 @@ def cmd_simulate(args) -> int:
         cfg, reference = load_sim_config(args.config)
     else:
         cfg, reference = sim.SimulationConfig(), None
-    if args.preset == "measured":
-        cfg = cfg.with_measured_noise()
-    elif args.preset == "zero":
-        cfg = replace(cfg, noise={c: (0.0, 0.0) for c in sim.PROXY_COLUMNS})
     overrides = {}
+    if args.preset is not None:
+        overrides["noise"] = sim.NOISE_PRESETS[args.preset]
     if args.replicates is not None:
         overrides["replicates"] = args.replicates
     if args.seed is not None:
@@ -508,12 +489,7 @@ def cmd_pipeline(args) -> int:
     )
 
     pairings = stage("twins", lambda: _match(args, table))
-    stage(
-        "twins",
-        lambda: write_text_document(
-            out / "pairings.csv", _pairings_csv(pairings, args.delimiter), manifest
-        ),
-    )
+    stage("twins", lambda: _write_pairings(out, pairings, args, manifest))
 
     spec = _model_spec(args)
     required = list(_split(args.required) or spec.predictors)
@@ -672,7 +648,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="noisy size-proxy Monte Carlo study")
     p.add_argument("--config", help="INI config (population/link/noise/run sections)")
-    p.add_argument("--preset", choices=["zero", "measured"], help="noise preset override")
+    p.add_argument("--preset", choices=list(sim.NOISE_PRESETS), help="noise preset override")
     p.add_argument("--replicates", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--n", type=int, help="population size override")

@@ -44,8 +44,8 @@ class ProviderScore:
     """Observed-vs-predicted comparison for one provider."""
 
     provider_id: str
-    observed: int
     predicted: float
+    observed: int
     ratio: float
     pearson_residual: float
     better_than_average: bool
@@ -169,8 +169,8 @@ def rank_providers(d: Dataset, fit: glm.FitResult) -> list[ProviderScore]:
         scores.append(
             ProviderScore(
                 provider_id=ids[row],
-                observed=observed,
                 predicted=predicted,
+                observed=observed,
                 ratio=observed / predicted,
                 pearson_residual=float((observed - predicted) / np.sqrt(predicted)),
                 better_than_average=observed < predicted,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import linalg, special, stats
+from scipy import linalg, special
 
 from .diagnostics import deviance
 from .ingest import Dataset, STRING_COLUMNS
@@ -464,7 +464,7 @@ def predict(fit: FitResult, x: Mapping[str, object]) -> float:
 class WaldTest:
     """Wald z-test of one coefficient against zero."""
 
-    name: str
+    term: str
     estimate: float
     se: float
     z: float | None
@@ -497,6 +497,6 @@ def wald_tests(fit: FitResult) -> list[WaldTest]:
             out.append(WaldTest(name, estimate, se, None, None, "", available=False))
             continue
         z = estimate / se
-        p = float(2.0 * stats.norm.sf(abs(z)))
+        p = float(2.0 * special.ndtr(-abs(z)))
         out.append(WaldTest(name, estimate, se, float(z), p, star_label(p)))
     return out

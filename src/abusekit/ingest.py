@@ -450,15 +450,25 @@ def _read_rows(path, delimiter: str, error: type[Exception]) -> tuple[list, list
     """Stripped header, data rows and the physical line each data row starts on.
 
     The header is the first row; blank and ``#`` comment lines yield no
-    row. A quoted cell may span lines, so line numbers come from
-    ``csv.reader``'s count of the lines it has read. Raises ``error`` when
-    the file holds no header.
+    row. A quoted cell may span lines, so a ``#`` line is a comment only
+    where it starts a row, and line numbers come from ``csv.reader``'s
+    count of the lines it has read. Raises ``error`` when the file holds
+    no header.
     """
+    starts_row = True  # csv.reader reads one line at a time, as a row needs it
+
+    def lines(fh):
+        nonlocal starts_row
+        for line in fh:
+            comment = starts_row and line.lstrip().startswith("#")
+            starts_row = False
+            yield "" if comment else line
+
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        lines = ("" if line.lstrip().startswith("#") else line for line in fh)
-        reader = csv.reader(lines, delimiter=delimiter)
+        reader = csv.reader(lines(fh), delimiter=delimiter)
         rows, starts, start = [], [], 1
         for row in reader:
+            starts_row = True
             if row:
                 rows.append(row)
                 starts.append(start)

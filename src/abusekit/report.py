@@ -13,12 +13,14 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import asdict, astuple, dataclass, field, fields
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import __version__
 from .diagnostics import DispersionReport, FitAssessment, ProviderScore
-from .glm import INTERCEPT, FitResult, WaldTest, wald_tests
+from .glm import INTERCEPT, STAR_THRESHOLDS, FitResult, WaldTest, wald_tests
 from .ingest import ColumnSummary
 from .scenarios import ScenarioRow
 from .sim import SimulationResult, SimulationSummary
@@ -138,18 +140,29 @@ def _fmt(value: float, decimals: int = 3) -> str:
     return f"{value:,.{decimals}f}"
 
 
-def _csv_line(cells: Sequence[object], delimiter: str = ",") -> str:
-    out = io.StringIO()
-    csv.writer(out, delimiter=delimiter, lineterminator="\n").writerow(cells)
-    return out.getvalue()
-
-
 def _full(value) -> str:
+    """One delimited cell: floats at full precision, booleans as 1/0."""
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
     if isinstance(value, float):
         return repr(float(value)) if math.isfinite(value) else "NA"
     return str(value)
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]], delimiter: str = ",") -> str:
+    """A delimited table: ``header``, then ``rows`` with every cell through ``_full``."""
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_full(v) for v in row] for row in rows)
+    return out.getvalue()
+
+
+def _names(record_type) -> list[str]:
+    """The field names of a result dataclass, in declaration order."""
+    return [f.name for f in fields(record_type)]
 
 
 def render_describe(
@@ -168,53 +181,17 @@ def render_describe(
                 f"| {_fmt(s.median)} | {_fmt(s.max)} | {sd} | {s.n:,} |"
             )
         return "\n".join(lines) + "\n"
-    header = ["variable", "n", "n_missing", "min", "mean", "median", "max", "sd", "single_value"]
-    rows = [_csv_line(header, delimiter)]
-    for s in summaries:
-        rows.append(
-            _csv_line(
-                [s.name, s.n, s.n_missing, _full(s.min), _full(s.mean),
-                 _full(s.median), _full(s.max), _full(s.sd), int(s.single_value)],
-                delimiter,
-            )
-        )
-    return "".join(rows)
+    # the csv names the ``name`` column "variable", as the Markdown layout does
+    header = ["variable", *_names(ColumnSummary)[1:]]
+    return _csv_text(header, map(astuple, summaries), delimiter)
 
 
 def describe_document(summaries: Sequence[ColumnSummary]) -> dict:
-    return {
-        "columns": [
-            {
-                "name": s.name,
-                "n": s.n,
-                "n_missing": s.n_missing,
-                "min": s.min,
-                "mean": s.mean,
-                "median": s.median,
-                "max": s.max,
-                "sd": s.sd,
-                "single_value": s.single_value,
-            }
-            for s in summaries
-        ]
-    }
+    return {"columns": [asdict(s) for s in summaries]}
 
 
 def scenarios_document(rows: Sequence[ScenarioRow]) -> dict:
-    return {
-        "rows": [
-            {
-                "scenario": r.scenario,
-                "variable": r.variable,
-                "delta": r.delta,
-                "multiplier": r.multiplier,
-                "baseline_lambda": r.baseline_lambda,
-                "incremented_lambda": r.incremented_lambda,
-                "absolute_change": r.absolute_change,
-            }
-            for r in rows
-        ]
-    }
+    return {"rows": [asdict(r) for r in rows]}
 
 
 @dataclass
@@ -233,26 +210,13 @@ class ModelColumn:
     tests: dict[str, WaldTest] = field(init=False)
 
     def __post_init__(self):
-        self.tests = {t.name: t for t in wald_tests(self.fit)}
+        self.tests = {t.term: t for t in wald_tests(self.fit)}
 
     def assessment_document(self) -> dict:
         """Dispersion estimate and pseudo-R2 assessments, JSON-shaped."""
-        disp = self.dispersion
         return {
-            "dispersion": None
-            if disp is None
-            else {"phi_hat": disp.phi_hat, "chi_square": disp.chi_square, "df": disp.df},
-            "assessments": [
-                {
-                    "baseline_kind": a.baseline_kind,
-                    "pseudo_r2": a.pseudo_r2,
-                    "deviance_model": a.deviance_model,
-                    "deviance_baseline": a.deviance_baseline,
-                    "phi_hat": a.phi_hat,
-                    "k_penalty": a.k_penalty,
-                }
-                for a in self.assessments
-            ],
+            "dispersion": None if self.dispersion is None else asdict(self.dispersion),
+            "assessments": [asdict(a) for a in self.assessments],
         }
 
 
@@ -325,22 +289,17 @@ def render_fit_table(columns: Sequence[ModelColumn], fmt: str = "md", delimiter:
             footer.append(f"Pseudo R2 baseline(s): {', '.join(kinds)}.")
         return "\n".join(lines) + "\n" + "\n".join(footer) + "\n"
 
-    header = ["model", "term", "estimate", "se", "z", "p", "stars"]
-    rows = [_csv_line(header, delimiter)]
+    test_fields = [name for name in _names(WaldTest) if name != "available"]
+    pad = [""] * (len(test_fields) - 2)  # a statistic fills the estimate cell
+    rows: list[list[object]] = []
     for col in columns:
-        for term, test in col.tests.items():
-            rows.append(
-                _csv_line(
-                    [col.label, term, _full(test.estimate), _full(test.se),
-                     _full(test.z), _full(test.p), test.stars],
-                    delimiter,
-                )
-            )
+        for test in col.tests.values():
+            rows.append([col.label, *(getattr(test, name) for name in test_fields)])
         stats: list[tuple[str, object]] = [
             ("n_observations", col.fit.n),
             ("log_likelihood", col.fit.log_likelihood),
             ("aic", col.fit.aic),
-            ("converged", int(col.fit.converged)),
+            ("converged", col.fit.converged),
         ]
         if col.dispersion:
             stats.append(("dispersion", col.dispersion.phi_hat))
@@ -351,10 +310,9 @@ def render_fit_table(columns: Sequence[ModelColumn], fmt: str = "md", delimiter:
                 else "pseudo_r2_fixed_effects_baseline"
             )
             stats.append((key, a.pseudo_r2))
-        for name, value in stats:
-            rows.append(_csv_line([col.label, name, _full(value), "", "", "", ""], delimiter))
-    rows.append(_csv_line(["#", STAR_FOOTNOTE, "", "", "", "", ""], delimiter))
-    return "".join(rows)
+        rows.extend([col.label, name, value, *pad] for name, value in stats)
+    rows.append(["#", STAR_FOOTNOTE, "", *pad])
+    return _csv_text(["model", *test_fields], rows, delimiter)
 
 
 def _pseudo_cell(column: ModelColumn) -> str:
@@ -389,25 +347,9 @@ def fit_document(column: ModelColumn) -> dict:
         "dropped_columns": [list(item) for item in fit.dropped],
         "log_likelihood": fit.log_likelihood,
         "aic": fit.aic,
-        "spec": {
-            "response": fit.spec.response,
-            "predictors": list(fit.spec.predictors),
-            "fixed_effects": list(fit.spec.fixed_effects),
-            "include_intercept": fit.spec.include_intercept,
-        },
-        "coefficients": [
-            {
-                "term": t.name,
-                "estimate": t.estimate,
-                "se": t.se,
-                "z": t.z,
-                "p": t.p,
-                "stars": t.stars,
-                "available": t.available,
-            }
-            for t in column.tests.values()
-        ],
-        "star_thresholds": [0.05, 0.01, 0.001],
+        "spec": asdict(fit.spec),
+        "coefficients": [asdict(t) for t in column.tests.values()],
+        "star_thresholds": STAR_THRESHOLDS,
     }
     # fit.json leaves out a missing dispersion and an empty assessment list
     doc.update({k: v for k, v in column.assessment_document().items() if v})
@@ -416,20 +358,8 @@ def fit_document(column: ModelColumn) -> dict:
 
 def render_rankings(scores: Sequence[ProviderScore], delimiter: str = ",") -> str:
     """Plot-ready observed-vs-predicted rows, best relative performers first."""
-    header = [
-        "rank", "provider_id", "predicted", "observed",
-        "ratio", "pearson_residual", "better_than_average",
-    ]
-    rows = [_csv_line(header, delimiter)]
-    for rank, s in enumerate(scores, start=1):
-        rows.append(
-            _csv_line(
-                [rank, s.provider_id, _full(s.predicted), s.observed,
-                 _full(s.ratio), _full(s.pearson_residual), int(s.better_than_average)],
-                delimiter,
-            )
-        )
-    return "".join(rows)
+    rows = ((rank, *astuple(s)) for rank, s in enumerate(scores, start=1))
+    return _csv_text(["rank", *_names(ProviderScore)], rows, delimiter)
 
 
 def render_scenarios(rows: Sequence[ScenarioRow], fmt: str = "csv", delimiter: str = ",") -> str:
@@ -445,21 +375,7 @@ def render_scenarios(rows: Sequence[ScenarioRow], fmt: str = "csv", delimiter: s
                 f"| {_fmt(r.incremented_lambda)} | {_fmt(r.absolute_change)} |"
             )
         return "\n".join(lines) + "\n"
-    header = [
-        "scenario", "variable", "delta", "multiplier",
-        "baseline_lambda", "incremented_lambda", "absolute_change",
-    ]
-    out = [_csv_line(header, delimiter)]
-    for r in rows:
-        out.append(
-            _csv_line(
-                [r.scenario, r.variable, _full(r.delta), _full(r.multiplier),
-                 _full(r.baseline_lambda), _full(r.incremented_lambda),
-                 _full(r.absolute_change)],
-                delimiter,
-            )
-        )
-    return "".join(out)
+    return _csv_text(_names(ScenarioRow), map(astuple, rows), delimiter)
 
 
 def render_simulation_samples(res: SimulationResult) -> str:
@@ -469,16 +385,15 @@ def render_simulation_samples(res: SimulationResult) -> str:
         + [f"coef:{n}" for n in res.coefficient_names]
         + [f"se:{n}" for n in res.coefficient_names]
     )
-    rows = [_csv_line(header)]
-    for rep in range(len(res.dispersion_samples)):
-        phi = res.dispersion_samples[rep]
-        cells: list[object] = [rep, "" if math.isnan(phi) else _full(float(phi))]
-        for matrix in (res.coefficient_samples, res.se_samples):
-            for j in range(len(res.coefficient_names)):
-                v = matrix[rep, j]
-                cells.append("" if math.isnan(v) else _full(float(v)))
-        rows.append(_csv_line(cells))
-    return "".join(rows)
+    samples = np.column_stack(
+        [res.dispersion_samples, res.coefficient_samples, res.se_samples]
+    ).tolist()
+    # a sample a replicate did not produce is an empty cell
+    rows = (
+        [rep, *(None if math.isnan(v) else v for v in values)]
+        for rep, values in enumerate(samples)
+    )
+    return _csv_text(header, rows)
 
 
 def simulation_summary_document(summary: SimulationSummary, res: SimulationResult) -> dict:
@@ -486,35 +401,14 @@ def simulation_summary_document(summary: SimulationSummary, res: SimulationResul
         "replicates": len(res.dispersion_samples),
         "n_successful": summary.n_successful,
         "n_failed": summary.n_failed,
-        "failures": [[idx, reason] for idx, reason in res.failures],
+        "failures": res.failures,
         "dispersion": {
             "mean": summary.dispersion_mean,
             "q025": summary.dispersion_q025,
             "q975": summary.dispersion_q975,
-            "histogram_edges": [float(e) for e in summary.histogram_edges],
-            "histogram_counts": [int(c) for c in summary.histogram_counts],
+            "histogram_edges": summary.histogram_edges.tolist(),
+            "histogram_counts": summary.histogram_counts.tolist(),
         },
-        "coefficients": [
-            {
-                "term": c.name,
-                "n": c.n,
-                "mean": c.mean,
-                "q025": c.q025,
-                "q975": c.q975,
-                "reference": c.reference,
-                "reference_deviation": c.reference_deviation,
-            }
-            for c in summary.coefficients
-        ],
-        "config": {
-            "n": res.config.n,
-            "true_size_mean": res.config.true_size_mean,
-            "true_size_sd": res.config.true_size_sd,
-            "link_slope": res.config.link_slope,
-            "link_intercept": res.config.resolved_intercept,
-            "target_mean": res.config.target_mean,
-            "noise": {k: list(v) for k, v in res.config.noise.items()},
-            "replicates": res.config.replicates,
-            "rng_seed": res.config.rng_seed,
-        },
+        "coefficients": [asdict(c) for c in summary.coefficients],
+        "config": {**asdict(res.config), "link_intercept": res.config.resolved_intercept},
     }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,6 +35,12 @@ MEASURED_NOISE = {
     "assigned_ips_log10": (3.1, 1.2),
     "hosting_ips_log10": (1.8, 0.8),
     "hosted_domains_log10": (2.0, 0.9),
+}
+
+#: Noise presets by name: no noise, or the measured noise above.
+NOISE_PRESETS = {
+    "zero": {c: (0.0, 0.0) for c in PROXY_COLUMNS},
+    "measured": MEASURED_NOISE,
 }
 
 #: Latent-size defaults: the observed hosted-domains column's moments,
@@ -72,9 +78,7 @@ class SimulationConfig:
     link_slope: float = 1.0
     link_intercept: float | None = None
     target_mean: float = DEFAULT_TARGET_MEAN
-    noise: Mapping[str, tuple[float, float]] = field(
-        default_factory=lambda: {c: (0.0, 0.0) for c in PROXY_COLUMNS}
-    )
+    noise: Mapping[str, tuple[float, float]] = field(default_factory=lambda: NOISE_PRESETS["zero"])
     replicates: int = 1000
     rng_seed: int = 0
 
@@ -105,9 +109,6 @@ class SimulationConfig:
             - 0.5 * (b * self.true_size_sd) ** 2
         )
 
-    def with_measured_noise(self) -> "SimulationConfig":
-        return replace(self, noise=dict(MEASURED_NOISE))
-
 
 @dataclass
 class SimulationResult:
@@ -120,10 +121,6 @@ class SimulationResult:
     failures: list[tuple[int, str]]
     config: SimulationConfig
     reference_coefficients: dict[str, float] | None = None
-
-    @property
-    def n_successful(self) -> int:
-        return int(np.sum(~np.isnan(self.dispersion_samples)))
 
 
 def _replicate_rng(cfg: SimulationConfig, replicate_index: int) -> np.random.Generator:
@@ -220,7 +217,7 @@ def nearest_rank_quantile(samples: Sequence[float], q: float) -> float:
 
 @dataclass(frozen=True)
 class CoefficientSummary:
-    name: str
+    term: str
     n: int
     mean: float
     q025: float
@@ -263,7 +260,7 @@ def summarize(res: SimulationResult) -> SimulationSummary:
         mean = float(col.mean())
         coeffs.append(
             CoefficientSummary(
-                name=name,
+                term=name,
                 n=int(col.size),
                 mean=mean,
                 q025=nearest_rank_quantile(col, 0.025),

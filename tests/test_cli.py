@@ -508,6 +508,13 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["replicates"] == 4
         assert summary["config"]["rng_seed"] == 17
+        # the config's "preset = measured" is the --preset measured table
+        flags = tmp_path / "flags"
+        argv = ["simulate", "--preset", "measured", "--n", "400", "--replicates", "4",
+                "--seed", "17", "--out-dir", str(flags)]
+        assert main(argv) == 0
+        for name in ("summary.json", "samples.csv"):
+            assert strip_manifest(flags / name) == strip_manifest(out / name), name
 
     def test_flag_overrides_and_determinism(self, tmp_path):
         for sub in ("a", "b"):
@@ -713,15 +720,29 @@ def test_single_command_matches_golden_bytes(case, tmp_path):
         assert strip_manifest(tmp_path / name) == (expected / name).read_bytes(), name
 
 
-def test_console_invocation_smoke(tmp_path):
-    # the child imports the abusekit this process imported, installed or not
+def _child_env():
+    """Environment in which a child imports the abusekit this process imported."""
     src = str(Path(abusekit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; the CLI needs none of it
+    code = "import sys, abusekit.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_console_invocation_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "abusekit.cli", "--version"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "abusekit" in proc.stdout

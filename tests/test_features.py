@@ -348,6 +348,15 @@ class TestLoaders:
         assert load_observations(observations).ips.tolist() == [1 << 24, 7]
         assert load_abuse(abuse).ips.tolist() == [7, 8]
 
+    def test_hash_line_inside_a_quoted_cell_is_data(self, tmp_path):
+        # only a line that starts a row is a comment, quoted text or not
+        path = tmp_path / "observations.csv"
+        path.write_text('# manifest {"command":"features"}\ndomain,ip\n"a\n#b",1\n'
+                        '# "quoted" comment\nc.example,2\n')
+        loaded = load_observations(path)
+        assert loaded.domains.tolist() == ["a\n#b", "c.example"]
+        assert loaded.ips.tolist() == [1, 2]
+
     def test_every_ip_cell_is_validated(self, tmp_path):
         path = tmp_path / "abuse.csv"
         path.write_text("domain,ip\na.example,7\nb.example,4294967296\n")
