@@ -90,7 +90,10 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
     of rows excluded for missing values. Only the widest design is built;
     every other spec's design is restricted from it when its fit needs it.
     Each distinct spec is fitted once: a stepwise model equal to a
-    baseline shares its fit.
+    baseline shares its fit. The stepwise specs are fitted widest first, so
+    each restricted copy of the design fits in the memory that the wider
+    copy before it freed; narrowest first, no freed block would be big
+    enough for the next copy and the peak memory of the run would grow.
     """
     dm = build_design(d, spec)
     rows = d.take(dm.row_index)
@@ -104,8 +107,11 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
         return fits[s]
 
     steps = range(len(spec.predictors) + 1) if stepwise else [len(spec.predictors)]
+    specs = [replace(spec, predictors=spec.predictors[:k]) for k in steps]
+    for s in reversed(specs):
+        fit(s)
     columns = []
-    for j, s in enumerate((replace(spec, predictors=spec.predictors[:k]) for k in steps), 1):
+    for j, s in enumerate(specs, 1):
         f = fit(s)
         column = ModelColumn(label=f"({j})", fit=f, source_label=d.source_label)
         try:

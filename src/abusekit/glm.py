@@ -314,6 +314,10 @@ def fit_poisson(dm: DesignMatrix) -> FitResult:
     in magnitude marks the fit as separated (a log-mean below -30 is
     numerically zero).
 
+    The weighted copies of X that every iteration and the Fisher
+    information need are written into one n x p work buffer, allocated once
+    per fit, so a fit holds at most one such copy besides X itself.
+
     Raises
     ------
     SeparationError
@@ -338,10 +342,11 @@ def fit_poisson(dm: DesignMatrix) -> FitResult:
     converged = False
     messages: list[str] = []
     iterations = 0
+    Xw = np.empty_like(X)
     for iterations in range(1, MAX_ITERATIONS + 1):
         w = np.clip(lam, 1e-10, None)
         z = eta + (y - lam) / w
-        Xw = X * w[:, None]
+        np.multiply(X, w[:, None], out=Xw)
         H = X.T @ Xw
         g = Xw.T @ z
         try:
@@ -388,15 +393,18 @@ def fit_poisson(dm: DesignMatrix) -> FitResult:
         )
     # Exact check: a non-negative column whose active rows carry zero counts
     # has score -sum(c*lambda) < 0 everywhere, so its MLE sits at -inf no
-    # matter where the iteration stopped.
-    for j, name in enumerate(dm.columns):
-        col = X[:, j]
-        if name != INTERCEPT and np.all(col >= 0) and col.max() > 0 and col @ y == 0:
+    # matter where the iteration stopped. With y >= 0, a non-negative column
+    # has c'y == 0 exactly when every product c_i*y_i is 0, in any summation
+    # order, so only the columns where one product X'y is 0 need the test.
+    Xty = X.T @ y
+    for j in np.flatnonzero(Xty == 0).tolist():
+        col, name = X[:, j], dm.columns[j]
+        if name != INTERCEPT and np.all(col >= 0) and col.max() > 0:
             separated = True
             messages.append(f"separation: column {name!r} only active where y = 0")
 
     # Standard errors from the inverse Fisher information at the optimum.
-    H = X.T @ (X * lam[:, None])
+    H = X.T @ np.multiply(X, lam[:, None], out=Xw)
     try:
         cov = linalg.inv(H)
     except linalg.LinAlgError:

@@ -104,6 +104,8 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if hasattr(value, "item") and not isinstance(value, (str, bytes)):

@@ -1,15 +1,19 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import abusekit
-from abusekit import cli
+from abusekit import cli, ingest
 from abusekit.cli import load_sim_config, main
+from abusekit.glm import ModelSpec
+from abusekit.report import _jsonable
 
 FIXTURE = Path(__file__).parent / "data" / "fixture"
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -311,6 +315,24 @@ class TestFit:
         assert len({m["n"] for m in models}) == 1
         # model (1) is its own fixed-effects baseline
         assert [len(m["assessments"]) for m in models] == [1, 2, 2, 2, 2]
+
+    def test_stepwise_columns_keep_stepwise_order(self, providers_csv, monkeypatch):
+        fitted, fit_poisson = [], cli.fit_poisson
+
+        def recording_fit_poisson(dm):
+            fitted.append(dm.spec)
+            return fit_poisson(dm)
+
+        monkeypatch.setattr(cli, "fit_poisson", recording_fit_poisson)
+        predictors = tuple(STRUCTURAL.split(","))
+        spec = ModelSpec("abuse_count", predictors, ("country",))
+        d = ingest.load_table(providers_csv)
+        _rows, columns, _excluded = cli._run_fits(d, spec, stepwise=True, baseline_mode="both")
+        assert [c.label for c in columns] == ["(1)", "(2)", "(3)", "(4)", "(5)"]
+        assert [c.fit.spec.predictors for c in columns] == [predictors[:k] for k in range(5)]
+        # fitted widest first; then the intercept-only baseline
+        assert [len(s.predictors) for s in fitted] == [4, 3, 2, 1, 0, 0]
+        assert fitted[-1] == ModelSpec("abuse_count")
 
     def test_fixed_effects_table_structure(self, tmp_path):
         # build the twin dataset through the pipeline, then refit via `fit`
@@ -718,6 +740,35 @@ def test_single_command_matches_golden_bytes(case, tmp_path):
     assert names == sorted(p.name for p in expected.iterdir())
     for name in names:
         assert strip_manifest(tmp_path / name) == (expected / name).read_bytes(), name
+
+
+def _make_golden():
+    spec = importlib.util.spec_from_file_location(
+        "make_golden", Path(__file__).parent / "data" / "make_golden.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_check_diffs_numbers_and_text():
+    diff_text = _make_golden().diff_text
+    old = "term,estimate\nprice,1.5\nwordpress,-2\nnote,a\n"
+    new = "term,estimate\nprice,1.50000003\nwordpress,-2\nnote,b\nextra,0\n"
+    assert diff_text(old, old) == []
+    assert diff_text(old, new) == [
+        "line 2: 1.5 -> 1.50000003 (rel 2.0e-08)",
+        "line 4 old: note,a",
+        "line 4 new: note,b",
+        "line 5 new: extra,0",
+    ]
+    assert diff_text("x 0\n", "x 1e-300\n") == ["line 1: 0 -> 1e-300 (rel inf)"]
+
+
+def test_jsonable_writes_arrays_as_lists():
+    assert _jsonable({"a": np.array([1.0, np.nan])}) == {"a": [1.0, None]}
+    assert _jsonable(np.array(2.5)) == 2.5
+    assert _jsonable(np.array(np.nan)) is None
 
 
 def _child_env():

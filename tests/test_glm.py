@@ -1,14 +1,21 @@
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize
+from scipy import linalg, optimize
 
+from abusekit.diagnostics import deviance
 from abusekit.glm import (
     COLLINEARITY_RTOL,
+    DEVIANCE_RTOL,
     INTERCEPT,
+    MAX_HALVINGS,
+    MAX_ITERATIONS,
+    SCORE_ATOL,
+    SEPARATION_THRESHOLD,
     DesignError,
     FitResult,
     ModelSpec,
@@ -582,3 +589,229 @@ class TestAic:
         d = make_dataset([1, 2, 3, 6])
         fit = fit_poisson(build_design(d, ModelSpec("abuse_count")))
         assert fit.aic == pytest.approx(aic(fit.log_likelihood, 1))
+
+
+def _allocating_fit(dm):
+    """``fit_poisson`` as it was before its one work buffer: the oracle.
+
+    Every iteration allocates a fresh weighted copy of X, and the
+    separation check takes one product c'y per column. ``fit_poisson``
+    must return the same bits on every field.
+    """
+    X = np.asarray(dm.X, dtype=float)
+    y = np.asarray(dm.y, dtype=float)
+    n, p = X.shape
+    has_intercept = bool(dm.columns) and dm.columns[0] == INTERCEPT
+
+    if has_intercept and y.sum() == 0:
+        raise SeparationError("all responses are zero: intercept MLE at -inf")
+
+    beta = np.zeros(p)
+    if has_intercept:
+        beta[0] = np.log(y.mean() + 0.1)
+    eta = X @ beta
+    lam = np.exp(eta)
+    dev = deviance(y, lam)
+
+    converged = False
+    messages = []
+    iterations = 0
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        w = np.clip(lam, 1e-10, None)
+        z = eta + (y - lam) / w
+        Xw = X * w[:, None]
+        H = X.T @ Xw
+        g = Xw.T @ z
+        try:
+            target = linalg.solve(H, g, assume_a="pos")
+        except linalg.LinAlgError:
+            target = np.linalg.lstsq(H, g, rcond=None)[0]
+        step = target - beta
+
+        alpha = 1.0
+        accepted = False
+        for _ in range(MAX_HALVINGS):
+            cand = beta + alpha * step
+            with np.errstate(over="ignore"):
+                eta_c = X @ cand
+                lam_c = np.exp(eta_c)
+            if np.all(np.isfinite(lam_c)) and np.all(lam_c > 0):
+                dev_c = deviance(y, lam_c)
+                if dev_c <= dev + 1e-12 * (1.0 + abs(dev)):
+                    accepted = True
+                    break
+            alpha *= 0.5
+        if not accepted:
+            messages.append("step-halving failed to reduce the deviance")
+            break
+
+        rel_change = abs(dev - dev_c) / (0.1 + abs(dev_c))
+        beta, eta, lam, dev = cand, eta_c, lam_c, dev_c
+        score = X.T @ (y - lam)
+        if rel_change < DEVIANCE_RTOL and np.max(np.abs(score)) < SCORE_ATOL:
+            converged = True
+            break
+
+    if not converged and not messages:
+        messages.append(f"no convergence within {MAX_ITERATIONS} iterations")
+
+    separated = bool(np.any(np.abs(beta) > SEPARATION_THRESHOLD))
+    if separated:
+        worst = dm.columns[int(np.argmax(np.abs(beta)))]
+        messages.append(
+            f"separation suspected: |coefficient| > {SEPARATION_THRESHOLD:g} "
+            f"for {worst!r}"
+        )
+    for j, name in enumerate(dm.columns):
+        col = X[:, j]
+        if name != INTERCEPT and np.all(col >= 0) and col.max() > 0 and col @ y == 0:
+            separated = True
+            messages.append(f"separation: column {name!r} only active where y = 0")
+
+    H = X.T @ (X * lam[:, None])
+    try:
+        cov = linalg.inv(H)
+    except linalg.LinAlgError:
+        cov = linalg.pinv(H)
+        messages.append("Fisher information singular: pseudo-inverse standard errors")
+    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+
+    ll = log_likelihood(y, lam)
+    return FitResult(
+        coefficients=dict(zip(dm.columns, beta.tolist())),
+        standard_errors=dict(zip(dm.columns, se.tolist())),
+        fitted=lam,
+        y=dm.y.copy(),
+        log_likelihood=ll,
+        aic=aic(ll, p),
+        n=n,
+        k=p - (1 if has_intercept else 0),
+        converged=converged,
+        iterations=iterations,
+        spec=dm.spec,
+        factor_levels=dict(dm.factor_levels),
+        dropped=list(dm.dropped),
+        excluded_rows=dm.excluded_rows,
+        row_index=dm.row_index.copy(),
+        separated=separated,
+        messages=messages,
+    )
+
+
+def _bits(value):
+    """A value with every float replaced by its exact bits, for == checks."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return [(k, _bits(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+@st.composite
+def oracle_designs(draw):
+    """Designs that reach every branch of the fit's separation check.
+
+    ``pct_shared`` is continuous and positive; ``assigned_ips_log10`` has
+    negative entries; ``hosting_ips_log10`` is non-negative and active
+    only where y = 0; ``hosted_domains_log10`` is 1 and -1 on two rows
+    with equal counts and 0 elsewhere, so its product with y cancels to
+    exactly 0. The first ``zero_groups`` countries have all-zero counts,
+    which separates their dummies.
+    """
+    r = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_groups = draw(st.integers(min_value=2, max_value=6))
+    n = n_groups * draw(st.integers(min_value=2, max_value=60))
+    group = np.arange(n) % n_groups
+    y = r.poisson(np.exp(r.normal(0.5, 0.5, n)))
+    y[group < draw(st.integers(min_value=0, max_value=n_groups - 1))] = 0
+    y[-1] += 1  # row n - 1 is in the last group, never zeroed
+    cancel = np.zeros(n)
+    cancel[[n - 1, n - 1 - n_groups]] = 1.0, -1.0
+    y[n - 1 - n_groups] = y[n - 1]
+    columns = {
+        "provider_id": [f"p{i}" for i in range(n)],
+        "pct_shared": r.uniform(0.5, 1.5, n),
+        "assigned_ips_log10": r.normal(size=n),
+        "hosting_ips_log10": r.uniform(0.0, 1.0, n) * (y == 0),
+        "hosted_domains_log10": cancel,
+        "abuse_count": y,
+        "country": [f"c{g}" for g in group],
+    }
+    extra = draw(st.sets(st.sampled_from(
+        ["assigned_ips_log10", "hosting_ips_log10", "hosted_domains_log10"]
+    )))
+    spec = ModelSpec(
+        "abuse_count",
+        ("pct_shared", *sorted(extra)),
+        draw(st.sampled_from([(), ("country",)])),
+        draw(st.booleans()),
+    )
+    return build_design(Dataset(columns), spec)
+
+
+class TestWorkBuffer:
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_designs())
+    def test_bit_equal_to_allocating_fit(self, dm):
+        new, old = fit_poisson(dm), _allocating_fit(dm)
+        for f in fields(FitResult):
+            assert _bits(getattr(new, f.name)) == _bits(getattr(old, f.name)), f.name
+
+    def test_separation_cases_are_reached(self):
+        # the columns of oracle_designs in one fit: only the one active where
+        # y = 0 is flagged, not the one whose product with y cancels to 0
+        r = np.random.default_rng(7)
+        n = 40
+        y = r.poisson(2.0, n) + 1
+        y[:10] = 0
+        active = np.zeros(n)
+        active[:10] = 1.0
+        cancel = np.zeros(n)
+        cancel[[20, 30]] = 1.0, -1.0
+        y[30] = y[20]
+        d = Dataset({
+            "provider_id": [f"p{i}" for i in range(n)],
+            "pct_shared": r.uniform(0.5, 1.5, n),
+            "assigned_ips_log10": r.normal(size=n),
+            "hosting_ips_log10": active,
+            "hosted_domains_log10": cancel,
+            "abuse_count": y,
+        })
+        spec = ModelSpec("abuse_count", ("pct_shared", "assigned_ips_log10",
+                                         "hosting_ips_log10", "hosted_domains_log10"))
+        fit = fit_poisson(build_design(d, spec))
+        flagged = [m for m in fit.messages if m.startswith("separation: column")]
+        assert flagged == ["separation: column 'hosting_ips_log10' only active where y = 0"]
+
+    def test_peak_memory_below_one_and_a_half_designs(self):
+        # 20,000 x 28: intercept, 4 continuous columns and 23 country dummies
+        r = np.random.default_rng(11)
+        n = 20_000
+        x = r.uniform(0.0, 2.0, (n, 4))
+        country = r.integers(0, 24, n)
+        y = r.poisson(np.exp(0.3 + x @ [0.2, -0.1, 0.3, 0.05] + 0.02 * country))
+        d = Dataset({
+            "provider_id": [f"p{i}" for i in range(n)],
+            **dict(zip(("assigned_ips_log10", "hosting_ips_log10",
+                        "hosted_domains_log10", "pct_shared"), x.T)),
+            "abuse_count": y,
+            "country": [f"c{c:02d}" for c in country],
+        })
+        dm = build_design(d, ModelSpec(
+            "abuse_count",
+            ("assigned_ips_log10", "hosting_ips_log10", "hosted_domains_log10", "pct_shared"),
+            ("country",),
+        ))
+        assert dm.X.shape == (n, 28)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_poisson(dm)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * dm.X.nbytes, peak / dm.X.nbytes
