@@ -4,19 +4,20 @@ All inputs arrive as delimited files: IP allocations (provider_id with an
 inclusive address range), hosting observations (domain, ip) and abuse
 records (domain, ip). IP addresses are accepted in dotted-quad or plain
 integer form and normalized to integers internally. Every file is parsed
-by whole columns (``ingest._read_cells``), quoted and ragged files too,
-and held as columns: an ``AllocationIndex`` over the ranges and one
-``DomainIps`` per observation or abuse file. Each file's rows are
-attributed to providers by one vectorised owner lookup, distinct counts
-come from sorted integer keys, and per-provider results are arrays in
-``AllocationIndex.provider_ids`` order.
+by columns (``ingest._read_blocks``: a plain file one block of lines at a
+time, a quoted or ragged one whole) and held as columns: an
+``AllocationIndex`` over the ranges and one ``DomainIps`` per observation
+or abuse file. Each file's rows are attributed to providers by one
+vectorised owner lookup, distinct counts come from sorted integer keys,
+and per-provider results are arrays in ``AllocationIndex.provider_ids``
+order.
 """
 from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import count, repeat
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ from .ingest import (
     _parse_or,
     _position,
     _raise_first,
-    _read_cells,
+    _read_blocks,
     log10_transform,
 )
 
@@ -133,11 +134,13 @@ class DomainIps:
 
 
 def _codes(values) -> np.ndarray:
-    """Integer codes below ``len(values)``, equal values sharing one code."""
+    """Integer codes below ``len(values)``, equal values sharing one code.
+
+    A value's code is the index of its first appearance, so one C-level
+    ``map`` of ``dict.setdefault`` codes the whole column.
+    """
     seen: dict = {}
-    return np.fromiter(
-        (seen.setdefault(v, len(seen)) for v in values), dtype=np.int64, count=len(values)
-    )
+    return np.fromiter(map(seen.setdefault, values, count()), np.int64, len(values))
 
 
 def _distinct_pairs(groups: np.ndarray, items: np.ndarray, n_items: int):
@@ -380,20 +383,28 @@ def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[l
     Other columns are ignored. A bad file raises the error a row loop
     reading each row's cells in ``key``, ``ips`` order would raise first.
     """
-    header, cells, short = _read_cells(path, delimiter, AllocationError)
-    positions = [_column(header, name, path) for name in (key, *ips)]
-    width = len(header)
-    # listed first: the absent cell reads as "", which parse_ip rejects too
-    faults = _short_faults(path, header, positions, short)
-    columns = []
-    for rank, pos in enumerate(positions[1:], start=1):
-        column, bad = _parse_ips(cells[pos::width])
-        if bad is not None:
-            faults.append((bad, rank, lambda line, text=cells[pos + bad * width]: parse_ip(text)))
-        columns.append(column)
+
+    def parser(header):
+        positions = [_column(header, name, path) for name in (key, *ips)]
+        width = len(header)
+
+        def parse(cells, short):
+            # listed first: the absent cell reads as "", which parse_ip rejects too
+            faults = _short_faults(path, header, positions, short)
+            columns = {key: list(map(str.strip, cells[positions[0]::width]))}
+            for rank, (name, pos) in enumerate(zip(ips, positions[1:]), start=1):
+                columns[name], bad = _parse_ips(cells[pos::width])
+                if bad is not None:
+                    text = cells[pos + bad * width]
+                    faults.append((bad, rank, lambda line, text=text: parse_ip(text)))
+            return columns, faults
+
+        return parse
+
+    _, columns, faults = _read_blocks(path, delimiter, AllocationError, parser)
     if faults:
         _raise_first(faults, path, delimiter)
-    return list(map(str.strip, cells[positions[0]::width])), columns
+    return columns[key], [columns[name] for name in ips]
 
 
 def load_allocations(path, delimiter: str = ",") -> AllocationIndex:
@@ -429,19 +440,27 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
     array for a numeric one and an object array of int for
     ``abuse_count``; ``None`` or NaN marks an empty cell.
     """
-    header, cells, short = _read_cells(path, delimiter, AllocationError)
-    pid = _column(header, "provider_id", path)
-    known = set(COLUMNS) - {"provider_id"}
-    positions = {name: _column(header, name, path) for name in header if name in known}
-    # ranked as a row loop checks one row: provider_id present, the cells,
-    # then the id unique
-    columns, faults = _parse_columns(cells, len(header), positions, 1)
-    faults += _short_faults(path, header, (pid,), short)
-    ids = list(map(str.strip, cells[pid::len(header)]))
+
+    def parser(header):
+        known = set(COLUMNS) - {"provider_id"}
+        pid = _column(header, "provider_id", path)
+        positions = {name: _column(header, name, path) for name in header if name in known}
+
+        def parse(cells, short):
+            # ranked as a row loop checks one row: provider_id present, the
+            # cells, then the id unique
+            columns, faults = _parse_columns(cells, len(header), positions, 1)
+            columns["provider_id"] = list(map(str.strip, cells[pid::len(header)]))
+            return columns, faults + _short_faults(path, header, (pid,), short)
+
+        return parse
+
+    _, columns, faults = _read_blocks(path, delimiter, AllocationError, parser)
+    ids = columns.pop("provider_id")
     row = _first_repeat(ids)
     if row is not None:
         duplicate = partial(_fail, f"duplicate provider_id {ids[row]!r}")
-        faults.append((row, len(positions) + 1, duplicate))
+        faults.append((row, len(columns) + 1, duplicate))
     if faults:
         _raise_first(faults, path, delimiter)
     if "abuse_count" in columns:  # ints, as _parse_cell reads a count

@@ -273,20 +273,21 @@ def load_table(
     if unknown:
         raise LoadError(f"schema maps unknown canonical columns: {sorted(unknown)}")
 
-    header, cells, _ = _read_cells(path, delimiter, LoadError)
-    positions: dict[str, int] = {}
-    for canonical in COLUMNS:
-        file_col = schema.get(canonical, canonical)
-        pos = _position(header, file_col, path, LoadError)
-        if pos is not None:
-            positions[canonical] = pos
-        elif canonical in REQUIRED_COLUMNS or canonical in schema:
-            raise LoadError(f"{path}: missing required column {file_col!r}")
+    def parser(header):
+        positions: dict[str, int] = {}
+        for canonical in COLUMNS:
+            file_col = schema.get(canonical, canonical)
+            pos = _position(header, file_col, path, LoadError)
+            if pos is not None:
+                positions[canonical] = pos
+            elif canonical in REQUIRED_COLUMNS or canonical in schema:
+                raise LoadError(f"{path}: missing required column {file_col!r}")
+        return lambda cells, short: _parse_columns(cells, len(header), positions, 0)
 
     # ranked as a row loop checks one row: its cells, the two required
     # values, then the key
-    columns, faults = _parse_columns(cells, len(header), positions, 0)
-    ids, counts, rank = columns["provider_id"], columns["abuse_count"], len(positions)
+    _, columns, faults = _read_blocks(path, delimiter, LoadError, parser)
+    ids, counts, rank = columns["provider_id"], columns["abuse_count"], len(columns)
     if None in ids:
         fail = partial(_fail, "missing value in required column 'provider_id'")
         faults.append((ids.index(None), rank, fail))
@@ -397,53 +398,83 @@ def _position(header: list[str], name: str, path, error: type[Exception]) -> int
     return header.index(name)
 
 
-def _read_cells(path, delimiter: str, error: type[Exception]) -> tuple[list, list, dict]:
-    """The stripped header, every data cell row after row, and the short rows.
+#: Characters of a plain file read and parsed at once: about 256 KiB of
+#: text, so the strings of one block, not of the whole file, are alive at
+#: a time.
+_BLOCK_CHARS = 1 << 18
 
-    Column ``i`` is ``cells[i::len(header)]``. A plain file is split by
-    ``_split_plain``; any other is read by ``csv.reader``, which alone reads
-    quotes, and its rows padded with ``""`` or cut to the header's width.
-    ``short`` maps each data row shorter than the header to its length.
+
+def _read_blocks(path, delimiter: str, error: type[Exception], parser) -> tuple[list, dict, list]:
+    """The stripped header, the columns ``parser`` reads and their faults.
+
+    ``parser(header)`` returns ``parse(cells, short)``, which reads the
+    cells of consecutive data rows, row after row, ``len(header)`` a row;
+    ``short`` maps each row shorter than the header to its length. It
+    returns a dict of columns, each a list or a numpy array, and faults as
+    ``_raise_first`` takes them, rows counted in ``cells``. A plain file is
+    parsed in blocks by ``_parse_plain``. Any other is read whole by
+    ``csv.reader``, which alone reads quotes, and its rows padded with
+    ``""`` or cut to the header's width.
     """
-    plain = _split_plain(path, delimiter)
-    if plain is not None:
-        return *plain, {}
+    if len(delimiter) == 1:  # else csv.reader raises the error
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            plain = _parse_plain(fh, delimiter, parser)
+        if plain is not None:
+            return plain
     header, rows, _ = _read_rows(path, delimiter, error)
     width, pad = len(header), [""] * len(header)
     short = {i: len(row) for i, row in enumerate(rows) if len(row) < width}
-    return header, list(chain.from_iterable((row + pad)[:width] for row in rows)), short
+    cells = list(chain.from_iterable((row + pad)[:width] for row in rows))
+    return header, *parser(header)(cells, short)
 
 
-def _split_plain(path, delimiter: str) -> tuple[list[str], list[str]] | None:
-    """The stripped header and every data cell of a plain file, row after row.
+def _parse_plain(fh, delimiter: str, parser) -> tuple[list, dict, list] | None:
+    """``_read_blocks`` of a plain file, None for any other.
 
     A file is plain when it holds no quote and no carriage return and
     every data line holds exactly as many delimiters as the header; then
-    csv parsing is one ``split`` per line, and the data lines are joined
-    and split once. The flat list holds only strings, which the cyclic
-    garbage collector does not track, where ``csv.reader`` builds one
-    tracked list per row. Blank and ``#`` lines are dropped as
-    ``_read_rows`` drops them. Returns None for any other file or a
-    delimiter that is not one character.
+    csv parsing is one ``split`` per line. The file is read in blocks of
+    whole lines, about ``_BLOCK_CHARS`` each; a block's data lines are
+    joined and split once and its cells parsed at once, its faults moved
+    by the rows of the blocks before it, and the blocks' columns are
+    concatenated at the end. A block's cells are one flat list of
+    strings, which the cyclic garbage collector does not track, where
+    ``csv.reader`` builds one tracked list per row. Blank and ``#`` lines
+    are dropped as ``_read_rows`` drops them. A block that shows the file
+    is not plain discards the blocks parsed before it.
     """
-    if len(delimiter) != 1:
-        return None  # csv.reader raises the error
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
-    if '"' in text or "\r" in text:
-        return None
-    lines = text.split("\n")
-    if "#" in text:
-        lines = [line for line in lines if line and not line.lstrip().startswith("#")]
-    else:
-        lines = list(filter(None, lines))
-    if not lines:
+    header, parse, parts, faults, rows = None, None, [], [], 0
+    while text := fh.read(_BLOCK_CHARS):
+        if not text.endswith("\n"):
+            text += fh.readline()
+        if '"' in text or "\r" in text:
+            return None
+        lines = text.split("\n")
+        if "#" in text:
+            lines = [line for line in lines if line and not line.lstrip().startswith("#")]
+        else:
+            lines = list(filter(None, lines))
+        if header is None:
+            if not lines:
+                continue
+            header = [h.strip() for h in lines[0].split(delimiter)]
+            parse, lines = parser(header), lines[1:]
+        if lines and set(map(str.count, lines, repeat(delimiter))) != {len(header) - 1}:
+            return None
+        columns, block_faults = parse(delimiter.join(lines).split(delimiter) if lines else [], {})
+        parts.append(columns)
+        faults += [(row + rows, rank, fail) for row, rank, fail in block_faults]
+        rows += len(lines)
+    if header is None:
         return None  # _read_rows raises the empty-file error
-    header = [h.strip() for h in lines[0].split(delimiter)]
-    data = lines[1:]
-    if data and set(map(str.count, data, repeat(delimiter))) != {len(header) - 1}:
-        return None
-    return header, delimiter.join(data).split(delimiter) if data else []
+    return header, {name: _concat([part[name] for part in parts]) for name in parts[0]}, faults
+
+
+def _concat(parts: list) -> list | np.ndarray:
+    """One column from its parts in order: lists join into a list, arrays into an array."""
+    if len(parts) == 1:
+        return parts[0]
+    return list(chain.from_iterable(parts)) if isinstance(parts[0], list) else np.concatenate(parts)
 
 
 def _read_rows(path, delimiter: str, error: type[Exception]) -> tuple[list, list, list[int]]:

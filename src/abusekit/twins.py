@@ -22,8 +22,9 @@ DEFAULT_MATCH_VARIABLES = (
 )
 
 #: Most seed x population x variable differences ``distance_matrix`` holds
-#: at once (8 MiB of float64); it takes the seeds in blocks under this.
-DISTANCE_BLOCK_CELLS = 1 << 20
+#: at once (256 KiB of float64, about a core's L2 cache); it takes the
+#: seeds in blocks under this.
+DISTANCE_BLOCK_CELLS = 1 << 15
 
 
 class MatchingError(ValueError):
@@ -112,8 +113,11 @@ def distance_matrix(S: Dataset, T: Dataset, cfg: MatchingConfig = MatchingConfig
     matrix = np.empty((len(seed_ids), len(pop_ids)))
     block = max(1, DISTANCE_BLOCK_CELLS // (len(pop_ids) * len(variables)))
     for lo in range(0, len(seed_ids), block):
+        rows = matrix[lo : lo + block]
         diff = seed_x[lo : lo + block, None, :] - pop_x[None, :, :]
-        matrix[lo : lo + block] = np.sqrt(np.sum(diff * diff, axis=2))
+        # each row is summed on its own, so no block size moves a bit
+        np.sum(np.square(diff, out=diff), axis=2, out=rows)
+        np.sqrt(rows, out=rows)
     return DistanceResult(
         matrix=matrix,
         seed_ids=seed_ids,

@@ -1,7 +1,11 @@
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from abusekit import ingest
 from abusekit.ingest import COLUMNS, OPTIONAL_COLUMNS, REQUIRED_COLUMNS, STRING_COLUMNS, Dataset
 
 #: One PASS/FAIL line per acceptance criterion, echoed in the run summary.
@@ -48,6 +52,31 @@ def same_table(a, b):
         np.array_equal(a.column(c), b.column(c), equal_nan=a.column(c).dtype.kind == "f")
         for c in COLUMNS
     )
+
+
+def traced_peak(call, *args):
+    """Bytes ``call(*args)`` allocates at its peak, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+#: Block sizes of the plain-file reader, in characters: the default, and
+#: a few lines or one line a block, so that block boundaries fall between
+#: any two lines of a small file.
+BLOCK_CHARS = st.sampled_from([ingest._BLOCK_CHARS, 1, 16, 48])
+
+
+@contextmanager
+def block_chars(chars):
+    """Inside, the plain-file reader reads blocks of about ``chars`` characters."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_BLOCK_CHARS", chars)
+        yield
 
 
 @pytest.fixture

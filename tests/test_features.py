@@ -24,7 +24,7 @@ from abusekit.features import (
 )
 from abusekit.ingest import COLUMNS, LoadError, load_table
 
-from conftest import provider_files
+from conftest import BLOCK_CHARS, block_chars, provider_files, traced_peak
 
 #: Columns each raw loader reads, in the order its row loop visits them.
 LOADER_COLUMNS = {
@@ -416,17 +416,31 @@ class TestLoaders:
                 AllocationError,
                 "row 4: no value in column 'ip'",
             ),
+            (
+                load_table,
+                PROVIDER_HEADER + "\na,1,1,1,10,3\nb,1,1,1,10,3\n\n# note\na,2,1,1,20,0\n",
+                LoadError,
+                "row 6: duplicate provider_id 'a'",
+            ),
+            (
+                load_enrichment,
+                "provider_id,price_per_year\na,1.0\nb,2.0\n# note\n\nc,3\n a ,2.0\n",
+                LoadError,
+                "row 7: duplicate provider_id 'a'",
+            ),
         ],
         ids=["providers", "observations", "enrichment", "providers-multiline",
-             "observations-multiline"],
+             "observations-multiline", "providers-duplicate", "enrichment-duplicate"],
     )
     def test_errors_name_file_and_physical_line(self, tmp_path, loader, text, error, message):
-        # comment lines count: the row is the line number an editor shows
+        # comment lines count: the row is the line number an editor shows;
+        # at every block size the plain reader's blocks start on other lines
         path = tmp_path / "input.csv"
         path.write_text(text)
-        with pytest.raises(error) as err:
-            loader(path)
-        assert str(err.value) == f"{path}: {message}"
+        for chars in range(1, len(text) + 1):
+            with block_chars(chars), pytest.raises(error) as err:
+                loader(path)
+            assert str(err.value) == f"{path}: {message}", chars
 
     def test_duplicate_enrichment_provider_rejected(self, tmp_path):
         path = tmp_path / "enrichment.csv"
@@ -588,14 +602,14 @@ class TestEnrichmentReader:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(provider_files(enrichment=True))
-    def test_matches_row_loop(self, tmp_path, case):
+    @given(provider_files(enrichment=True), BLOCK_CHARS)
+    def test_matches_row_loop(self, tmp_path, case, chars):
         text, delimiter, _ = case
         path = tmp_path / "enrichment.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert enrichment_outcome(load_enrichment, path, delimiter) == enrichment_outcome(
-            enrichment_row_loop, path, delimiter
-        )
+        with block_chars(chars):
+            loaded = enrichment_outcome(load_enrichment, path, delimiter)
+        assert loaded == enrichment_outcome(enrichment_row_loop, path, delimiter)
 
 
 def row_loop_oracle(path, delimiter, loader):
@@ -717,14 +731,14 @@ class TestRawReader:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(raw_files())
-    def test_matches_csv_row_loop(self, tmp_path, case):
+    @given(raw_files(), BLOCK_CHARS)
+    def test_matches_csv_row_loop(self, tmp_path, case, chars):
         text, delimiter, loader = case
         path = tmp_path / "input.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert outcome(LOADERS[loader], path, delimiter) == outcome(
-            lambda p, d: row_loop_oracle(p, d, loader), path, delimiter
-        )
+        with block_chars(chars):
+            loaded = outcome(LOADERS[loader], path, delimiter)
+        assert loaded == outcome(lambda p, d: row_loop_oracle(p, d, loader), path, delimiter)
 
     @pytest.mark.parametrize("delimiter", [";;", "", '"', "\n"])
     def test_delimiter_csv_rejects_or_reads_whole_lines(self, tmp_path, delimiter):
@@ -757,6 +771,20 @@ class TestRawReader:
         loaded = load_observations(path)
         assert loaded.domains.tolist() == ["a.example", "b.example", "c\r\nd"]
         assert loaded.ips.tolist() == [7, 2**32 - 1, 0]
+
+    def test_peak_memory_follows_the_kept_columns(self, tmp_path):
+        # 40,000 plain rows, 1.2 MB: with the whole text, its lines and
+        # cells alive at once the peak was about 10x the file, with one
+        # block of lines at a time about 4x
+        r = np.random.default_rng(3)
+        domains, ips = r.integers(0, 20_000, 40_000), r.integers(0, 2**32, 40_000)
+        path = tmp_path / "observations.csv"
+        with open(path, "w") as fh:
+            fh.write("# manifest {}\ndomain,ip\n")
+            fh.writelines(f"d{d}.example.com,{ip}\n" for d, ip in zip(domains, ips))
+        size = path.stat().st_size
+        peak = traced_peak(load_observations, path)
+        assert peak < 6 * size, peak / size
 
     def test_quoted_cell_keeps_its_delimiter(self, tmp_path):
         path = tmp_path / "observations.csv"

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -32,7 +31,7 @@ from abusekit.glm import (
 )
 from abusekit.ingest import Dataset
 
-from conftest import make_dataset
+from conftest import make_dataset, traced_peak
 
 
 def poisson_nll(beta, X, y):
@@ -807,11 +806,5 @@ class TestWorkBuffer:
             ("country",),
         ))
         assert dm.X.shape == (n, 28)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fit_poisson(dm)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(fit_poisson, dm)
         assert peak < 1.5 * dm.X.nbytes, peak / dm.X.nbytes

@@ -18,7 +18,15 @@ from abusekit.ingest import (
     write_table,
 )
 
-from conftest import ODD_NUMBER_CELLS, STRING_CELLS, make_dataset, provider_files, same_table
+from conftest import (
+    BLOCK_CHARS,
+    ODD_NUMBER_CELLS,
+    STRING_CELLS,
+    block_chars,
+    make_dataset,
+    provider_files,
+    same_table,
+)
 
 
 HEADER = (
@@ -241,6 +249,25 @@ class TestLoadTable:
         assert d.column("hosted_domains_log10").tolist() == [1.0, 1.0, 1000.0]
         assert d.column("abuse_count").tolist() == [3, 0, 7]
 
+    @pytest.mark.parametrize(
+        "line",
+        ['"c",3,2,2,30,7,NL', "c,3,2,2,30,7,N\rL", "c,3,2,2,30,7,NL,x", "c,3,2,2,30,7",
+         "# c,3,2,2,30,7,NL", "", "c,3,2,2,30,7,NL"],
+        ids=["quote", "cr", "long", "short", "comment", "blank", "plain"],
+    )
+    def test_late_line_reads_as_csv_at_every_block_size(self, tmp_path, line):
+        # at small block sizes only a later block holds the line, and a
+        # block boundary falls on each side of it
+        path = tmp_path / "table.csv"
+        path.write_bytes(
+            f"# manifest\n{HEADER},country\na,1,1,1,10,3,DE\n\nb,2,1,1,20,0,\n# note\n"
+            f"{line}\nd,4,1,1,40,1,US\n".encode()
+        )
+        expected = table_outcome(row_loop_oracle, path, None, ",")
+        for chars in range(1, path.stat().st_size + 1):
+            with block_chars(chars):
+                assert table_outcome(load_table, path, None, ",") == expected, chars
+
     def test_each_odd_cell_matches_row_loop(self, tmp_path):
         # every column with each odd cell alone, in an otherwise valid plain file
         header = COLUMNS + ("note",)
@@ -261,14 +288,14 @@ class TestLoadTable:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(provider_files())
-    def test_matches_row_loop(self, tmp_path, case):
+    @given(provider_files(), BLOCK_CHARS)
+    def test_matches_row_loop(self, tmp_path, case, chars):
         text, delimiter, schema = case
         path = tmp_path / "table.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert table_outcome(load_table, path, schema, delimiter) == table_outcome(
-            row_loop_oracle, path, schema, delimiter
-        )
+        with block_chars(chars):
+            loaded = table_outcome(load_table, path, schema, delimiter)
+        assert loaded == table_outcome(row_loop_oracle, path, schema, delimiter)
 
 
 def row_loop_oracle(path, schema=None, delimiter=","):

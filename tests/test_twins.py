@@ -13,7 +13,7 @@ from abusekit.twins import (
     twin_label,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, traced_peak
 
 
 def point_dataset(points):
@@ -158,6 +158,20 @@ class TestDistanceMatrix:
         assert np.array_equal(blocked, one_broadcast(S, T, cfg))
         monkeypatch.setattr(twins, "DISTANCE_BLOCK_CELLS", 10**12)
         assert match_twins(S, T, cfg) == blocked_pairs
+
+    def test_peak_memory_below_two_matrices(self):
+        # pipeline-twins' shape: 200 seeds against 1,500 providers
+        r = np.random.default_rng(13)
+
+        def table(prefix, n):
+            cols = {v: r.uniform(0.0, 5.0, n) for v in MATCH_COLUMNS[:4]}
+            cols.update(provider_id=[f"{prefix}{i}" for i in range(n)], abuse_count=[0] * n)
+            return Dataset(cols)
+
+        S, T = table("s", 200), table("t", 1500)
+        matrix = distance_matrix(S, T).matrix
+        peak = traced_peak(distance_matrix, S, T)
+        assert peak < 2 * matrix.nbytes, peak / matrix.nbytes
 
 
 class TestMatchTwins:
