@@ -5,7 +5,9 @@ inclusive address range), hosting observations (domain, ip) and abuse
 records (domain, ip). IP addresses are accepted in dotted-quad or plain
 integer form and normalized to integers internally. Every file is parsed
 by columns (``ingest._read_blocks``: a plain file one block of lines at a
-time, a quoted or ragged one whole) and held as columns: an
+time, a quoted or ragged one whole), which only tells whether it is good;
+a bad file is read again by the loader's row loop, as far as its first
+failing row, to name the error. Files are held as columns: an
 ``AllocationIndex`` over the ranges and one ``DomainIps`` per observation
 or abuse file. Each file's rows are attributed to providers by one
 vectorised owner lookup, distinct counts come from sorted integer keys,
@@ -18,7 +20,7 @@ import ipaddress
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, repeat
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from .ingest import (
     COLUMNS,
     STRING_COLUMNS,
     Dataset,
-    _fail,
-    _first_repeat,
+    LoadError,
+    _parse_cell,
     _parse_columns,
     _parse_or,
     _position,
@@ -338,28 +340,8 @@ def _column(header: list[str], name: str, path) -> int:
     return pos
 
 
-def _short_faults(path, header: list[str], positions: Sequence[int], short: Mapping[int, int]):
-    """The fault of the first data row without a cell at one of ``positions``, if any.
-
-    A row loop reading the cells at ``positions`` in order fails at the first
-    one the row lacks, which gives the rank; the error names the absent
-    column that comes first in the header.
-    """
-    width = max(positions) + 1
-    for row, length in short.items():
-        if length < width:
-            rank = next(k for k, pos in enumerate(positions) if pos >= length)
-            name = header[min(pos for pos in positions if pos >= length)]
-            return [(row, rank, partial(_no_value, path, name))]
-    return []
-
-
-def _no_value(path, name: str, line: int) -> NoReturn:
-    raise AllocationError(f"{path}: row {line}: no value in column {name!r}")
-
-
-def _parse_ips(cells: list[str]) -> tuple[np.ndarray, int | None]:
-    """IP cells as an int64 array, as ``parse_ip`` reads them, and the first bad cell.
+def _parse_ips(cells: list[str]) -> tuple[np.ndarray, bool]:
+    """IP cells as an int64 array, as ``parse_ip`` reads them, and whether it rejects none.
 
     Integer cells are converted with ``int``, as ``parse_ip`` converts a
     cell without a dot, and range-checked in one pass. Any other column goes
@@ -371,39 +353,42 @@ def _parse_ips(cells: list[str]) -> tuple[np.ndarray, int | None]:
         pass
     else:
         if ((ips >= 0) & (ips <= MAX_IPV4)).all():
-            return ips, None
+            return ips, True
     ips = np.fromiter(map(partial(_parse_or, -1, parse_ip), cells), np.int64, len(cells))
-    bad = np.flatnonzero(ips < 0)
-    return ips, int(bad[0]) if bad.size else None
+    return ips, bool((ips >= 0).all())
 
 
 def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[list, list]:
     """The stripped ``key`` column and the ``ips`` columns as int64 addresses.
 
-    Other columns are ignored. A bad file raises the error a row loop
-    reading each row's cells in ``key``, ``ips`` order would raise first.
+    Other columns are ignored. A bad file raises the first error of a row
+    loop reading each row's cells in ``key``, ``ips`` order.
     """
 
-    def parser(header):
-        positions = [_column(header, name, path) for name in (key, *ips)]
-        width = len(header)
+    def positions(header):
+        return [_column(header, name, path) for name in (key, *ips)]
 
-        def parse(cells, short):
-            # listed first: the absent cell reads as "", which parse_ip rejects too
-            faults = _short_faults(path, header, positions, short)
-            columns = {key: list(map(str.strip, cells[positions[0]::width]))}
-            for rank, (name, pos) in enumerate(zip(ips, positions[1:]), start=1):
-                columns[name], bad = _parse_ips(cells[pos::width])
-                if bad is not None:
-                    text = cells[pos + bad * width]
-                    faults.append((bad, rank, lambda line, text=text: parse_ip(text)))
-            return columns, faults
+    def parse(header, cells, shortest):
+        at, width = positions(header), len(header)
+        columns, ok = {key: list(map(str.strip, cells[at[0]::width]))}, shortest > max(at)
+        for name, pos in zip(ips, at[1:]):
+            columns[name], good = _parse_ips(cells[pos::width])
+            ok &= good
+        return columns, ok
 
-        return parse
+    def check_rows(header, rows):
+        at = positions(header)
+        for line, row in rows:
+            for pos in at:
+                if pos >= len(row):
+                    name = header[min(p for p in at if p >= len(row))]
+                    raise AllocationError(f"{path}: row {line}: no value in column {name!r}")
+                if pos != at[0]:  # any key text is good
+                    parse_ip(row[pos])
 
-    _, columns, faults = _read_blocks(path, delimiter, AllocationError, parser)
-    if faults:
-        _raise_first(faults, path, delimiter)
+    columns, ok = _read_blocks(path, delimiter, AllocationError, parse)
+    if not ok:
+        _raise_first(path, delimiter, AllocationError, check_rows)
     return columns[key], [columns[name] for name in ips]
 
 
@@ -441,28 +426,34 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
     ``abuse_count``; ``None`` or NaN marks an empty cell.
     """
 
-    def parser(header):
+    def positions(header):
         known = set(COLUMNS) - {"provider_id"}
         pid = _column(header, "provider_id", path)
-        positions = {name: _column(header, name, path) for name in header if name in known}
+        return pid, {name: _column(header, name, path) for name in header if name in known}
 
-        def parse(cells, short):
-            # ranked as a row loop checks one row: provider_id present, the
-            # cells, then the id unique
-            columns, faults = _parse_columns(cells, len(header), positions, 1)
-            columns["provider_id"] = list(map(str.strip, cells[pid::len(header)]))
-            return columns, faults + _short_faults(path, header, (pid,), short)
+    def parse(header, cells, shortest):
+        pid, at = positions(header)
+        columns, ok = _parse_columns(cells, len(header), at)
+        columns["provider_id"] = list(map(str.strip, cells[pid::len(header)]))
+        return columns, ok and shortest > pid
 
-        return parse
+    def check_rows(header, rows):
+        (pid, at), seen = positions(header), set()
+        for line, row in rows:
+            if pid >= len(row):
+                raise AllocationError(f"{path}: row {line}: no value in column 'provider_id'")
+            for name, pos in at.items():
+                if pos < len(row):
+                    _parse_cell(name, row[pos], line)
+            key = row[pid].strip()
+            if key in seen:
+                raise LoadError(f"row {line}: duplicate provider_id {key!r}")
+            seen.add(key)
 
-    _, columns, faults = _read_blocks(path, delimiter, AllocationError, parser)
+    columns, ok = _read_blocks(path, delimiter, AllocationError, parse)
     ids = columns.pop("provider_id")
-    row = _first_repeat(ids)
-    if row is not None:
-        duplicate = partial(_fail, f"duplicate provider_id {ids[row]!r}")
-        faults.append((row, len(columns) + 1, duplicate))
-    if faults:
-        _raise_first(faults, path, delimiter)
+    if not ok or len(set(ids)) < len(ids):
+        _raise_first(path, delimiter, AllocationError, check_rows)
     if "abuse_count" in columns:  # ints, as _parse_cell reads a count
         missing = np.isnan(columns["abuse_count"])
         counts = np.where(missing, 0, columns["abuse_count"]).astype(np.int64).astype(object)

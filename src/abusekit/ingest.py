@@ -13,7 +13,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
-from operator import itemgetter
 from typing import Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -273,66 +272,61 @@ def load_table(
     if unknown:
         raise LoadError(f"schema maps unknown canonical columns: {sorted(unknown)}")
 
-    def parser(header):
-        positions: dict[str, int] = {}
+    def positions(header: list[str]) -> dict[str, int]:
+        found = {}
         for canonical in COLUMNS:
             file_col = schema.get(canonical, canonical)
             pos = _position(header, file_col, path, LoadError)
             if pos is not None:
-                positions[canonical] = pos
+                found[canonical] = pos
             elif canonical in REQUIRED_COLUMNS or canonical in schema:
                 raise LoadError(f"{path}: missing required column {file_col!r}")
-        return lambda cells, short: _parse_columns(cells, len(header), positions, 0)
+        return found
 
-    # ranked as a row loop checks one row: its cells, the two required
-    # values, then the key
-    _, columns, faults = _read_blocks(path, delimiter, LoadError, parser)
-    ids, counts, rank = columns["provider_id"], columns["abuse_count"], len(columns)
-    if None in ids:
-        fail = partial(_fail, "missing value in required column 'provider_id'")
-        faults.append((ids.index(None), rank, fail))
-    missing = np.isnan(counts)
-    if missing.any():
-        fail = partial(_fail, "missing value in required column 'abuse_count'")
-        faults.append((int(missing.argmax()), rank + 1, fail))
-    # Twin datasets repeat providers (one row per twin slot), so the
-    # uniqueness key includes twin_id when that column is present.
-    row = _first_repeat(list(zip(ids, columns["twin_id"])) if "twin_id" in columns else ids)
-    if row is not None:
-        fail = partial(_fail, f"duplicate provider_id {ids[row]!r}")
-        faults.append((row, rank + 2, fail))
-    if faults:
-        _raise_first(faults, path, delimiter)
+    def parse(header, cells, shortest):
+        return _parse_columns(cells, len(header), positions(header))
+
+    def check_rows(header, rows):
+        at, seen = positions(header), set()
+        for line, row in rows:
+            row += [""] * (len(header) - len(row))
+            values = {name: _parse_cell(name, row[pos], line) for name, pos in at.items()}
+            for required in ("provider_id", "abuse_count"):
+                if values[required] is None:
+                    raise LoadError(f"row {line}: missing value in required column {required!r}")
+            # Twin datasets repeat providers (one row per twin slot), so the
+            # uniqueness key includes twin_id when that column is present.
+            key = (values["provider_id"], values.get("twin_id"))
+            if key in seen:
+                raise LoadError(f"row {line}: duplicate provider_id {key[0]!r}")
+            seen.add(key)
+
+    columns, ok = _read_blocks(path, delimiter, LoadError, parse)
+    ids, counts = columns["provider_id"], columns["abuse_count"]
+    keys = list(zip(ids, columns["twin_id"])) if "twin_id" in columns else ids
+    if not ok or None in ids or np.isnan(counts).any() or len(set(keys)) < len(keys):
+        _raise_first(path, delimiter, LoadError, check_rows)
     columns["abuse_count"] = counts.astype(np.int64)
     return Dataset(columns)
 
 
-def _fail(message: str, line: int) -> NoReturn:
-    raise LoadError(f"row {line}: {message}")
+def _raise_first(path, delimiter: str, error: type[Exception], check_rows) -> NoReturn:
+    """Raise the first error of ``check_rows(header, rows)`` on a file that fails a check.
 
-
-def _first_repeat(keys: list) -> int | None:
-    """Index of the first key equal to an earlier one, None if all are distinct."""
-    if len(set(keys)) == len(keys):
-        return None
-    first: dict = {}
-    return next(i for i, key in enumerate(keys) if first.setdefault(key, i) != i)
-
-
-def _raise_first(faults: list[tuple], path, delimiter: str) -> NoReturn:
-    """Raise the error a row loop would raise first; a ``LoadError`` gets the path prefixed.
-
-    A fault is ``(row, rank, fail)``: the first data row failing a check,
-    the place of that check among those a row loop makes in one row, and a
-    callable raising its error for a physical line. The lowest ``(row,
-    rank)`` wins, the first listed on a tie. Only here are lines numbered.
+    ``rows`` yields ``(physical line, row)`` pairs from ``_rows``, read only
+    as far as ``check_rows`` asks. A ``LoadError`` gets the path prefixed; a
+    csv error is raised as ``error``.
     """
-    row, _, fail = min(faults, key=itemgetter(0, 1))
-    try:
-        fail(_read_rows(path, delimiter, LoadError)[2][row])
-    except LoadError as exc:
-        raise LoadError(f"{path}: {exc}") from None
-    raise AssertionError(f"{path}: data row {row} failed no check")
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        rows = _rows(fh, delimiter)
+        try:
+            _, header = next(rows)
+            check_rows([h.strip() for h in header], rows)
+        except LoadError as exc:
+            raise LoadError(f"{path}: {exc}") from None
+        except csv.Error as exc:
+            raise error(f"{path}: {exc}") from None
+    raise AssertionError(f"{path}: no row failed a check")
 
 
 def _parse_or(default, parse, text: str):
@@ -343,29 +337,27 @@ def _parse_or(default, parse, text: str):
         return default
 
 
-def _parse_columns(cells: list[str], width: int, positions: Mapping[str, int], first_rank: int):
-    """Each column at ``positions`` by ``_parse_column``, and faults ranked from ``first_rank``."""
-    columns, faults = {}, []
-    for rank, (name, pos) in enumerate(positions.items(), start=first_rank):
-        columns[name], bad = _parse_column(name, cells[pos::width])
-        if bad is not None:
-            faults.append((bad, rank, partial(_parse_cell, name, cells[pos + bad * width])))
-    return columns, faults
+def _parse_columns(cells: list[str], width: int, positions: Mapping[str, int]):
+    """Each column at ``positions`` by ``_parse_column``, and whether every cell is good."""
+    columns, ok = {}, True
+    for name, pos in positions.items():
+        columns[name], good = _parse_column(name, cells[pos::width])
+        ok &= good
+    return columns, ok
 
 
-def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, int | None]:
-    """One column of cells as ``_parse_cell`` reads each, and its first bad cell.
+def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, bool]:
+    """One column of cells as ``_parse_cell`` reads each, and whether it rejects none.
 
     A string column becomes a list of stripped cells, ``None`` for an empty
     one; a numeric column a float64 array, NaN for an empty or whitespace-only
-    cell. The index of the first cell ``_parse_cell`` rejects comes second,
-    None if there is none. ``float`` strips a cell as ``_parse_cell`` does, so
-    only a whitespace-only or a bad cell fails the first parse; the cells are
-    then stripped and a bad one read as NaN.
+    cell. ``float`` strips a cell as ``_parse_cell`` does, so only a
+    whitespace-only or a bad cell fails the first parse; the cells are then
+    stripped and a bad one read as NaN, which fails the finiteness check.
     """
     if name in STRING_COLUMNS:
         stripped = list(map(str.strip, cells))
-        return [cell or None for cell in stripped] if "" in stripped else stripped, None
+        return [cell or None for cell in stripped] if "" in stripped else stripped, True
     present = np.fromiter(map(bool, cells), bool, len(cells)) if "" in cells else None
     try:
         values = np.fromiter(
@@ -376,17 +368,13 @@ def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, int |
         present = np.fromiter(map(bool, cells), bool, len(cells))
         parse = partial(_parse_or, math.nan, float)
         values = np.fromiter(map(parse, compress(cells, present)), float)
-    ok = np.isfinite(values)
-    if name in _BOUNDS:
-        with np.errstate(invalid="ignore"):  # inf % 1
-            ok &= _in_bounds(name, values)
-    bad = None if ok.all() else int(np.argmin(ok))
+    # finite first, or _in_bounds warns on inf % 1
+    ok = np.isfinite(values).all() and (name not in _BOUNDS or _in_bounds(name, values).all())
     if present is None:
-        return values, bad
-    rows = np.flatnonzero(present)
+        return values, ok
     column = np.full(len(cells), math.nan)
-    column[rows] = values
-    return column, None if bad is None else int(rows[bad])
+    column[present] = values
+    return column, ok
 
 
 def _position(header: list[str], name: str, path, error: type[Exception]) -> int | None:
@@ -404,47 +392,47 @@ def _position(header: list[str], name: str, path, error: type[Exception]) -> int
 _BLOCK_CHARS = 1 << 18
 
 
-def _read_blocks(path, delimiter: str, error: type[Exception], parser) -> tuple[list, dict, list]:
-    """The stripped header, the columns ``parser`` reads and their faults.
+def _read_blocks(path, delimiter: str, error: type[Exception], parse) -> tuple[dict, bool]:
+    """The columns ``parse`` reads and whether they are good.
 
-    ``parser(header)`` returns ``parse(cells, short)``, which reads the
-    cells of consecutive data rows, row after row, ``len(header)`` a row;
-    ``short`` maps each row shorter than the header to its length. It
-    returns a dict of columns, each a list or a numpy array, and faults as
-    ``_raise_first`` takes them, rows counted in ``cells``. A plain file is
-    parsed in blocks by ``_parse_plain``. Any other is read whole by
+    ``parse(header, cells, shortest)`` reads the cells of consecutive data
+    rows, row after row, ``len(header)`` a row, ``header`` stripped;
+    ``shortest`` is the fewest cells of any of these rows. It returns a dict
+    of columns, each a list or a numpy array, and whether the rows pass
+    every check the columns can make; when they do not, the loader's row
+    loop names the error through ``_raise_first``. A plain file is parsed
+    in blocks by ``_parse_plain``. Any other is read whole by
     ``csv.reader``, which alone reads quotes, and its rows padded with
     ``""`` or cut to the header's width.
     """
     if len(delimiter) == 1:  # else csv.reader raises the error
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            plain = _parse_plain(fh, delimiter, parser)
+            plain = _parse_plain(fh, delimiter, parse)
         if plain is not None:
             return plain
     header, rows, _ = _read_rows(path, delimiter, error)
     width, pad = len(header), [""] * len(header)
-    short = {i: len(row) for i, row in enumerate(rows) if len(row) < width}
     cells = list(chain.from_iterable((row + pad)[:width] for row in rows))
-    return header, *parser(header)(cells, short)
+    return parse(header, cells, min(map(len, rows), default=width))
 
 
-def _parse_plain(fh, delimiter: str, parser) -> tuple[list, dict, list] | None:
+def _parse_plain(fh, delimiter: str, parse) -> tuple[dict, bool] | None:
     """``_read_blocks`` of a plain file, None for any other.
 
     A file is plain when it holds no quote and no carriage return and
     every data line holds exactly as many delimiters as the header; then
     csv parsing is one ``split`` per line. The file is read in blocks of
     whole lines, about ``_BLOCK_CHARS`` each; a block's data lines are
-    joined and split once and its cells parsed at once, its faults moved
-    by the rows of the blocks before it, and the blocks' columns are
-    concatenated at the end. A block's cells are one flat list of
-    strings, which the cyclic garbage collector does not track, where
+    joined and split once and its cells parsed at once, and the blocks'
+    columns are concatenated at the end. A block's cells are one flat list
+    of strings, which the cyclic garbage collector does not track, where
     ``csv.reader`` builds one tracked list per row. Blank and ``#`` lines
-    are dropped as ``_read_rows`` drops them. A block that shows the file
-    is not plain discards the blocks parsed before it.
+    are dropped as ``_rows`` drops them. A block that shows the file is
+    not plain discards the blocks parsed before it; one that is not good
+    ends the read, as the file is read again to name its error.
     """
-    header, parse, parts, faults, rows = None, None, [], [], 0
-    while text := fh.read(_BLOCK_CHARS):
+    header, parts, ok = None, [], True
+    while ok and (text := fh.read(_BLOCK_CHARS)):
         if not text.endswith("\n"):
             text += fh.readline()
         if '"' in text or "\r" in text:
@@ -457,17 +445,16 @@ def _parse_plain(fh, delimiter: str, parser) -> tuple[list, dict, list] | None:
         if header is None:
             if not lines:
                 continue
-            header = [h.strip() for h in lines[0].split(delimiter)]
-            parse, lines = parser(header), lines[1:]
+            header, lines = [h.strip() for h in lines[0].split(delimiter)], lines[1:]
         if lines and set(map(str.count, lines, repeat(delimiter))) != {len(header) - 1}:
             return None
-        columns, block_faults = parse(delimiter.join(lines).split(delimiter) if lines else [], {})
+        columns, ok = parse(
+            header, delimiter.join(lines).split(delimiter) if lines else [], len(header)
+        )
         parts.append(columns)
-        faults += [(row + rows, rank, fail) for row, rank, fail in block_faults]
-        rows += len(lines)
     if header is None:
         return None  # _read_rows raises the empty-file error
-    return header, {name: _concat([part[name] for part in parts]) for name in parts[0]}, faults
+    return {name: _concat([part[name] for part in parts]) for name in parts[0]}, ok
 
 
 def _concat(parts: list) -> list | np.ndarray:
@@ -477,33 +464,49 @@ def _concat(parts: list) -> list | np.ndarray:
     return list(chain.from_iterable(parts)) if isinstance(parts[0], list) else np.concatenate(parts)
 
 
-def _read_rows(path, delimiter: str, error: type[Exception]) -> tuple[list, list, list[int]]:
-    """Stripped header, data rows and the physical line each data row starts on.
+def _rows(fh, delimiter: str) -> Iterator[tuple[int, list[str]]]:
+    """Each row of ``fh``, the header first, with the physical line it starts on.
 
-    The header is the first row; blank and ``#`` comment lines yield no
-    row. A quoted cell may span lines, so a ``#`` line is a comment only
-    where it starts a row, and line numbers come from ``csv.reader``'s
-    count of the lines it has read. Raises ``error`` when the file holds
-    no header.
+    Blank and ``#`` comment lines yield no row. A quoted cell may span
+    lines, so a ``#`` line is a comment only where it starts a row, and
+    line numbers come from ``csv.reader``'s count of the lines it has read.
+    Rows are read as they are asked for; a ``csv.Error`` names the line its
+    row starts on.
     """
     starts_row = True  # csv.reader reads one line at a time, as a row needs it
 
-    def lines(fh):
+    def lines():
         nonlocal starts_row
         for line in fh:
             comment = starts_row and line.lstrip().startswith("#")
             starts_row = False
             yield "" if comment else line
 
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(lines(fh), delimiter=delimiter)
-        rows, starts, start = [], [], 1
+    reader = csv.reader(lines(), delimiter=delimiter)
+    start = 1
+    try:
         for row in reader:
             starts_row = True
             if row:
+                yield start, row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise csv.Error(f"row {start}: {exc}") from None
+
+
+def _read_rows(path, delimiter: str, error: type[Exception]) -> tuple[list, list, list[int]]:
+    """Stripped header, data rows and the physical line each data row starts on.
+
+    The rows are those of ``_rows``; raises ``error`` if there is no header or csv fails.
+    """
+    rows, starts = [], []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            for start, row in _rows(fh, delimiter):
                 rows.append(row)
                 starts.append(start)
-            start = reader.line_num + 1
+        except csv.Error as exc:
+            raise error(f"{path}: {exc}") from None
     if not rows:
         raise error(f"{path}: empty file")
     return [h.strip() for h in rows[0]], rows[1:], starts[1:]

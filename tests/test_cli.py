@@ -152,6 +152,16 @@ class TestDescribe:
         assert code == 2
         assert "nope" in capsys.readouterr().err
 
+    def test_cell_beyond_csv_field_limit_exits_2(self, tmp_path, capsys):
+        # the quoted cell starts on line 4 and spans two lines
+        path = tmp_path / "table.csv"
+        cell = "x" * 70_000 + "\n" + "x" * 70_000
+        header = ",".join(ingest.REQUIRED_COLUMNS + ("country",))
+        path.write_text(f'{header}\na,1,1,1,10,3,NL\n# note\nb,1,1,1,10,3,"{cell}"\n')
+        assert main(["describe", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"abusekit: error: {path}: row 4: field larger than field limit (131072)\n"
+
     def test_json_format(self, providers_csv, capsys):
         assert main(["describe", "--input", str(providers_csv), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)

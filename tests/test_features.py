@@ -786,6 +786,17 @@ class TestRawReader:
         peak = traced_peak(load_observations, path)
         assert peak < 6 * size, peak / size
 
+        # a bad last row: naming it costs no more than a good load (a
+        # second read of the whole file through csv.reader took about 12x)
+        def load_bad(path):
+            with pytest.raises(AllocationError, match=r"^invalid IP address '1\.2\.3'"):
+                load_observations(path)
+
+        with open(path, "a") as fh:
+            fh.write("bad.example,1.2.3\n")
+        peak = traced_peak(load_bad, path)
+        assert peak < 6 * size, peak / size
+
     def test_quoted_cell_keeps_its_delimiter(self, tmp_path):
         path = tmp_path / "observations.csv"
         path.write_text('domain,ip\n"b,x.example",8\n')

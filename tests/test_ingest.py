@@ -84,6 +84,16 @@ class TestLoadTable:
         with pytest.raises(LoadError, match=r"row 3.*duplicate"):
             load_table(path)
 
+    def test_error_read_stops_at_the_first_failing_row(self, tmp_path):
+        # data row 2's country cell is longer than csv.reader's field limit,
+        # so a read of the whole file would fail there instead
+        path = write_csv(
+            tmp_path, f"a,1,1,1,zz,3,NL\nb,1,1,1,10,3,{'x' * 140_000}\n", header=HEADER + ",country"
+        )
+        with pytest.raises(LoadError) as err:
+            load_table(path)
+        assert str(err.value) == f"{path}: row 2: non-numeric value 'zz' in column 'pct_shared'"
+
     def test_duplicate_allowed_across_twins(self, tmp_path):
         header = HEADER + ",twin_id"
         path = write_csv(tmp_path, "a,1,1,1,10,3,t1\na,1,1,1,10,3,t2\n", header=header)
