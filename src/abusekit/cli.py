@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
@@ -468,6 +469,15 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- pipeline
 
 
+@contextmanager
+def _stage(name: str):
+    """Label an exception raised inside with the pipeline stage ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(f"[stage:{name}] {type(exc).__name__}: {exc}") from exc
+
+
 def cmd_pipeline(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -478,36 +488,19 @@ def cmd_pipeline(args) -> int:
         inputs.append(args.abuse_alt)
     manifest = build_manifest("pipeline", inputs, _option_echo(args), rng_seed=args.seed)
 
-    def stage(name, fn):
-        try:
-            return fn()
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(f"[stage:{name}] {type(exc).__name__}: {exc}") from exc
+    comment = [manifest.comment_line()]
 
-    table, _rep, index = stage("features", lambda: _build_features(args))
-    stage(
-        "features",
-        lambda: ingest.write_table(
-            table, out / "providers.csv", args.delimiter, [manifest.comment_line()]
-        ),
-    )
-
-    pairings = stage("twins", lambda: _match(args, table))
-    stage("twins", lambda: _write_pairings(out, pairings, args, manifest))
-
+    with _stage("features"):
+        table, _rep, index = _build_features(args)
+        ingest.write_table(table, out / "providers.csv", args.delimiter, comment)
+    with _stage("twins"):
+        pairings = _match(args, table)
+        _write_pairings(out, pairings, args, manifest)
     spec = _model_spec(args)
     required = list(_split(args.required) or spec.predictors)
-    twin_data = stage(
-        "listwise-exclusion", lambda: twins.listwise_exclude(pairings, table, required)
-    )
-    stage(
-        "listwise-exclusion",
-        lambda: ingest.write_table(
-            twin_data, out / "twin_dataset.csv", args.delimiter, [manifest.comment_line()]
-        ),
-    )
+    with _stage("listwise-exclusion"):
+        twin_data = twins.listwise_exclude(pairings, table, required)
+        ingest.write_table(twin_data, out / "twin_dataset.csv", args.delimiter, comment)
 
     def fit_and_write(data: ingest.Dataset, suffix: str):
         rows, columns, excluded = _run_fits(data, spec, args.stepwise, "both")
@@ -515,24 +508,20 @@ def cmd_pipeline(args) -> int:
                     source_label=data.source_label)
         return rows, columns[-1].fit
 
-    rows, fit = stage("fit", lambda: fit_and_write(twin_data, ""))
-
+    with _stage("fit"):
+        rows, fit = fit_and_write(twin_data, "")
     if args.abuse_alt:
-
-        def alt_fit():
+        with _stage("fit-alt"):
             alt_records = features.load_abuse(args.abuse_alt, args.delimiter)
             counts, _skipped = features.attribute_abuse(alt_records, index)
             # every twin provider comes from the index, so each is found
             pos = index.provider_ids.searchsorted(twin_data.column("provider_id"))
-            alt_twin = twin_data.with_columns(
-                {"abuse_count": counts[pos]}, source_label="alt-feed"
-            )
-            fit_and_write(alt_twin, "_alt")
-
-        stage("fit-alt", alt_fit)
-
-    stage("scenarios", lambda: _write_scenarios(out, fit, twin_data, args, manifest))
-    stage("rank", lambda: _write_rankings(out, rows, fit, args, manifest))
+            alt = twin_data.with_columns({"abuse_count": counts[pos]}, source_label="alt-feed")
+            fit_and_write(alt, "_alt")
+    with _stage("scenarios"):
+        _write_scenarios(out, fit, twin_data, args, manifest)
+    with _stage("rank"):
+        _write_rankings(out, rows, fit, args, manifest)
     return 0
 
 

@@ -4,15 +4,15 @@ All inputs arrive as delimited files: IP allocations (provider_id with an
 inclusive address range), hosting observations (domain, ip) and abuse
 records (domain, ip). IP addresses are accepted in dotted-quad or plain
 integer form and normalized to integers internally. Every file is parsed
-by columns (``ingest._read_blocks``: a plain file one block of lines at a
-time, a quoted or ragged one whole), which only tells whether it is good;
-a bad file is read again by the loader's row loop, as far as its first
-failing row, to name the error. Files are held as columns: an
-``AllocationIndex`` over the ranges and one ``DomainIps`` per observation
-or abuse file. Each file's rows are attributed to providers by one
-vectorised owner lookup, distinct counts come from sorted integer keys,
-and per-provider results are arrays in ``AllocationIndex.provider_ids``
-order.
+by columns, one block of rows at a time (``ingest._read_blocks``: split
+lines while the file is plain, ``csv.reader`` rows from its first quoted,
+CRLF or ragged line on), which only tells whether it is good; a bad file
+is read again by the loader's row loop, as far as its first failing row,
+to name the error. Files are held as columns: an ``AllocationIndex`` over
+the ranges and one ``DomainIps`` per observation or abuse file. Each
+file's rows are attributed to providers by one vectorised owner lookup,
+distinct counts come from sorted integer keys, and per-provider results
+are arrays in ``AllocationIndex.provider_ids`` order.
 """
 from __future__ import annotations
 
@@ -386,9 +386,7 @@ def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[l
                 if pos != at[0]:  # any key text is good
                     parse_ip(row[pos])
 
-    columns, ok = _read_blocks(path, delimiter, AllocationError, parse)
-    if not ok:
-        _raise_first(path, delimiter, AllocationError, check_rows)
+    columns = _read_blocks(path, delimiter, AllocationError, parse, check_rows)
     return columns[key], [columns[name] for name in ips]
 
 
@@ -450,9 +448,9 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
                 raise LoadError(f"row {line}: duplicate provider_id {key!r}")
             seen.add(key)
 
-    columns, ok = _read_blocks(path, delimiter, AllocationError, parse)
+    columns = _read_blocks(path, delimiter, AllocationError, parse, check_rows)
     ids = columns.pop("provider_id")
-    if not ok or len(set(ids)) < len(ids):
+    if len(set(ids)) < len(ids):
         _raise_first(path, delimiter, AllocationError, check_rows)
     if "abuse_count" in columns:  # ints, as _parse_cell reads a count
         missing = np.isnan(columns["abuse_count"])

@@ -4,15 +4,20 @@ Datasets are delimiter-separated text files with a header row, UTF-8
 encoded (a leading byte-order mark is skipped), "." as decimal separator
 and empty cells for missing values. Lines starting with "#" are treated
 as comments (run manifests are embedded that way) and skipped.
+
+Every file is read in blocks of rows (``_read_blocks``), so a load needs
+memory for the columns it keeps; a bad file is read again by the loader's
+row loop, as far as its first failing row, whose error is the one raised.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -284,7 +289,9 @@ def load_table(
         return found
 
     def parse(header, cells, shortest):
-        return _parse_columns(cells, len(header), positions(header))
+        columns, ok = _parse_columns(cells, len(header), positions(header))
+        ok &= None not in columns["provider_id"] and not np.isnan(columns["abuse_count"]).any()
+        return columns, ok
 
     def check_rows(header, rows):
         at, seen = positions(header), set()
@@ -301,12 +308,12 @@ def load_table(
                 raise LoadError(f"row {line}: duplicate provider_id {key[0]!r}")
             seen.add(key)
 
-    columns, ok = _read_blocks(path, delimiter, LoadError, parse)
-    ids, counts = columns["provider_id"], columns["abuse_count"]
+    columns = _read_blocks(path, delimiter, LoadError, parse, check_rows)
+    ids = columns["provider_id"]
     keys = list(zip(ids, columns["twin_id"])) if "twin_id" in columns else ids
-    if not ok or None in ids or np.isnan(counts).any() or len(set(keys)) < len(keys):
+    if len(set(keys)) < len(keys):
         _raise_first(path, delimiter, LoadError, check_rows)
-    columns["abuse_count"] = counts.astype(np.int64)
+    columns["abuse_count"] = columns["abuse_count"].astype(np.int64)
     return Dataset(columns)
 
 
@@ -392,69 +399,84 @@ def _position(header: list[str], name: str, path, error: type[Exception]) -> int
 _BLOCK_CHARS = 1 << 18
 
 
-def _read_blocks(path, delimiter: str, error: type[Exception], parse) -> tuple[dict, bool]:
-    """The columns ``parse`` reads and whether they are good.
+def _read_blocks(path, delimiter: str, error: type[Exception], parse, check_rows) -> dict:
+    """The columns ``parse`` reads from the blocks of ``_blocks``, concatenated.
 
     ``parse(header, cells, shortest)`` reads the cells of consecutive data
-    rows, row after row, ``len(header)`` a row, ``header`` stripped;
-    ``shortest`` is the fewest cells of any of these rows. It returns a dict
-    of columns, each a list or a numpy array, and whether the rows pass
-    every check the columns can make; when they do not, the loader's row
-    loop names the error through ``_raise_first``. A plain file is parsed
-    in blocks by ``_parse_plain``. Any other is read whole by
-    ``csv.reader``, which alone reads quotes, and its rows padded with
-    ``""`` or cut to the header's width.
+    rows, ``len(header)`` a row, ``header`` stripped; ``shortest`` is the
+    fewest cells of any of these rows, at most ``len(header)``. It returns a
+    dict of columns, each a list or a numpy array, and whether the rows pass
+    every check the columns can make. At the first block that does not, or
+    a row csv cannot read, ``_raise_first`` names the error by
+    ``check_rows``. A file with no header raises ``error``.
     """
-    if len(delimiter) == 1:  # else csv.reader raises the error
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            plain = _parse_plain(fh, delimiter, parse)
-        if plain is not None:
-            return plain
-    header, rows, _ = _read_rows(path, delimiter, error)
-    width, pad = len(header), [""] * len(header)
-    cells = list(chain.from_iterable((row + pad)[:width] for row in rows))
-    return parse(header, cells, min(map(len, rows), default=width))
+    parts, ok = [], True
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            for columns, ok in _blocks(fh, delimiter, parse):
+                if not ok:
+                    break
+                parts.append(columns)
+        except csv.Error:
+            ok = False
+    if not ok:
+        _raise_first(path, delimiter, error, check_rows)
+    if not parts:
+        raise error(f"{path}: empty file")
+    return {name: _concat([part[name] for part in parts]) for name in parts[0]}
 
 
-def _parse_plain(fh, delimiter: str, parse) -> tuple[dict, bool] | None:
-    """``_read_blocks`` of a plain file, None for any other.
+def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
+    """``parse`` of each block of ``fh``'s data rows in turn; none if there is no header.
 
-    A file is plain when it holds no quote and no carriage return and
-    every data line holds exactly as many delimiters as the header; then
-    csv parsing is one ``split`` per line. The file is read in blocks of
-    whole lines, about ``_BLOCK_CHARS`` each; a block's data lines are
-    joined and split once and its cells parsed at once, and the blocks'
-    columns are concatenated at the end. A block's cells are one flat list
-    of strings, which the cyclic garbage collector does not track, where
-    ``csv.reader`` builds one tracked list per row. Blank and ``#`` lines
-    are dropped as ``_rows`` drops them. A block that shows the file is
-    not plain discards the blocks parsed before it; one that is not good
-    ends the read, as the file is read again to name its error.
+    A block is plain when it holds no quote and no carriage return and each
+    data line as many delimiters as the header. Plain blocks are read in
+    whole lines, about ``_BLOCK_CHARS`` characters each, and their data
+    lines joined and split once into one flat list of cells, which the
+    cyclic garbage collector does not track; blank and ``#`` lines are
+    dropped as ``_rows`` drops them. From the first block that is not plain
+    on, ``_rows`` reads the rest of the file, that block first, in blocks
+    of about ``_BLOCK_CHARS / 64`` cells, each row padded with ``""`` or
+    cut to the header's width. No block's cells are alive while the next
+    block is read.
     """
-    header, parts, ok = None, [], True
-    while ok and (text := fh.read(_BLOCK_CHARS)):
+    header, text = None, ""  # any delimiter but one character goes to csv.reader, which rejects it
+    while len(delimiter) == 1 and (text := fh.read(_BLOCK_CHARS)):
         if not text.endswith("\n"):
             text += fh.readline()
         if '"' in text or "\r" in text:
-            return None
+            break
         lines = text.split("\n")
         if "#" in text:
             lines = [line for line in lines if line and not line.lstrip().startswith("#")]
         else:
             lines = list(filter(None, lines))
-        if header is None:
+        head = header
+        if head is None:
             if not lines:
                 continue
-            header, lines = [h.strip() for h in lines[0].split(delimiter)], lines[1:]
-        if lines and set(map(str.count, lines, repeat(delimiter))) != {len(header) - 1}:
-            return None
-        columns, ok = parse(
-            header, delimiter.join(lines).split(delimiter) if lines else [], len(header)
-        )
-        parts.append(columns)
+            head, lines = [h.strip() for h in lines[0].split(delimiter)], lines[1:]
+        if lines and set(map(str.count, lines, repeat(delimiter))) != {len(head) - 1}:
+            break
+        header = head  # only now, or a header line that is not plain is read twice
+        yield parse(header, delimiter.join(lines).split(delimiter) if lines else [], len(header))
+    if len(delimiter) == 1 and not text:
+        return  # every block was plain
+    rows = _rows(chain(io.StringIO(text, newline=""), fh), delimiter)
     if header is None:
-        return None  # _read_rows raises the empty-file error
-    return {name: _concat([part[name] for part in parts]) for name in parts[0]}, ok
+        header = [h.strip() for h in next(rows, (0, []))[1]]
+        if not header:
+            return
+    width, pad = len(header), [""] * len(header)
+    size = max(1, _BLOCK_CHARS // (64 * width))
+    while True:
+        cells, shortest = [], width
+        for _, row in islice(rows, size):
+            shortest = min(shortest, len(row))
+            cells += (row + pad)[:width]
+        yield parse(header, cells, shortest)
+        if len(cells) < size * width:
+            return
 
 
 def _concat(parts: list) -> list | np.ndarray:
@@ -467,11 +489,12 @@ def _concat(parts: list) -> list | np.ndarray:
 def _rows(fh, delimiter: str) -> Iterator[tuple[int, list[str]]]:
     """Each row of ``fh``, the header first, with the physical line it starts on.
 
-    Blank and ``#`` comment lines yield no row. A quoted cell may span
-    lines, so a ``#`` line is a comment only where it starts a row, and
-    line numbers come from ``csv.reader``'s count of the lines it has read.
-    Rows are read as they are asked for; a ``csv.Error`` names the line its
-    row starts on.
+    ``fh`` is a file opened with ``newline=""``, or its lines from where a
+    row starts on, numbered from there. Blank and ``#`` comment lines yield
+    no row. A quoted cell may span lines, so a ``#`` line is a comment only
+    where it starts a row, and line numbers come from ``csv.reader``'s count
+    of the lines it has read. Rows are read as they are asked for; a
+    ``csv.Error`` names the line its row starts on.
     """
     starts_row = True  # csv.reader reads one line at a time, as a row needs it
 
@@ -492,24 +515,6 @@ def _rows(fh, delimiter: str) -> Iterator[tuple[int, list[str]]]:
             start = reader.line_num + 1
     except csv.Error as exc:
         raise csv.Error(f"row {start}: {exc}") from None
-
-
-def _read_rows(path, delimiter: str, error: type[Exception]) -> tuple[list, list, list[int]]:
-    """Stripped header, data rows and the physical line each data row starts on.
-
-    The rows are those of ``_rows``; raises ``error`` if there is no header or csv fails.
-    """
-    rows, starts = [], []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        try:
-            for start, row in _rows(fh, delimiter):
-                rows.append(row)
-                starts.append(start)
-        except csv.Error as exc:
-            raise error(f"{path}: {exc}") from None
-    if not rows:
-        raise error(f"{path}: empty file")
-    return [h.strip() for h in rows[0]], rows[1:], starts[1:]
 
 
 def write_table(

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 from contextlib import contextmanager
 
@@ -63,6 +64,26 @@ def traced_peak(call, *args):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def read_rows(path, delimiter, error):
+    """Stripped header, data rows and the physical line each data row starts on.
+
+    The rows are those of ``ingest._rows`` over the whole file, read at
+    once, so the row-loop oracles share the loaders' csv dialect; raises
+    ``error`` if there is no header or csv fails.
+    """
+    rows, starts = [], []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        try:
+            for start, row in ingest._rows(fh, delimiter):
+                rows.append(row)
+                starts.append(start)
+        except csv.Error as exc:
+            raise error(f"{path}: {exc}") from None
+    if not rows:
+        raise error(f"{path}: empty file")
+    return [h.strip() for h in rows[0]], rows[1:], starts[1:]
 
 
 #: Block sizes of the plain-file reader, in characters: the default, and

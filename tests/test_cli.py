@@ -690,19 +690,33 @@ class TestPipeline:
         for row in rankings:
             assert int(row["observed"]) == abuse[row["provider_id"]], row["provider_id"]
 
-    def test_stage_labeled_error(self, tmp_path, capsys):
-        bad_seeds = tmp_path / "seeds.txt"
-        bad_seeds.write_text("doesnotexist\n")
-        code = main(
-            [
-                "pipeline", *fixture_args(),
-                "--seeds", str(bad_seeds),
-                "--predictors", "price_per_year,wordpress_use",
-                "--out-dir", str(tmp_path / "out"),
-            ]
-        )
-        assert code == 2
-        assert "[stage:twins]" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "stage, option, value",
+        [
+            ("features", "--allocations", "provider_id,ip_start,ip_end\nhp00,1.2.3,9\n"),
+            ("twins", "--seeds", "doesnotexist\n"),
+            ("listwise-exclusion", "--required", "no_such_column"),
+            ("fit", "--predictors", "country"),
+            ("fit-alt", "--abuse-alt", "domain,ip\nbad.example,1.2.3\n"),
+        ],
+        ids=["features", "twins", "listwise-exclusion", "fit", "fit-alt"],
+    )
+    def test_each_stage_labels_its_error(self, tmp_path, capsys, stage, option, value):
+        if value.endswith("\n"):  # the text of an input file
+            path = tmp_path / "input.csv"
+            path.write_text(value)
+            value = str(path)
+        argv = [
+            "pipeline", *fixture_args(),
+            "--seeds", str(FIXTURE / "seeds.txt"),
+            "--predictors", TWIN_PREDICTORS,
+            option, value,
+            "--out-dir", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"abusekit: [stage:{stage}] "), err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -741,15 +755,34 @@ def test_delimiter_is_one_plain_character(command, delimiter, providers_csv, tmp
     assert not any(tmp_path.iterdir())
 
 
+def assert_golden_artifacts(out_dir, expected):
+    """``out_dir`` holds the files of ``expected``, equal to them after ``strip_manifest``."""
+    names = sorted(p.name for p in out_dir.iterdir())
+    assert names == sorted(p.name for p in expected.iterdir())
+    for name in names:
+        assert strip_manifest(out_dir / name) == (expected / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_COMMAND_CASES))
 def test_single_command_matches_golden_bytes(case, tmp_path):
     # Regenerate with tests/data/make_golden.py after an intended change.
     assert main(golden_command_argv(case, tmp_path)) == 0
-    expected = GOLDEN_COMMANDS / case
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == sorted(p.name for p in expected.iterdir())
-    for name in names:
-        assert strip_manifest(tmp_path / name) == (expected / name).read_bytes(), name
+    assert_golden_artifacts(tmp_path, GOLDEN_COMMANDS / case)
+
+
+def test_quoted_crlf_table_matches_golden_bytes(tmp_path):
+    # the csv.reader side of the table reader, end to end: every cell of
+    # the golden table quoted, every line ended by CRLF
+    with open(GOLDEN / "providers.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    table = tmp_path / "providers.csv"
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+    assert b'"\r\n"' in table.read_bytes()
+    command, _, extra = GOLDEN_COMMAND_CASES["fit_stepwise"]
+    out = tmp_path / "out"
+    assert main([command, "--input", str(table), *extra, "--out-dir", str(out)]) == 0
+    assert_golden_artifacts(out, GOLDEN_COMMANDS / "fit_stepwise")
 
 
 def _make_golden():

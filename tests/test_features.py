@@ -24,7 +24,7 @@ from abusekit.features import (
 )
 from abusekit.ingest import COLUMNS, LoadError, load_table
 
-from conftest import BLOCK_CHARS, block_chars, provider_files, traced_peak
+from conftest import BLOCK_CHARS, block_chars, provider_files, read_rows, traced_peak
 
 #: Columns each raw loader reads, in the order its row loop visits them.
 LOADER_COLUMNS = {
@@ -500,7 +500,7 @@ class TestLoaders:
             raise AssertionError("plain file read row by row")
 
         monkeypatch.setattr(csv, "reader", refuse)
-        monkeypatch.setattr(ingest, "_read_rows", refuse)
+        monkeypatch.setattr(ingest, "_rows", refuse)
         path = tmp_path / "enrichment.csv"
         path.write_text(
             "# manifest\nprovider_id,note,price_per_year,abuse_count,country\n"
@@ -535,7 +535,7 @@ def loaded(result):
 def short_row(path, header, positions, rows, lines):
     """The error for the first data row without a cell in one of the ``positions``.
 
-    ``rows`` and ``lines`` are as ``_read_rows`` returns them, so the error
+    ``rows`` and ``lines`` are as ``read_rows`` returns them, so the error
     names the physical line, as ``load_table``'s errors do.
     """
     width = max(positions) + 1
@@ -545,9 +545,9 @@ def short_row(path, header, positions, rows, lines):
 
 
 def enrichment_row_loop(path, delimiter):
-    """``load_enrichment`` as a csv row loop: ``_read_rows``, then ``_parse_cell`` per cell."""
+    """``load_enrichment`` as a csv row loop: ``read_rows``, then ``_parse_cell`` per cell."""
     known = set(COLUMNS)
-    header, rows, lines = ingest._read_rows(path, delimiter, AllocationError)
+    header, rows, lines = read_rows(path, delimiter, AllocationError)
     pid = features._column(header, "provider_id", path)
     out = {}
     try:
@@ -613,8 +613,8 @@ class TestEnrichmentReader:
 
 
 def row_loop_oracle(path, delimiter, loader):
-    """The raw loaders as a csv row loop: ``_read_rows``, then ``parse_ip`` per cell."""
-    header, rows, lines = ingest._read_rows(path, delimiter, AllocationError)
+    """The raw loaders as a csv row loop: ``read_rows``, then ``parse_ip`` per cell."""
+    header, rows, lines = read_rows(path, delimiter, AllocationError)
     positions = [features._column(header, name, path) for name in LOADER_COLUMNS[loader]]
     if loader == "allocations":
         pid, lo, hi = positions
@@ -754,7 +754,7 @@ class TestRawReader:
             raise AssertionError("plain file read row by row")
 
         monkeypatch.setattr(csv, "reader", refuse)
-        monkeypatch.setattr(ingest, "_read_rows", refuse)
+        monkeypatch.setattr(ingest, "_rows", refuse)
         path = tmp_path / "observations.csv"
         path.write_text("# manifest\ndomain,ip\na.example,7\n\n b.example ,4294967295\n")
         loaded = load_observations(path)
@@ -773,18 +773,21 @@ class TestRawReader:
         assert loaded.ips.tolist() == [7, 2**32 - 1, 0]
 
     def test_peak_memory_follows_the_kept_columns(self, tmp_path):
-        # 40,000 plain rows, 1.2 MB: with the whole text, its lines and
+        # 40,000 rows, 1.2 MB plain: with the whole text, its lines and
         # cells alive at once the peak was about 10x the file, with one
-        # block of lines at a time about 4x
+        # block of rows at a time about 4x; that holds for the quoted and
+        # the CRLF copy too, which csv.reader reads
         r = np.random.default_rng(3)
         domains, ips = r.integers(0, 20_000, 40_000), r.integers(0, 2**32, 40_000)
         path = tmp_path / "observations.csv"
-        with open(path, "w") as fh:
-            fh.write("# manifest {}\ndomain,ip\n")
-            fh.writelines(f"d{d}.example.com,{ip}\n" for d, ip in zip(domains, ips))
-        size = path.stat().st_size
-        peak = traced_peak(load_observations, path)
-        assert peak < 6 * size, peak / size
+        # the plain copy last, as the bad row below is appended to it
+        for line in ('"d{}.example.com","{}"\n', "d{}.example.com,{}\r\n", "d{}.example.com,{}\n"):
+            with open(path, "w", newline="") as fh:
+                fh.write("# manifest {}\ndomain,ip\n")
+                fh.writelines(line.format(d, ip) for d, ip in zip(domains, ips))
+            size = path.stat().st_size
+            peak = traced_peak(load_observations, path)
+            assert peak < 6 * size, (line, peak / size)
 
         # a bad last row: naming it costs no more than a good load (a
         # second read of the whole file through csv.reader took about 12x)

@@ -25,6 +25,7 @@ from conftest import (
     block_chars,
     make_dataset,
     provider_files,
+    read_rows,
     same_table,
 )
 
@@ -85,14 +86,19 @@ class TestLoadTable:
             load_table(path)
 
     def test_error_read_stops_at_the_first_failing_row(self, tmp_path):
-        # data row 2's country cell is longer than csv.reader's field limit,
-        # so a read of the whole file would fail there instead
-        path = write_csv(
-            tmp_path, f"a,1,1,1,zz,3,NL\nb,1,1,1,10,3,{'x' * 140_000}\n", header=HEADER + ",country"
-        )
-        with pytest.raises(LoadError) as err:
-            load_table(path)
-        assert str(err.value) == f"{path}: row 2: non-numeric value 'zz' in column 'pct_shared'"
+        # a later country cell is longer than csv.reader's field limit, so
+        # a read of the whole file would fail there instead; the quoted
+        # file's long cell lies in the same csv block as the failing row
+        long = "x" * 140_000
+        for body in (
+            f"a,1,1,1,zz,3,NL\nb,1,1,1,10,3,{long}\n",
+            f'a,1,1,1,zz,3,"NL"\nb,1,1,1,10,3,NL\nc,1,1,1,10,3,"{long}"\n',
+        ):
+            path = write_csv(tmp_path, body, header=HEADER + ",country")
+            with pytest.raises(LoadError) as err:
+                load_table(path)
+            message = "row 2: non-numeric value 'zz' in column 'pct_shared'"
+            assert str(err.value) == f"{path}: {message}"
 
     def test_duplicate_allowed_across_twins(self, tmp_path):
         header = HEADER + ",twin_id"
@@ -220,7 +226,7 @@ class TestLoadTable:
             raise AssertionError("plain table read row by row")
 
         monkeypatch.setattr(csv, "reader", refuse)
-        monkeypatch.setattr(ingest, "_read_rows", refuse)
+        monkeypatch.setattr(ingest, "_rows", refuse)
         path = tmp_path / "table.csv"
         path.write_text(
             "# manifest {}\n"
@@ -309,9 +315,9 @@ class TestLoadTable:
 
 
 def row_loop_oracle(path, schema=None, delimiter=","):
-    """``load_table`` as a csv row loop: ``_read_rows``, then ``_parse_cell`` per cell."""
+    """``load_table`` as a csv row loop: ``read_rows``, then ``_parse_cell`` per cell."""
     schema = dict(schema or {})
-    header, rows, lines = ingest._read_rows(path, delimiter, LoadError)
+    header, rows, lines = read_rows(path, delimiter, LoadError)
     positions = {}
     for canonical in COLUMNS:
         file_col = schema.get(canonical, canonical)
