@@ -429,12 +429,13 @@ def _read_blocks(path, delimiter: str, error: type[Exception], parse, check_rows
 def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
     """``parse`` of each block of ``fh``'s data rows in turn; none if there is no header.
 
-    A block is plain when it holds no quote and no carriage return and each
-    data line as many delimiters as the header. Plain blocks are read in
-    whole lines, about ``_BLOCK_CHARS`` characters each, and their data
-    lines joined and split once into one flat list of cells, which the
-    cyclic garbage collector does not track; blank and ``#`` lines are
-    dropped as ``_rows`` drops them. From the first block that is not plain
+    A block is plain when it holds no quote, no carriage return and no cell
+    longer than ``csv.field_size_limit()``, and each data line as many
+    delimiters as the header. Plain blocks are read in whole lines, about
+    ``_BLOCK_CHARS`` characters each, and their data lines joined and split
+    once into one flat list of cells, which the cyclic garbage collector
+    does not track; blank and ``#`` lines are dropped as ``_rows`` drops
+    them. From the first block that is not plain
     on, ``_rows`` reads the rest of the file, that block first, in blocks
     of about ``_BLOCK_CHARS / 64`` cells, each row padded with ``""`` or
     cut to the header's width. No block's cells are alive while the next
@@ -451,6 +452,11 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
             lines = [line for line in lines if line and not line.lstrip().startswith("#")]
         else:
             lines = list(filter(None, lines))
+        limit = csv.field_size_limit()  # so that _rows fails the row of a longer cell
+        if max(map(len, lines), default=0) > limit and any(
+            max(map(len, line.split(delimiter))) > limit for line in lines if len(line) > limit
+        ):
+            break
         head = header
         if head is None:
             if not lines:

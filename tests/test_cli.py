@@ -831,6 +831,55 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+#: Prints the thread timeout of every OpenBLAS mapped into the process
+#: after importing abusekit, numpy and scipy's linear algebra, in that order.
+OPENBLAS_TIMEOUTS = """
+import ctypes, abusekit, numpy, scipy.linalg
+with open("/proc/self/maps") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+for lib in libs:
+    handle = ctypes.CDLL(lib)
+    if hasattr(handle, "openblas_thread_timeout"):
+        timeout = handle.openblas_thread_timeout
+        timeout.restype = ctypes.c_int
+        timeout.argtypes = []
+        print(timeout())
+"""
+
+
+@pytest.mark.parametrize("given,expected", [(None, 16), ("20", 20)])
+def test_import_shortens_openblas_thread_timeout(given, expected):
+    # numpy's and scipy's OpenBLAS pools would otherwise spin beside each
+    # other between calls; a timeout the user set is kept
+    env = _child_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if given is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = given
+    proc = subprocess.run(
+        [sys.executable, "-c", OPENBLAS_TIMEOUTS], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    timeouts = [int(line) for line in proc.stdout.split()]
+    if not timeouts:
+        pytest.skip("no loaded library exports openblas_thread_timeout")
+    assert timeouts == [expected] * len(timeouts)
+
+
+def test_console_pipeline_matches_golden_bytes(tmp_path):
+    # in a fresh interpreter abusekit loads before numpy, so its OpenBLAS
+    # thread timeout applies, as it does not to the in-process golden runs
+    env = _child_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "abusekit.cli", *golden_pipeline_argv(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert_golden_artifacts(tmp_path, GOLDEN)
+
+
 def test_console_invocation_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "abusekit.cli", "--version"],

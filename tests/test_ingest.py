@@ -87,18 +87,33 @@ class TestLoadTable:
 
     def test_error_read_stops_at_the_first_failing_row(self, tmp_path):
         # a later country cell is longer than csv.reader's field limit, so
-        # a read of the whole file would fail there instead; the quoted
-        # file's long cell lies in the same csv block as the failing row
+        # a read of the whole file would fail there instead; the long cell
+        # lies in the same csv block as the failing row, or with 16-character
+        # blocks the failing row in an earlier plain block
         long = "x" * 140_000
         for body in (
             f"a,1,1,1,zz,3,NL\nb,1,1,1,10,3,{long}\n",
             f'a,1,1,1,zz,3,"NL"\nb,1,1,1,10,3,NL\nc,1,1,1,10,3,"{long}"\n',
         ):
             path = write_csv(tmp_path, body, header=HEADER + ",country")
-            with pytest.raises(LoadError) as err:
-                load_table(path)
-            message = "row 2: non-numeric value 'zz' in column 'pct_shared'"
-            assert str(err.value) == f"{path}: {message}"
+            for chars in (ingest._BLOCK_CHARS, 16):
+                with block_chars(chars), pytest.raises(LoadError) as err:
+                    load_table(path)
+                message = "row 2: non-numeric value 'zz' in column 'pct_shared'"
+                assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    @pytest.mark.parametrize("chars", [ingest._BLOCK_CHARS, 16])
+    def test_cell_beyond_csv_field_limit_fails_its_row(self, tmp_path, quote, chars):
+        # a plain line is split without csv, yet its over-long cell fails
+        # its row as a quoted one does, whichever block it lies in
+        long = quote + "x" * 140_000 + quote
+        path = write_csv(
+            tmp_path, f"a,1,1,1,10,3,NL\nb,1,1,1,10,3,{long}\n", header=HEADER + ",country"
+        )
+        with block_chars(chars), pytest.raises(LoadError) as err:
+            load_table(path)
+        assert str(err.value) == f"{path}: row 3: field larger than field limit (131072)"
 
     def test_duplicate_allowed_across_twins(self, tmp_path):
         header = HEADER + ",twin_id"
