@@ -12,7 +12,7 @@ import argparse
 import configparser
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .glm import (
 )
 from .report import (
     ModelColumn,
+    _cells,
     _csv_text,
     _names,
     build_manifest,
@@ -228,7 +229,8 @@ def _resolve_seeds(args, d: ingest.Dataset) -> list[str]:
 
 
 def _write_pairings(out: Path, pairings: list[twins.TwinPairing], args, manifest) -> None:
-    text = _csv_text(_names(twins.TwinPairing), map(astuple, pairings), args.delimiter)
+    rows = map(_cells(twins.TwinPairing), pairings)
+    text = _csv_text(_names(twins.TwinPairing), rows, args.delimiter)
     write_text_document(out / "pairings.csv", text, manifest)
 
 

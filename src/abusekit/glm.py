@@ -4,8 +4,11 @@ The response y_i is modeled as Poisson with mean lambda_i where
 ln(lambda_i) = beta_0 + sum_j x_ij beta_j (+ one dummy per non-reference
 level of each fixed-effect factor). Coefficients are maximum-likelihood
 estimates obtained by iteratively reweighted least squares on the
-canonical log link; standard errors come from the inverse Fisher
-information at the optimum.
+canonical log link. Each step solves the weighted normal equations with
+LAPACK ``posv`` (a Cholesky factorization) on the upper triangle, the
+routine ``scipy.linalg.solve(assume_a="pos")`` reaches, and a 1 x 1
+system by scipy's division rule, so the bits are those of that call.
+Standard errors come from the inverse Fisher information at the optimum.
 """
 from __future__ import annotations
 
@@ -303,16 +306,46 @@ class FitResult:
         return INTERCEPT in self.coefficients
 
 
+def _solve_normal_equations(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The IRLS target: ``linalg.solve(H, g, assume_a="pos")``, bit for bit.
+
+    LAPACK ``posv``, the Cholesky driver that scipy's solve reaches, runs
+    on the upper triangle of ``H`` as it is: ``X'WX`` is not bitwise
+    symmetric, so its lower triangle or ``H.T`` would move the last bits.
+    A 1 x 1 system is ``g / H[0, 0]``, as scipy computes it. Where scipy
+    raises ``LinAlgError`` (``posv`` reports a failed factorization, or
+    ``H[0, 0]`` is 0) the least-squares solution is returned instead, and
+    a non-finite ``H`` or ``g`` raises ``ValueError`` as scipy's
+    ``check_finite`` does.
+    """
+    if not (np.isfinite(H).all() and np.isfinite(g).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if H.shape == (1, 1):
+        if H[0, 0] != 0:
+            return g / H[0, 0]
+    else:
+        _, x, info = linalg.lapack.dposv(H, g)
+        if info == 0:
+            return x
+    return np.linalg.lstsq(H, g, rcond=None)[0]
+
+
 def fit_poisson(dm: DesignMatrix) -> FitResult:
     """Maximize the Poisson log-likelihood by IRLS on the canonical link.
 
     Starts from beta = 0 with the intercept at ln(mean(y) + 0.1), solves
-    the weighted normal equations each step, and halves the step while the
+    the weighted normal equations each step (LAPACK ``posv`` on the upper
+    triangle, ``g / H[0, 0]`` when p = 1, least squares where either
+    fails; see ``_solve_normal_equations``), and halves the step while the
     deviance increases. Converged means the relative deviance change fell
     below ``DEVIANCE_RTOL`` and every score component |X_c'(y - lambda)|
-    below ``SCORE_ATOL``. Any coefficient beyond ``SEPARATION_THRESHOLD``
-    in magnitude marks the fit as separated (a log-mean below -30 is
-    numerically zero).
+    below ``SCORE_ATOL``; the score is computed only once the deviance
+    change is below ``DEVIANCE_RTOL``. Any coefficient beyond
+    ``SEPARATION_THRESHOLD`` in magnitude marks the fit as separated (a
+    log-mean below -30 is numerically zero).
+
+    A step whose normal equations are not finite, as with a design that
+    holds an ``inf`` cell, raises ``ValueError``.
 
     The weighted copies of X that every iteration and the Fisher
     information need are written into one n x p work buffer, allocated once
@@ -349,11 +382,7 @@ def fit_poisson(dm: DesignMatrix) -> FitResult:
         np.multiply(X, w[:, None], out=Xw)
         H = X.T @ Xw
         g = Xw.T @ z
-        try:
-            target = linalg.solve(H, g, assume_a="pos")
-        except linalg.LinAlgError:
-            target = np.linalg.lstsq(H, g, rcond=None)[0]
-        step = target - beta
+        step = _solve_normal_equations(H, g) - beta
 
         # Step-halving: shrink toward the current iterate until the
         # deviance stops increasing.
@@ -376,8 +405,7 @@ def fit_poisson(dm: DesignMatrix) -> FitResult:
 
         rel_change = abs(dev - dev_c) / (0.1 + abs(dev_c))
         beta, eta, lam, dev = cand, eta_c, lam_c, dev_c
-        score = X.T @ (y - lam)
-        if rel_change < DEVIANCE_RTOL and np.max(np.abs(score)) < SCORE_ATOL:
+        if rel_change < DEVIANCE_RTOL and np.max(np.abs(X.T @ (y - lam))) < SCORE_ATOL:
             converged = True
             break
 

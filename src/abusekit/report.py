@@ -13,8 +13,9 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -167,6 +168,15 @@ def _names(record_type) -> list[str]:
     return [f.name for f in fields(record_type)]
 
 
+def _cells(record_type) -> Callable[[object], tuple]:
+    """A getter of a record's field values in declaration order.
+
+    It gives the cells ``dataclasses.astuple`` gives, without its deep copy
+    of every value; ``record_type`` has at least two fields.
+    """
+    return attrgetter(*_names(record_type))
+
+
 def render_describe(
     summaries: Sequence[ColumnSummary], fmt: str = "csv", delimiter: str = ","
 ) -> str:
@@ -185,7 +195,7 @@ def render_describe(
         return "\n".join(lines) + "\n"
     # the csv names the ``name`` column "variable", as the Markdown layout does
     header = ["variable", *_names(ColumnSummary)[1:]]
-    return _csv_text(header, map(astuple, summaries), delimiter)
+    return _csv_text(header, map(_cells(ColumnSummary), summaries), delimiter)
 
 
 def describe_document(summaries: Sequence[ColumnSummary]) -> dict:
@@ -360,7 +370,8 @@ def fit_document(column: ModelColumn) -> dict:
 
 def render_rankings(scores: Sequence[ProviderScore], delimiter: str = ",") -> str:
     """Plot-ready observed-vs-predicted rows, best relative performers first."""
-    rows = ((rank, *astuple(s)) for rank, s in enumerate(scores, start=1))
+    cells = _cells(ProviderScore)
+    rows = ((rank, *cells(s)) for rank, s in enumerate(scores, start=1))
     return _csv_text(["rank", *_names(ProviderScore)], rows, delimiter)
 
 
@@ -377,7 +388,7 @@ def render_scenarios(rows: Sequence[ScenarioRow], fmt: str = "csv", delimiter: s
                 f"| {_fmt(r.incremented_lambda)} | {_fmt(r.absolute_change)} |"
             )
         return "\n".join(lines) + "\n"
-    return _csv_text(_names(ScenarioRow), map(astuple, rows), delimiter)
+    return _csv_text(_names(ScenarioRow), map(_cells(ScenarioRow), rows), delimiter)
 
 
 def render_simulation_samples(res: SimulationResult) -> str:

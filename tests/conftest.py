@@ -2,6 +2,8 @@ import csv
 import tracemalloc
 from contextlib import contextmanager
 
+# before numpy: importing abusekit sets the OpenBLAS thread timeout the CLI runs with
+import abusekit  # noqa: F401
 import numpy as np
 import pytest
 from hypothesis import strategies as st

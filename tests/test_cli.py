@@ -866,8 +866,8 @@ def test_import_shortens_openblas_thread_timeout(given, expected):
 
 
 def test_console_pipeline_matches_golden_bytes(tmp_path):
-    # in a fresh interpreter abusekit loads before numpy, so its OpenBLAS
-    # thread timeout applies, as it does not to the in-process golden runs
+    # the golden pipeline as the console runs it: a fresh interpreter, with
+    # no OpenBLAS thread timeout set outside, where abusekit loads first
     env = _child_env()
     env.pop("OPENBLAS_THREAD_TIMEOUT", None)
     proc = subprocess.run(

@@ -1,4 +1,5 @@
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from abusekit.glm import (
     SCORE_ATOL,
     SEPARATION_THRESHOLD,
     DesignError,
+    DesignMatrix,
     FitResult,
     ModelSpec,
     SeparationError,
@@ -28,6 +30,7 @@ from abusekit.glm import (
     score_vector,
     star_label,
     wald_tests,
+    _solve_normal_equations,
 )
 from abusekit.ingest import Dataset
 
@@ -593,7 +596,8 @@ class TestAic:
 def _allocating_fit(dm):
     """``fit_poisson`` as it was before its one work buffer: the oracle.
 
-    Every iteration allocates a fresh weighted copy of X, and the
+    Every iteration allocates a fresh weighted copy of X, solves with
+    ``linalg.solve(assume_a="pos")`` and computes the score, and the
     separation check takes one product c'y per column. ``fit_poisson``
     must return the same bits on every field.
     """
@@ -756,9 +760,81 @@ class TestWorkBuffer:
     @settings(max_examples=60, deadline=None)
     @given(oracle_designs())
     def test_bit_equal_to_allocating_fit(self, dm):
+        self.assert_bit_equal(dm)
+
+    def assert_bit_equal(self, dm):
         new, old = fit_poisson(dm), _allocating_fit(dm)
         for f in fields(FitResult):
             assert _bits(getattr(new, f.name)) == _bits(getattr(old, f.name)), f.name
+
+    @staticmethod
+    def hand_design(X, y, columns):
+        """A design as given, without build_design's rank filter."""
+        predictors = tuple(c for c in columns if c != INTERCEPT)
+        return DesignMatrix(
+            columns=list(columns),
+            X=X,
+            y=y,
+            spec=ModelSpec("abuse_count", predictors, (), INTERCEPT in columns),
+            factor_levels={},
+            dropped=[],
+            excluded_rows=0,
+            row_index=np.arange(len(y)),
+            _block=None,
+        )
+
+    def assert_least_squares_step(self, dm, monkeypatch):
+        """The fit reaches its lstsq branch and keeps the oracle's bits."""
+        lstsq, calls = np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        fit_poisson(dm)
+        monkeypatch.undo()
+        assert calls
+        self.assert_bit_equal(dm)
+
+    def test_intercept_only_is_solved_by_division(self):
+        # scipy solves a 1 x 1 system as b / a, not by a Cholesky factor
+        d = make_dataset([1, 2, 3, 6, 0, 4])
+        self.assert_bit_equal(build_design(d, ModelSpec("abuse_count")))
+
+    def test_zero_one_by_one_system_takes_least_squares(self, monkeypatch):
+        # x_i^2 underflows to 0, so H = [[0]], where scipy raises
+        y = np.arange(8.0) % 3
+        self.assert_least_squares_step(
+            self.hand_design(np.full((8, 1), 1e-170), y, ["pct_shared"]), monkeypatch
+        )
+
+    def test_failed_cholesky_takes_least_squares(self, monkeypatch):
+        # two equal columns, which build_design would drop, make H singular
+        r = np.random.default_rng(3)
+        n = 30
+        x = r.uniform(0.0, 1.0, n)
+        dm = self.hand_design(
+            np.column_stack([np.ones(n), x, x]),
+            r.poisson(np.exp(0.5 + x)).astype(float),
+            [INTERCEPT, "pct_shared", "assigned_ips_log10"],
+        )
+        self.assert_least_squares_step(dm, monkeypatch)
+
+    def test_infinite_cell_raises_value_error(self):
+        rows = [{"abuse_count": i, "pct_shared": float(i)} for i in range(10)]
+        rows[3]["pct_shared"] = float("inf")
+        dm = build_design(make_dataset(rows), ModelSpec("abuse_count", ("pct_shared",)))
+        for fit in (fit_poisson, _allocating_fit):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+                fit(dm)
+
+    @pytest.mark.parametrize("H, g", [
+        ([[np.inf]], [1.0]),
+        ([[1.0]], [np.nan]),
+        ([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        ([[2.0, 1.0], [1.0, 2.0]], [np.inf, 1.0]),
+    ])
+    def test_non_finite_system_raises_as_scipy_does(self, H, g):
+        H, g = np.array(H), np.array(g)
+        for solve in (_solve_normal_equations, partial(linalg.solve, assume_a="pos")):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(H, g)
 
     def test_separation_cases_are_reached(self):
         # the columns of oracle_designs in one fit: only the one active where
