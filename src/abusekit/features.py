@@ -4,15 +4,19 @@ All inputs arrive as delimited files: IP allocations (provider_id with an
 inclusive address range), hosting observations (domain, ip) and abuse
 records (domain, ip). IP addresses are accepted in dotted-quad or plain
 integer form and normalized to integers internally. Every file is parsed
-by columns, one block of rows at a time (``ingest._read_blocks``: split
-lines while the file is plain, ``csv.reader`` rows from its first quoted,
-CRLF or ragged line on), which only tells whether it is good; a bad file
-is read again by the loader's row loop, as far as its first failing row,
-to name the error. Files are held as columns: an ``AllocationIndex`` over
-the ranges and one ``DomainIps`` per observation or abuse file. Each
-file's rows are attributed to providers by one vectorised owner lookup,
-distinct counts come from sorted integer keys, and per-provider results
-are arrays in ``AllocationIndex.provider_ids`` order.
+by columns, one block of rows at a time (``ingest._read_blocks``: 64 KiB
+blocks split on the delimiter while the file is plain, that is, holds no
+CR, no quote outside comment lines and ``width - 1`` delimiters on each
+data line; ``csv.reader`` rows from its first other block on), which only
+tells whether it is good; a bad file is read again by the loader's row
+loop, as far as its first failing row, to name the error. An IP column
+of ASCII digits only is read by numpy in one call, any other through
+``parse_ip`` cell by cell. Files are held as columns: an
+``AllocationIndex`` over the ranges and one ``DomainIps`` per observation
+or abuse file. Each file's rows are attributed to providers by one
+vectorised owner lookup, distinct counts come from sorted integer keys,
+and per-provider results are arrays in ``AllocationIndex.provider_ids``
+order.
 """
 from __future__ import annotations
 
@@ -343,16 +347,22 @@ def _column(header: list[str], name: str, path) -> int:
 def _parse_ips(cells: list[str]) -> tuple[np.ndarray, bool]:
     """IP cells as an int64 array, as ``parse_ip`` reads them, and whether it rejects none.
 
-    Integer cells are converted with ``int``, as ``parse_ip`` converts a
-    cell without a dot, and range-checked in one pass. Any other column goes
-    through ``parse_ip`` cell by cell, a rejected cell read as -1.
+    When every cell is a non-empty string of ASCII digits (``int`` reads
+    other digits too), the cells are joined and read at once by numpy,
+    which reads a number too large for int64 as the int64 maximum, and
+    range-checked in one pass. A cell holding a comma would add a number to
+    the joined text, so the joined text must hold no more commas than the
+    joins. Any other column goes through ``parse_ip`` cell by cell, a
+    rejected cell read as -1.
     """
-    try:
-        ips = np.fromiter(map(int, cells), np.int64, len(cells))
-    except (ValueError, OverflowError):
-        pass
-    else:
-        if ((ips >= 0) & (ips <= MAX_IPV4)).all():
+    text = ",".join(cells)
+    if (
+        "" not in cells
+        and text.count(",") == len(cells) - 1
+        and not text.encode().translate(None, b"0123456789,")
+    ):
+        ips = np.fromstring(text, np.int64, sep=",")
+        if (ips <= MAX_IPV4).all():
             return ips, True
     ips = np.fromiter(map(partial(_parse_or, -1, parse_ip), cells), np.int64, len(cells))
     return ips, bool((ips >= 0).all())
@@ -435,23 +445,32 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
         columns["provider_id"] = list(map(str.strip, cells[pid::len(header)]))
         return columns, ok and shortest > pid
 
-    def check_rows(header, rows):
-        (pid, at), seen = positions(header), set()
+    def check_keys(header, rows):
+        pid, seen = positions(header)[0], set()
         for line, row in rows:
-            if pid >= len(row):
-                raise AllocationError(f"{path}: row {line}: no value in column 'provider_id'")
-            for name, pos in at.items():
-                if pos < len(row):
-                    _parse_cell(name, row[pos], line)
             key = row[pid].strip()
             if key in seen:
                 raise LoadError(f"row {line}: duplicate provider_id {key!r}")
             seen.add(key)
 
+    def check_rows(header, rows):
+        pid, at = positions(header)
+
+        def valid():
+            for line, row in rows:
+                if pid >= len(row):
+                    raise AllocationError(f"{path}: row {line}: no value in column 'provider_id'")
+                for name, pos in at.items():
+                    if pos < len(row):
+                        _parse_cell(name, row[pos], line)
+                yield line, row
+
+        check_keys(header, valid())
+
     columns = _read_blocks(path, delimiter, AllocationError, parse, check_rows)
     ids = columns.pop("provider_id")
-    if len(set(ids)) < len(ids):
-        _raise_first(path, delimiter, AllocationError, check_rows)
+    if len(set(ids)) < len(ids):  # every cell is good: only the keys are read again
+        _raise_first(path, delimiter, AllocationError, check_keys)
     if "abuse_count" in columns:  # ints, as _parse_cell reads a count
         missing = np.isnan(columns["abuse_count"])
         counts = np.where(missing, 0, columns["abuse_count"]).astype(np.int64).astype(object)

@@ -8,6 +8,12 @@ as comments (run manifests are embedded that way) and skipped.
 Every file is read in blocks of rows (``_read_blocks``), so a load needs
 memory for the columns it keeps; a bad file is read again by the loader's
 row loop, as far as its first failing row, whose error is the one raised.
+A 64 KiB block is plain, and split on the delimiter without ``csv``, when
+it holds no CR, no quote outside its comment lines, and ``width - 1``
+delimiters on each data line; from the first other block on, the file is
+read by ``csv.reader``. The writers quote only the cells that need it, as
+``csv.writer`` does, and write the rows a few thousand at a time, joined
+directly when none of them holds such a cell.
 """
 from __future__ import annotations
 
@@ -17,8 +23,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, islice, repeat
-from typing import Iterator, Mapping, NoReturn, Sequence
+from itertools import chain, compress, islice
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -293,26 +299,39 @@ def load_table(
         ok &= None not in columns["provider_id"] and not np.isnan(columns["abuse_count"]).any()
         return columns, ok
 
-    def check_rows(header, rows):
+    def check_keys(header, rows):
         at, seen = positions(header), set()
+        # Twin datasets repeat providers (one row per twin slot), so the
+        # uniqueness key includes twin_id when that column is present.
+        key_at = [at[name] for name in ("provider_id", "twin_id") if name in at]
         for line, row in rows:
             row += [""] * (len(header) - len(row))
-            values = {name: _parse_cell(name, row[pos], line) for name, pos in at.items()}
-            for required in ("provider_id", "abuse_count"):
-                if values[required] is None:
-                    raise LoadError(f"row {line}: missing value in required column {required!r}")
-            # Twin datasets repeat providers (one row per twin slot), so the
-            # uniqueness key includes twin_id when that column is present.
-            key = (values["provider_id"], values.get("twin_id"))
+            key = tuple(row[pos].strip() or None for pos in key_at)
             if key in seen:
                 raise LoadError(f"row {line}: duplicate provider_id {key[0]!r}")
             seen.add(key)
 
+    def check_rows(header, rows):
+        at = positions(header)
+
+        def valid():
+            for line, row in rows:
+                row += [""] * (len(header) - len(row))
+                values = {name: _parse_cell(name, row[pos], line) for name, pos in at.items()}
+                for required in ("provider_id", "abuse_count"):
+                    if values[required] is None:
+                        raise LoadError(
+                            f"row {line}: missing value in required column {required!r}"
+                        )
+                yield line, row
+
+        check_keys(header, valid())
+
     columns = _read_blocks(path, delimiter, LoadError, parse, check_rows)
     ids = columns["provider_id"]
     keys = list(zip(ids, columns["twin_id"])) if "twin_id" in columns else ids
-    if len(set(keys)) < len(keys):
-        _raise_first(path, delimiter, LoadError, check_rows)
+    if len(set(keys)) < len(keys):  # every cell is good: only the keys are read again
+        _raise_first(path, delimiter, LoadError, check_keys)
     columns["abuse_count"] = columns["abuse_count"].astype(np.int64)
     return Dataset(columns)
 
@@ -393,10 +412,11 @@ def _position(header: list[str], name: str, path, error: type[Exception]) -> int
     return header.index(name)
 
 
-#: Characters of a plain file read and parsed at once: about 256 KiB of
-#: text, so the strings of one block, not of the whole file, are alive at
-#: a time.
-_BLOCK_CHARS = 1 << 18
+#: Characters of a plain file read and parsed at once: 64 KiB of text, so
+#: the strings of one block, not of the whole file, are alive at a time.
+#: Below ``csv.field_size_limit()``'s default of 131,072, so no cell of a
+#: block can be longer than csv reads unless the block is.
+_BLOCK_CHARS = 1 << 16
 
 
 def _read_blocks(path, delimiter: str, error: type[Exception], parse, check_rows) -> dict:
@@ -429,52 +449,69 @@ def _read_blocks(path, delimiter: str, error: type[Exception], parse, check_rows
 def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
     """``parse`` of each block of ``fh``'s data rows in turn; none if there is no header.
 
-    A block is plain when it holds no quote, no carriage return and no cell
-    longer than ``csv.field_size_limit()``, and each data line as many
-    delimiters as the header. Plain blocks are read in whole lines, about
-    ``_BLOCK_CHARS`` characters each, and their data lines joined and split
-    once into one flat list of cells, which the cyclic garbage collector
-    does not track; blank and ``#`` lines are dropped as ``_rows`` drops
-    them. From the first block that is not plain
-    on, ``_rows`` reads the rest of the file, that block first, in blocks
-    of about ``_BLOCK_CHARS / 64`` cells, each row padded with ``""`` or
-    cut to the header's width. No block's cells are alive while the next
-    block is read.
+    Blocks are read in whole lines, about ``_BLOCK_CHARS`` characters
+    each. Blank and ``#`` lines are dropped as ``_rows`` drops them, and a
+    block is plain when what is left holds no quote and each of its lines
+    ``width - 1`` delimiters, ``width`` being the header's cell count; the
+    whole block must hold no carriage return, which would end a line inside
+    a comment for ``csv.reader``, and, only looked for when the block is
+    longer than ``csv.field_size_limit()``, no cell longer than that. The
+    check is one comparison: the block, encoded, with every byte but the
+    delimiter and ``\n`` deleted, against ``width - 1`` delimiters and a
+    ``\n`` per line. A plain block's lines are then split once into one
+    flat list of cells, which the cyclic garbage collector does not track.
+    Only a delimiter of one ASCII character other than a quote, CR or LF is
+    split so. From the first block that is not plain on, ``_rows`` reads
+    the rest of the file, that block first, in blocks of about
+    ``_BLOCK_CHARS / 16`` cells, each row padded with ``""`` or cut to the
+    header's width. No block's cells are alive while the next block is read.
     """
-    header, text = None, ""  # any delimiter but one character goes to csv.reader, which rejects it
-    while len(delimiter) == 1 and (text := fh.read(_BLOCK_CHARS)):
-        if not text.endswith("\n"):
-            text += fh.readline()
-        if '"' in text or "\r" in text:
-            break
-        lines = text.split("\n")
-        if "#" in text:
-            lines = [line for line in lines if line and not line.lstrip().startswith("#")]
-        else:
-            lines = list(filter(None, lines))
-        limit = csv.field_size_limit()  # so that _rows fails the row of a longer cell
-        if max(map(len, lines), default=0) > limit and any(
-            max(map(len, line.split(delimiter))) > limit for line in lines if len(line) > limit
-        ):
-            break
-        head = header
-        if head is None:
-            if not lines:
+    header, text = None, ""
+    # any other delimiter goes to csv.reader, which reads or rejects it
+    if len(delimiter.encode()) == 1 and delimiter not in '"\r\n':
+        others = bytes(range(256)).translate(None, (delimiter + "\n").encode())
+        while text := fh.read(_BLOCK_CHARS):
+            if not text.endswith("\n"):
+                text += fh.readline()
+            if "\r" in text:
+                break
+            data = text if text.endswith("\n") else text + "\n"
+            if "#" in data:
+                data = _data_lines(data)
+            data = data.lstrip("\n")  # so that the header is the first line
+            if '"' in data:
+                break
+            if not data:
                 continue
-            head, lines = [h.strip() for h in lines[0].split(delimiter)], lines[1:]
-        if lines and set(map(str.count, lines, repeat(delimiter))) != {len(head) - 1}:
-            break
-        header = head  # only now, or a header line that is not plain is read twice
-        yield parse(header, delimiter.join(lines).split(delimiter) if lines else [], len(header))
-    if len(delimiter) == 1 and not text:
-        return  # every block was plain
+            if header is None:
+                width = data.count(delimiter, 0, data.index("\n")) + 1
+            else:
+                width = len(header)
+            pattern = (delimiter * (width - 1) + "\n").encode()
+            # a blank line is a "\n" alone in the skeleton, so only a block
+            # that fails or a one-column one is looked at line by line
+            if width == 1 or not _repeats(data, pattern, others):
+                data = _data_lines(data)
+                if not _repeats(data, pattern, others):
+                    break
+            cells = data.replace("\n", delimiter).split(delimiter)
+            cells.pop()  # the "" after the last line's end
+            limit = csv.field_size_limit()  # so that _rows fails the row of a longer cell
+            if len(data) > limit and max(map(len, cells)) > limit:
+                break
+            if header is None:  # only now, or a header line that is not plain is read twice
+                header = [h.strip() for h in cells[:width]]
+                del cells[:width]
+            yield parse(header, cells, width)
+        if not text:
+            return  # every block was plain
     rows = _rows(chain(io.StringIO(text, newline=""), fh), delimiter)
     if header is None:
         header = [h.strip() for h in next(rows, (0, []))[1]]
         if not header:
             return
     width, pad = len(header), [""] * len(header)
-    size = max(1, _BLOCK_CHARS // (64 * width))
+    size = max(1, _BLOCK_CHARS // (16 * width))
     while True:
         cells, shortest = [], width
         for _, row in islice(rows, size):
@@ -483,6 +520,18 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
         yield parse(header, cells, shortest)
         if len(cells) < size * width:
             return
+
+
+def _repeats(data: str, pattern: bytes, others: bytes) -> bool:
+    """Whether ``data``, encoded and with the bytes ``others`` deleted, is ``pattern`` repeated."""
+    skeleton = data.encode().translate(None, others)
+    return skeleton == pattern * (len(skeleton) // len(pattern))
+
+
+def _data_lines(text: str) -> str:
+    """``text``'s lines without the blank and ``#`` lines ``_rows`` drops, each ended by ``\n``."""
+    lines = [line for line in text.split("\n") if line and not line.lstrip().startswith("#")]
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def _concat(parts: list) -> list | np.ndarray:
@@ -541,16 +590,52 @@ def write_table(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in comment_lines:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(present)
-        writer.writerows(zip(*cells))
+        _write_rows(fh, chain([present], zip(*cells)), delimiter)
+
+
+#: Rows ``_write_rows`` joins and writes at a time, so the text of one
+#: chunk, not of the whole table, is alive at a time.
+_WRITE_ROWS = 4096
+
+
+def _write_rows(fh, rows: Iterable[Sequence[str]], delimiter: str) -> None:
+    """Write ``rows`` of str cells to ``fh`` as ``csv.writer`` writes them, each ended by ``\n``.
+
+    csv quotes only a cell that holds the delimiter, a quote, CR or LF, and
+    the one empty cell of a one-cell row. So the rows are joined directly,
+    ``_WRITE_ROWS`` at a time, when the rows of a chunk all have the same
+    width of two cells or more and their joined text holds no quote, no CR
+    and no more delimiters and line ends than the rows make; any other
+    chunk goes through ``csv.writer``.
+    """
+    writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+    rows = iter(rows)
+    while chunk := list(islice(rows, _WRITE_ROWS)):
+        text = "\n".join(map(delimiter.join, chunk)) + "\n"
+        widths = set(map(len, chunk))
+        width = widths.pop() if len(widths) == 1 else 0
+        if (
+            width > 1
+            and '"' not in text
+            and "\r" not in text
+            and text.count("\n") == len(chunk)
+            and text.count(delimiter) == (width - 1) * len(chunk)
+        ):
+            fh.write(text)
+        else:
+            writer.writerows(chunk)
 
 
 def _format_column(col: np.ndarray) -> list[str]:
+    """Each cell as text: ``repr`` of a float, ``str`` of any other value, ``""`` if missing."""
+    kind = col.dtype.kind
     # tolist() yields Python scalars; repr(np.float64(x)) is "np.float64(x)"
-    if col.dtype.kind == "f":
-        return ["" if math.isnan(v) else repr(v) for v in col.tolist()]
-    return ["" if v is None else str(v) for v in col.tolist()]
+    cells = list(map(repr if kind == "f" else str, col.tolist()))
+    if kind in "fO":
+        missing = np.isnan(col) if kind == "f" else np.equal(col, None)
+        for i in np.flatnonzero(missing).tolist():
+            cells[i] = ""
+    return cells
 
 
 def describe(d: Dataset, columns: Sequence[str]) -> list[ColumnSummary]:

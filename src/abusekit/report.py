@@ -8,12 +8,12 @@ serialize as JSON with full float precision.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import DispersionReport, FitAssessment, ProviderScore
 from .glm import INTERCEPT, STAR_THRESHOLDS, FitResult, WaldTest, wald_tests
-from .ingest import ColumnSummary
+from .ingest import ColumnSummary, _write_rows
 from .scenarios import ScenarioRow
 from .sim import SimulationResult, SimulationSummary
 
@@ -157,9 +157,7 @@ def _full(value) -> str:
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]], delimiter: str = ",") -> str:
     """A delimited table: ``header``, then ``rows`` with every cell through ``_full``."""
     out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_full(v) for v in row] for row in rows)
+    _write_rows(out, chain([header], ([_full(v) for v in row] for row in rows)), delimiter)
     return out.getvalue()
 
 

@@ -69,23 +69,46 @@ def traced_peak(call, *args):
 
 
 def read_rows(path, delimiter, error):
-    """Stripped header, data rows and the physical line each data row starts on.
+    """Stripped header, data rows, the physical line each data row starts on, and a csv error.
 
     The rows are those of ``ingest._rows`` over the whole file, read at
-    once, so the row-loop oracles share the loaders' csv dialect; raises
-    ``error`` if there is no header or csv fails.
+    once, so the row-loop oracles share the loaders' csv dialect. A row csv
+    cannot read ends the rows, and its error, as ``error``, is returned last
+    (``None`` if there is none): the oracle raises it after the rows before
+    it, as a loader names the first failing row in file order. Raises
+    ``error`` if there is no header or csv fails on it.
     """
-    rows, starts = [], []
+    rows, starts, unread = [], [], None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
             for start, row in ingest._rows(fh, delimiter):
                 rows.append(row)
                 starts.append(start)
         except csv.Error as exc:
-            raise error(f"{path}: {exc}") from None
+            unread = error(f"{path}: {exc}")
     if not rows:
-        raise error(f"{path}: empty file")
-    return [h.strip() for h in rows[0]], rows[1:], starts[1:]
+        raise unread or error(f"{path}: empty file")
+    return [h.strip() for h in rows[0]], rows[1:], starts[1:], unread
+
+
+#: A comment line as abusekit writes one, quotes and all.
+MANIFEST_LINE = '# manifest {"command":"x"}'
+
+#: csv cell length limits the readers run under: csv's default (``None``)
+#: or one that some header names or cells of the drawn files exceed.
+FIELD_LIMITS = st.sampled_from([None, None, None, 10, 20])
+
+
+@contextmanager
+def field_limit(limit):
+    """Inside, csv reads cells of at most ``limit`` characters; ``None`` keeps its limit."""
+    old = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
 
 
 #: Block sizes of the plain-file reader, in characters: the default, and
@@ -147,7 +170,7 @@ ODD_NUMBER_CELLS = (
     "1e400", "nan", "NaN", "-nan", "inf", "-Infinity", "x", "1,5", " 7", "٣",
 )
 #: String cells, blank and padded ones among them.
-STRING_CELLS = ("NL", " DE ", "", "  ", "a b", "t1", "t2")
+STRING_CELLS = ("NL", " DE ", "", "  ", "a b", "t1", "t2", "é.example")
 
 
 @st.composite
@@ -183,7 +206,7 @@ def provider_files(draw, enrichment=False):
     header = [header[i] for i in order]
     canonical = {schema.get(name, name): name for name in names}
 
-    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    delimiter = draw(st.sampled_from([",", ";", "\t", "§"]))
     messy = draw(st.booleans())
     newline = draw(st.sampled_from(["\n", "\r\n"])) if messy else "\n"
     odd_rate = draw(st.sampled_from([0, 0, 8, 30]))
@@ -222,13 +245,13 @@ def provider_files(draw, enrichment=False):
 
     # string columns and the unknown "note" column hold text
     text = [canonical.get(column) in (*STRING_COLUMNS, None) for column in header]
-    lines = [draw(st.sampled_from(["# manifest {}", "  # note", ""]))
+    lines = [draw(st.sampled_from([MANIFEST_LINE, "# manifest {}", "  # note", ""]))
              for _ in range(draw(st.integers(0, 2)))]
     lines.append(delimiter.join(header))
     for i in range(draw(st.integers(0, 10))):
         kind = draw(st.integers(0, 19 if messy else 9))
         if kind == 0:
-            blank = ["# comment", "", "   "] if messy else ["# comment", ""]
+            blank = ["# comment", MANIFEST_LINE, ""] + (["   "] if messy else [])
             lines.append(draw(st.sampled_from(blank)))
             continue
         cells = [quoted(cell(column, i), is_text) for column, is_text in zip(header, text)]

@@ -24,7 +24,16 @@ from abusekit.features import (
 )
 from abusekit.ingest import COLUMNS, LoadError, load_table
 
-from conftest import BLOCK_CHARS, block_chars, provider_files, read_rows, traced_peak
+from conftest import (
+    BLOCK_CHARS,
+    FIELD_LIMITS,
+    MANIFEST_LINE,
+    block_chars,
+    field_limit,
+    provider_files,
+    read_rows,
+    traced_peak,
+)
 
 #: Columns each raw loader reads, in the order its row loop visits them.
 LOADER_COLUMNS = {
@@ -547,7 +556,7 @@ def short_row(path, header, positions, rows, lines):
 def enrichment_row_loop(path, delimiter):
     """``load_enrichment`` as a csv row loop: ``read_rows``, then ``_parse_cell`` per cell."""
     known = set(COLUMNS)
-    header, rows, lines = read_rows(path, delimiter, AllocationError)
+    header, rows, lines, unread = read_rows(path, delimiter, AllocationError)
     pid = features._column(header, "provider_id", path)
     out = {}
     try:
@@ -569,6 +578,8 @@ def enrichment_row_loop(path, delimiter):
             out[key] = values
     except LoadError as exc:
         raise LoadError(f"{path}: {exc}") from None
+    if unread:
+        raise unread
     return out
 
 
@@ -602,19 +613,20 @@ class TestEnrichmentReader:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(provider_files(enrichment=True), BLOCK_CHARS)
-    def test_matches_row_loop(self, tmp_path, case, chars):
+    @given(provider_files(enrichment=True), BLOCK_CHARS, FIELD_LIMITS)
+    def test_matches_row_loop(self, tmp_path, case, chars, limit):
         text, delimiter, _ = case
         path = tmp_path / "enrichment.csv"
         path.write_bytes(text.encode("utf-8"))
-        with block_chars(chars):
-            loaded = enrichment_outcome(load_enrichment, path, delimiter)
-        assert loaded == enrichment_outcome(enrichment_row_loop, path, delimiter)
+        with field_limit(limit):
+            with block_chars(chars):
+                loaded = enrichment_outcome(load_enrichment, path, delimiter)
+            assert loaded == enrichment_outcome(enrichment_row_loop, path, delimiter)
 
 
 def row_loop_oracle(path, delimiter, loader):
     """The raw loaders as a csv row loop: ``read_rows``, then ``parse_ip`` per cell."""
-    header, rows, lines = read_rows(path, delimiter, AllocationError)
+    header, rows, lines, unread = read_rows(path, delimiter, AllocationError)
     positions = [features._column(header, name, path) for name in LOADER_COLUMNS[loader]]
     if loader == "allocations":
         pid, lo, hi = positions
@@ -627,6 +639,8 @@ def row_loop_oracle(path, delimiter, loader):
                     ends.append(parse_ip(row[hi]))
         except IndexError:
             raise short_row(path, header, positions, rows, lines) from None
+        if unread:
+            raise unread
         return AllocationIndex(ids, starts, ends)
     dom, ip = positions
     domains, ips = [], []
@@ -637,6 +651,8 @@ def row_loop_oracle(path, delimiter, loader):
                 ips.append(parse_ip(row[ip]))
     except IndexError:
         raise short_row(path, header, positions, rows, lines) from None
+    if unread:
+        raise unread
     return DomainIps(domains, ips)
 
 
@@ -665,9 +681,9 @@ def outcome(read, path, delimiter):
 #: IP cells ``parse_ip`` accepts or rejects in ways a vectorised parse must keep.
 ODD_IP_CELLS = (
     " 8 ", "+9", "1_000", "-1", "4294967296", "99999999999999999999", "1.2.3",
-    "0.0.4.1", " 0.0.5.0 ", "300.1.2.3", "0x10", "x", "",
+    "0.0.4.1", " 0.0.5.0 ", "300.1.2.3", "0x10", "x", "", "٣", "0007", "1,2", ",",
 )
-TEXT_CELLS = ("a", " b ", "c.example", "d,x", "e\tz", "#f", "", "g h")
+TEXT_CELLS = ("a", " b ", "c.example", "d,x", "e\tz", "#f", "", "g h", "é.example", "i§j")
 
 
 @st.composite
@@ -686,7 +702,7 @@ def raw_files(draw):
     if draw(st.integers(0, 19)) == 0:
         names.pop(draw(st.integers(0, len(names) - 1)))  # a missing column
     names = draw(st.permutations(names))
-    delimiter = draw(st.sampled_from([",", "\t"]))
+    delimiter = draw(st.sampled_from([",", "\t", "§"]))
     messy = draw(st.booleans())
     newline = draw(st.sampled_from(["\n", "\r\n"])) if messy else "\n"
     odd = st.sampled_from(ODD_IP_CELLS)
@@ -707,12 +723,12 @@ def raw_files(draw):
 
     lines = []
     for _ in range(draw(st.integers(0, 2))):
-        lines.append(draw(st.sampled_from(["# manifest", "  # note", ""])))
+        lines.append(draw(st.sampled_from([MANIFEST_LINE, "# manifest", "  # note", ""])))
     lines.append(delimiter.join(names))
     for i in range(draw(st.integers(0, 12))):
         kind = draw(st.integers(0, 19 if messy else 9))
         if kind == 0:
-            blank = ["# comment", "", "   ", "\t"] if messy else ["# comment", ""]
+            blank = ["# comment", MANIFEST_LINE, ""] + (["   ", "\t"] if messy else [])
             lines.append(draw(st.sampled_from(blank)))
             continue
         cells = [quoted(cell(name, i), name not in ("ip_start", "ip_end", "ip")) for name in names]
@@ -731,14 +747,16 @@ class TestRawReader:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(raw_files(), BLOCK_CHARS)
-    def test_matches_csv_row_loop(self, tmp_path, case, chars):
+    @given(raw_files(), BLOCK_CHARS, FIELD_LIMITS)
+    def test_matches_csv_row_loop(self, tmp_path, case, chars, limit):
         text, delimiter, loader = case
         path = tmp_path / "input.csv"
         path.write_bytes(text.encode("utf-8"))
-        with block_chars(chars):
-            loaded = outcome(LOADERS[loader], path, delimiter)
-        assert loaded == outcome(lambda p, d: row_loop_oracle(p, d, loader), path, delimiter)
+        with field_limit(limit):
+            with block_chars(chars):
+                loaded = outcome(LOADERS[loader], path, delimiter)
+            oracle = outcome(lambda p, d: row_loop_oracle(p, d, loader), path, delimiter)
+        assert loaded == oracle
 
     @pytest.mark.parametrize("delimiter", [";;", "", '"', "\n"])
     def test_delimiter_csv_rejects_or_reads_whole_lines(self, tmp_path, delimiter):
@@ -755,8 +773,11 @@ class TestRawReader:
 
         monkeypatch.setattr(csv, "reader", refuse)
         monkeypatch.setattr(ingest, "_rows", refuse)
+        monkeypatch.setattr(features, "parse_ip", refuse)  # digit cells are read by numpy
         path = tmp_path / "observations.csv"
-        path.write_text("# manifest\ndomain,ip\na.example,7\n\n b.example ,4294967295\n")
+        path.write_text(
+            MANIFEST_LINE + "\ndomain,ip\na.example,7\n\n b.example ,4294967295\n"
+        )
         loaded = load_observations(path)
         assert loaded.domains.tolist() == ["a.example", "b.example"]
         assert loaded.ips.tolist() == [7, 2**32 - 1]

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from abusekit import ingest
+from abusekit import features, ingest, report
+from abusekit.features import load_enrichment
 from abusekit.ingest import (
     COLUMNS,
     REQUIRED_COLUMNS,
@@ -20,9 +22,12 @@ from abusekit.ingest import (
 
 from conftest import (
     BLOCK_CHARS,
+    FIELD_LIMITS,
+    MANIFEST_LINE,
     ODD_NUMBER_CELLS,
     STRING_CELLS,
     block_chars,
+    field_limit,
     make_dataset,
     provider_files,
     read_rows,
@@ -280,6 +285,44 @@ class TestLoadTable:
         assert d.column("hosted_domains_log10").tolist() == [1.0, 1.0, 1000.0]
         assert d.column("abuse_count").tolist() == [3, 0, 7]
 
+    def test_written_table_with_its_manifest_is_parsed_by_columns(self, tmp_path, monkeypatch):
+        # the manifest comment holds JSON quotes; only data lines decide
+        # whether a block needs csv.reader
+        def refuse(*args, **kwargs):
+            raise AssertionError("written table read row by row")
+
+        d = make_dataset(
+            [{"country": "NL", "twin_id": f"t{i % 3}", "price_per_year": 0.1 * i} for i in range(50)]
+        )
+        path = tmp_path / "providers.csv"
+        write_table(d, path, comment_lines=[MANIFEST_LINE.removeprefix("# ")])
+        assert path.read_text().startswith(MANIFEST_LINE + "\n")
+        monkeypatch.setattr(ingest, "_rows", refuse)
+        assert same_table(load_table(path), d)
+
+    @pytest.mark.parametrize("load", ["table", "enrichment"])
+    def test_late_duplicate_key_reads_only_the_keys_again(self, tmp_path, monkeypatch, load):
+        # every cell is good, so the second read looks at no cell but the keys
+        n = 20_000
+        path = tmp_path / "table.csv"
+        path.write_text(
+            MANIFEST_LINE + "\n" + HEADER + ",country\n"
+            + "".join(f"p{i},1,1,1,10,3,NL\n" for i in range(n))
+            + "p7,2,1,1,20,0,DE\n"
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return ingest._parse_cell(*args)
+
+        module, loader = {"table": (ingest, load_table), "enrichment": (features, load_enrichment)}[load]
+        monkeypatch.setattr(module, "_parse_cell", counted)
+        with pytest.raises(LoadError) as err:
+            loader(path)
+        assert str(err.value) == f"{path}: row {n + 3}: duplicate provider_id 'p7'"
+        assert calls == []
+
     @pytest.mark.parametrize(
         "line",
         ['"c",3,2,2,30,7,NL', "c,3,2,2,30,7,N\rL", "c,3,2,2,30,7,NL,x", "c,3,2,2,30,7",
@@ -319,20 +362,21 @@ class TestLoadTable:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(provider_files(), BLOCK_CHARS)
-    def test_matches_row_loop(self, tmp_path, case, chars):
+    @given(provider_files(), BLOCK_CHARS, FIELD_LIMITS)
+    def test_matches_row_loop(self, tmp_path, case, chars, limit):
         text, delimiter, schema = case
         path = tmp_path / "table.csv"
         path.write_bytes(text.encode("utf-8"))
-        with block_chars(chars):
-            loaded = table_outcome(load_table, path, schema, delimiter)
-        assert loaded == table_outcome(row_loop_oracle, path, schema, delimiter)
+        with field_limit(limit):
+            with block_chars(chars):
+                loaded = table_outcome(load_table, path, schema, delimiter)
+            assert loaded == table_outcome(row_loop_oracle, path, schema, delimiter)
 
 
 def row_loop_oracle(path, schema=None, delimiter=","):
     """``load_table`` as a csv row loop: ``read_rows``, then ``_parse_cell`` per cell."""
     schema = dict(schema or {})
-    header, rows, lines = read_rows(path, delimiter, LoadError)
+    header, rows, lines, unread = read_rows(path, delimiter, LoadError)
     positions = {}
     for canonical in COLUMNS:
         file_col = schema.get(canonical, canonical)
@@ -367,6 +411,8 @@ def row_loop_oracle(path, schema=None, delimiter=","):
                 columns[canonical].append(value)
     except LoadError as exc:
         raise LoadError(f"{path}: {exc}") from None
+    if unread:
+        raise unread
     return Dataset(columns)
 
 
@@ -380,6 +426,50 @@ def table_outcome(load, path, schema, delimiter):
         c: (d.column(c).dtype, [None if v != v else v for v in d.column(c).tolist()])
         for c in COLUMNS
     }
+
+
+def csv_writer_text(rows, delimiter):
+    """``rows`` as ``csv.writer`` writes them, with ``\n`` line ends."""
+    out = io.StringIO()
+    csv.writer(out, delimiter=delimiter, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+#: Cells that csv.writer quotes, or leaves alone, at one delimiter or another.
+WRITER_CELLS = ("x", "", " ", "a,b", "a;b", "a\tb", "a b", "a§b", 'say "hi"', "a\rb", "a\nb", "é")
+
+
+@pytest.mark.parametrize("chunk", [ingest._WRITE_ROWS, 1])
+@pytest.mark.parametrize("delimiter", [",", ";", "\t", " ", "§"])
+@pytest.mark.parametrize("through", ["write_table", "csv_text", "csv_text_one_column"])
+def test_rows_are_written_as_csv_writer_writes_them(
+    tmp_path, monkeypatch, through, delimiter, chunk
+):
+    # one row at a time, plain rows and rows that need quoting alternate
+    monkeypatch.setattr(ingest, "_WRITE_ROWS", chunk)
+    for cell in WRITER_CELLS:
+        if through == "write_table":
+            d = make_dataset(
+                [{"country": cell, "pct_shared": 12.5}, {"provider_id": cell, "country": "NL"}]
+            )
+            path = tmp_path / "table.csv"
+            write_table(d, path, delimiter, comment_lines=["manifest {}"])
+            present = [c for c in COLUMNS if c in REQUIRED_COLUMNS or not d.missing(c).all()]
+            cells = [
+                ["" if v is None or v != v else repr(v) if type(v) is float else str(v)
+                 for v in d.column(c).tolist()]
+                for c in present
+            ]
+            expected = "# manifest {}\n" + csv_writer_text([present, *zip(*cells)], delimiter)
+            written = path.read_bytes().decode("utf-8")
+        else:
+            header, rows = (["a"], [[cell], ["x"]]) if through.endswith("column") else (
+                ["a", "b"], [[cell, "x"], ["y", cell], [None, 0.5]]
+            )
+            full = [[report._full(v) for v in row] for row in rows]
+            expected = csv_writer_text([header, *full], delimiter)
+            written = report._csv_text(header, rows, delimiter)
+        assert written == expected, cell
 
 
 class TestDescribe:
