@@ -129,7 +129,8 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
             if b == s:
                 continue  # the model is its own baseline; R2 is 0 by construction
             try:
-                column.assessments.append(diagnostics.pseudo_r2(f, fit(b)))
+                a = diagnostics.pseudo_r2(f, fit(b))
+                column.assessments[a.baseline_kind] = a
             except diagnostics.DiagnosticsError:
                 pass
         columns.append(column)
@@ -147,13 +148,7 @@ def _option_echo(args: argparse.Namespace, skip=("out_dir", "func", "command")) 
 
 def cmd_describe(args) -> int:
     d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
-    columns = _split(args.columns) or (
-        "assigned_ips_log10",
-        "hosting_ips_log10",
-        "hosted_domains_log10",
-        "pct_shared",
-        "abuse_count",
-    )
+    columns = _split(args.columns) or ingest.REQUIRED_COLUMNS[1:]  # all but provider_id
     summaries = ingest.describe(d, columns)
     manifest = build_manifest("describe", [args.input], _option_echo(args))
     if args.format == "json":
@@ -392,45 +387,45 @@ def _noise_pair(text: str, where: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+#: Each key of a simulation config, by section, with the ``SimulationConfig``
+#: field it sets and the type it is read as; None for a key read apart.
+_SIM_CONFIG_KEYS = {
+    "population": {"n": ("n", int), "true_size_mean": ("true_size_mean", float),
+                   "true_size_sd": ("true_size_sd", float)},
+    "link": {"slope": ("link_slope", float), "intercept": ("link_intercept", float),
+             "target_mean": ("target_mean", float)},
+    "noise": dict.fromkeys(("preset", *sim.PROXY_COLUMNS)),
+    "run": {"replicates": ("replicates", int), "rng_seed": ("rng_seed", int)},
+    "reference": dict.fromkeys(("intercept", *sim.PROXY_COLUMNS)),
+}
+
+
 def load_sim_config(path) -> tuple[sim.SimulationConfig, dict[str, float] | None]:
-    """Parse a simulation config (INI-style key = value sections)."""
+    """Parse a simulation config (INI-style key = value sections); reject unknown names."""
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8-sig") as fh:
         parser.read_file(fh, source=str(path))
-
     kwargs: dict = {}
-    pop = parser["population"] if parser.has_section("population") else {}
-    for key, cast in (("n", int), ("true_size_mean", float), ("true_size_sd", float)):
-        if key in pop:
-            kwargs[key] = cast(pop[key])
-    link = parser["link"] if parser.has_section("link") else {}
-    if "slope" in link:
-        kwargs["link_slope"] = float(link["slope"])
-    if "intercept" in link:
-        kwargs["link_intercept"] = float(link["intercept"])
-    if "target_mean" in link:
-        kwargs["target_mean"] = float(link["target_mean"])
+    for section in parser.sections():
+        keys = _SIM_CONFIG_KEYS.get(section)
+        if keys is None:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key, value in parser[section].items():
+            if key not in keys:
+                raise ValueError(f"{path}: [{section}] unknown key {key!r}")
+            if keys[key]:
+                field, cast = keys[key]
+                kwargs[field] = cast(value)
     if parser.has_section("noise"):
-        noise_section = parser["noise"]
-        preset = noise_section.get("preset", "zero")
+        noise = dict(parser["noise"])
+        preset = noise.pop("preset", "zero")
         if preset not in sim.NOISE_PRESETS:
             raise ValueError(f"{path}: unknown noise preset {preset!r}")
-        kwargs["noise"] = dict(sim.NOISE_PRESETS[preset])
-        for col in sim.PROXY_COLUMNS:
-            if col in noise_section:
-                kwargs["noise"][col] = _noise_pair(noise_section[col], f"[noise] {col}")
-    run = parser["run"] if parser.has_section("run") else {}
-    if "replicates" in run:
-        kwargs["replicates"] = int(run["replicates"])
-    if "rng_seed" in run:
-        kwargs["rng_seed"] = int(run["rng_seed"])
-
-    reference = None
-    if parser.has_section("reference"):
-        reference = {
-            (INTERCEPT if key == "intercept" else key): float(value)
-            for key, value in parser["reference"].items()
-        }
+        pairs = {c: _noise_pair(t, f"{path}: [noise] {c}") for c, t in noise.items()}
+        kwargs["noise"] = {**sim.NOISE_PRESETS[preset], **pairs}
+    reference = {
+        (INTERCEPT if k == "intercept" else k): float(v) for k, v in parser["reference"].items()
+    } if parser.has_section("reference") else None
     return sim.SimulationConfig(**kwargs), reference
 
 
@@ -439,17 +434,9 @@ def cmd_simulate(args) -> int:
         cfg, reference = load_sim_config(args.config)
     else:
         cfg, reference = sim.SimulationConfig(), None
-    overrides = {}
-    if args.preset is not None:
-        overrides["noise"] = sim.NOISE_PRESETS[args.preset]
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
-    if args.n is not None:
-        overrides["n"] = args.n
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    overrides = {"noise": sim.NOISE_PRESETS.get(args.preset), "replicates": args.replicates,
+                 "rng_seed": args.seed, "n": args.n}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
     result = sim.run_monte_carlo(cfg, reference)
     summary = sim.summarize(result)

@@ -126,15 +126,8 @@ def pseudo_r2(fit: glm.FitResult, baseline: glm.FitResult) -> FitAssessment:
         raise DiagnosticsError("baseline deviance is zero (already-perfect baseline)")
     if kind in ("intercept_only", "self"):
         k_penalty = fit.k
-    else:
-        dummies = {
-            glm.dummy_name(f, lvl)
-            for f in fit.spec.fixed_effects
-            for lvl in fit.factor_levels.get(f, [])
-        }
-        k_penalty = sum(
-            1 for c in fit.coefficients if c != glm.INTERCEPT and c not in dummies
-        )
+    else:  # the predictors the design kept; the rest of it is intercept and dummies
+        k_penalty = sum(p in fit.coefficients for p in fit.spec.predictors)
     phi = dispersion(fit.y, fit.fitted, fit.k, fit.has_intercept).phi_hat
     r2 = 1.0 - (d_model + k_penalty * phi) / d_base
     return FitAssessment(

@@ -394,7 +394,10 @@ def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[l
                     name = header[min(p for p in at if p >= len(row))]
                     raise AllocationError(f"{path}: row {line}: no value in column {name!r}")
                 if pos != at[0]:  # any key text is good
-                    parse_ip(row[pos])
+                    try:
+                        parse_ip(row[pos])
+                    except AllocationError as exc:
+                        raise AllocationError(f"{path}: row {line}: {exc}") from None
 
     columns = _read_blocks(path, delimiter, AllocationError, parse, check_rows)
     return columns[key], [columns[name] for name in ips]

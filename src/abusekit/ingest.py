@@ -449,22 +449,23 @@ def _read_blocks(path, delimiter: str, error: type[Exception], parse, check_rows
 def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
     """``parse`` of each block of ``fh``'s data rows in turn; none if there is no header.
 
-    Blocks are read in whole lines, about ``_BLOCK_CHARS`` characters
-    each. Blank and ``#`` lines are dropped as ``_rows`` drops them, and a
-    block is plain when what is left holds no quote and each of its lines
+    Blocks are read in whole lines, about ``_BLOCK_CHARS`` characters each.
+    Blank and ``#`` lines are dropped as ``_rows`` drops them (one
+    ``_data_lines`` call, when the block holds a ``#`` or a blank line), and
+    a block is plain when what is left holds no quote and each of its lines
     ``width - 1`` delimiters, ``width`` being the header's cell count; the
     whole block must hold no carriage return, which would end a line inside
     a comment for ``csv.reader``, and, only looked for when the block is
     longer than ``csv.field_size_limit()``, no cell longer than that. The
     check is one comparison: the block, encoded, with every byte but the
     delimiter and ``\n`` deleted, against ``width - 1`` delimiters and a
-    ``\n`` per line. A plain block's lines are then split once into one
-    flat list of cells, which the cyclic garbage collector does not track.
-    Only a delimiter of one ASCII character other than a quote, CR or LF is
-    split so. From the first block that is not plain on, ``_rows`` reads
-    the rest of the file, that block first, in blocks of about
-    ``_BLOCK_CHARS / 16`` cells, each row padded with ``""`` or cut to the
-    header's width. No block's cells are alive while the next block is read.
+    ``\n`` per line. A plain block's lines are then split once into one flat
+    list of cells, which the cyclic garbage collector does not track. Only a
+    delimiter of one ASCII character other than a quote, CR or LF is split
+    so. From the first block that is not plain on, ``_rows`` reads the rest
+    of the file, that block first, in blocks of about ``_BLOCK_CHARS / 16``
+    cells, each row padded with ``""`` or cut to the header's width. No
+    block's cells are alive while the next block is read.
     """
     header, text = None, ""
     # any other delimiter goes to csv.reader, which reads or rejects it
@@ -476,9 +477,8 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
             if "\r" in text:
                 break
             data = text if text.endswith("\n") else text + "\n"
-            if "#" in data:
-                data = _data_lines(data)
-            data = data.lstrip("\n")  # so that the header is the first line
+            if "#" in data or "\n\n" in data or data.startswith("\n"):
+                data = _data_lines(data)  # so that the header is the first line
             if '"' in data:
                 break
             if not data:
@@ -487,13 +487,8 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
                 width = data.count(delimiter, 0, data.index("\n")) + 1
             else:
                 width = len(header)
-            pattern = (delimiter * (width - 1) + "\n").encode()
-            # a blank line is a "\n" alone in the skeleton, so only a block
-            # that fails or a one-column one is looked at line by line
-            if width == 1 or not _repeats(data, pattern, others):
-                data = _data_lines(data)
-                if not _repeats(data, pattern, others):
-                    break
+            if not _repeats(data, (delimiter * (width - 1) + "\n").encode(), others):
+                break
             cells = data.replace("\n", delimiter).split(delimiter)
             cells.pop()  # the "" after the last line's end
             limit = csv.field_size_limit()  # so that _rows fails the row of a longer cell

@@ -208,14 +208,16 @@ def scenarios_document(rows: Sequence[ScenarioRow]) -> dict:
 class ModelColumn:
     """One fitted model plus its diagnostics, ready for side-by-side tables.
 
-    ``tests`` holds the Wald test of each coefficient, by term, computed
-    once when the column is built.
+    ``assessments`` holds the pseudo-R2 against each baseline, by its
+    ``baseline_kind``, in the order the baselines were fitted. ``tests``
+    holds the Wald test of each coefficient, by term, computed once when
+    the column is built.
     """
 
     label: str
     fit: FitResult
     dispersion: DispersionReport | None = None
-    assessments: list[FitAssessment] = field(default_factory=list)
+    assessments: dict[str, FitAssessment] = field(default_factory=dict)
     source_label: str = ""
     tests: dict[str, WaldTest] = field(init=False)
 
@@ -226,7 +228,7 @@ class ModelColumn:
         """Dispersion estimate and pseudo-R2 assessments, JSON-shaped."""
         return {
             "dispersion": None if self.dispersion is None else asdict(self.dispersion),
-            "assessments": [asdict(a) for a in self.assessments],
+            "assessments": [asdict(a) for a in self.assessments.values()],
         }
 
 
@@ -237,13 +239,6 @@ def _coefficient_cell(column: ModelColumn, term: str) -> str:
     if not test.available:
         return f"{_fmt(test.estimate)} (SE unavailable)"
     return f"{test.estimate:,.3f}{test.stars} ({test.se:,.3f})"
-
-
-def _assessment_by_kind(column: ModelColumn, kind: str) -> FitAssessment | None:
-    for a in column.assessments:
-        if a.baseline_kind == kind:
-            return a
-    return None
 
 
 def render_fit_table(columns: Sequence[ModelColumn], fmt: str = "md", delimiter: str = ",") -> str:
@@ -265,6 +260,10 @@ def render_fit_table(columns: Sequence[ModelColumn], fmt: str = "md", delimiter:
     has_intercept = any(INTERCEPT in c.fit.coefficients for c in columns)
 
     if fmt == "md":
+        def pseudo_r2(column: ModelColumn, kind: str) -> str:
+            a = column.assessments.get(kind)
+            return _fmt(a.pseudo_r2) if a else ""
+
         head = "| | " + " | ".join(f"({i})" for i in range(1, len(columns) + 1)) + " |"
         rule = "| --- |" + " ---: |" * len(columns)
         lines = [head, rule]
@@ -284,17 +283,19 @@ def render_fit_table(columns: Sequence[ModelColumn], fmt: str = "md", delimiter:
             ("Log likelihood", lambda c: _fmt(c.fit.log_likelihood)),
             ("AIC", lambda c: _fmt(c.fit.aic)),
             ("Dispersion", lambda c: _fmt(c.dispersion.phi_hat) if c.dispersion else ""),
-            ("Pseudo R2", _pseudo_cell),
-            ("Total pseudo R2", _total_pseudo_cell),
+            # Models with fixed effects report the conservative (fixed-effects
+            # baseline) value here; the intercept-only value moves to "Total".
+            ("Pseudo R2", lambda c: pseudo_r2(
+                c, "fixed_effects_only" if c.fit.spec.fixed_effects else "intercept_only")),
+            ("Total pseudo R2", lambda c: pseudo_r2(c, "intercept_only")
+             if c.fit.spec.fixed_effects else ""),
         ]
         for name, getter in stat_rows:
             cells = [getter(c) for c in columns]
             if any(cells):
                 lines.append(f"| {name} | " + " | ".join(cells) + " |")
         footer = [f"\n{STAR_FOOTNOTE}"]
-        kinds = sorted(
-            {a.baseline_kind for c in columns for a in c.assessments}
-        )
+        kinds = sorted({kind for c in columns for kind in c.assessments})
         if kinds:
             footer.append(f"Pseudo R2 baseline(s): {', '.join(kinds)}.")
         return "\n".join(lines) + "\n" + "\n".join(footer) + "\n"
@@ -313,31 +314,12 @@ def render_fit_table(columns: Sequence[ModelColumn], fmt: str = "md", delimiter:
         ]
         if col.dispersion:
             stats.append(("dispersion", col.dispersion.phi_hat))
-        for a in col.assessments:
-            key = (
-                "pseudo_r2"
-                if a.baseline_kind == "intercept_only"
-                else "pseudo_r2_fixed_effects_baseline"
-            )
+        for kind, a in col.assessments.items():
+            key = "pseudo_r2" if kind == "intercept_only" else "pseudo_r2_fixed_effects_baseline"
             stats.append((key, a.pseudo_r2))
         rows.extend([col.label, name, value, *pad] for name, value in stats)
     rows.append(["#", STAR_FOOTNOTE, "", *pad])
     return _csv_text(["model", *test_fields], rows, delimiter)
-
-
-def _pseudo_cell(column: ModelColumn) -> str:
-    # Models with fixed effects report the conservative (fixed-effects
-    # baseline) value here; the intercept-only value moves to "Total".
-    kind = "fixed_effects_only" if column.fit.spec.fixed_effects else "intercept_only"
-    a = _assessment_by_kind(column, kind)
-    return _fmt(a.pseudo_r2) if a else ""
-
-
-def _total_pseudo_cell(column: ModelColumn) -> str:
-    if not column.fit.spec.fixed_effects:
-        return ""
-    a = _assessment_by_kind(column, "intercept_only")
-    return _fmt(a.pseudo_r2) if a else ""
 
 
 def fit_document(column: ModelColumn) -> dict:

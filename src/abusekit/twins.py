@@ -139,9 +139,10 @@ def match_twins(
     """Pair each seed with its minimum-distance non-self population provider.
 
     Ties on the minimum distance break to the lexicographically smallest
-    provider_id, making the result deterministic. Seeds may share a match
-    unless ``allow_reuse`` is off, in which case matches are consumed in
-    seed order.
+    provider_id, making the result deterministic: each seed's distances
+    are taken in population id order, whose first minimum is that id.
+    Seeds may share a match unless ``allow_reuse`` is off, in which case
+    matches are consumed in seed order.
 
     Raises
     ------
@@ -149,26 +150,28 @@ def match_twins(
         For a seed with no eligible match left.
     """
     dres = distance_matrix(S, T, cfg)
-    pop_ids = np.array(dres.population_ids)
-    used: set[str] = set()
+    ids = np.asarray(dres.population_ids)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    taken = np.zeros(len(ids), dtype=bool)
     pairings = []
     for si, seed_id in enumerate(dres.seed_ids):
-        dist = dres.matrix[si]
-        eligible = pop_ids != seed_id
-        if not cfg.allow_reuse and used:
-            eligible &= ~np.isin(pop_ids, sorted(used))
-        if not np.any(eligible):
+        dist = dres.matrix[si, order]  # a copy: the matrix stays as it is
+        own = slice(ids.searchsorted(seed_id), ids.searchsorted(seed_id, "right"))
+        dist[own] = np.inf
+        dist[taken] = np.inf
+        best = int(np.argmin(dist))
+        if taken[best] or own.start <= best < own.stop:
             raise MatchingError(f"seed {seed_id!r} has no eligible match")
-        best = np.min(dist[eligible])
-        tied = (dist == best) & eligible
-        match_id = min(pop_ids[tied])
-        used.add(match_id)
+        match_id = str(ids[best])
+        if not cfg.allow_reuse:  # every row of the id: a twin table repeats ids
+            taken[ids.searchsorted(match_id) : ids.searchsorted(match_id, "right")] = True
         pairings.append(
             TwinPairing(
                 twin_id=twin_label(seed_id),
                 seed_id=seed_id,
-                match_id=str(match_id),
-                distance=float(best),
+                match_id=match_id,
+                distance=float(dist[best]),
             )
         )
     return pairings

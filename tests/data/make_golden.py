@@ -5,8 +5,9 @@ stores each of the nine artifacts in ``golden/``. Then runs each case of
 ``GOLDEN_COMMAND_CASES`` (``features`` on the fixture's raw inputs; single
 ``describe``, ``twins``, ``fit``, ``diagnostics``, ``scenarios`` and
 ``rank`` commands on the golden ``providers.csv`` and ``twin_dataset.csv``
-or on ``single_value.csv``; and a small ``simulate`` run) and stores its
-artifacts in ``golden_commands/<case>/``. Every artifact is stored without
+or on ``single_value.csv``; and two small ``simulate`` runs, one of them
+from ``sim_config.ini``) and stores its artifacts in
+``golden_commands/<case>/``. Every artifact is stored without
 its run manifest, which holds input paths. ``tests/test_cli.py`` compares fresh
 runs against these bytes. Run from the repository root after an
 intended output change:

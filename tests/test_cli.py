@@ -1,19 +1,21 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import abusekit
-from abusekit import cli, ingest
+from abusekit import cli, ingest, sim
 from abusekit.cli import load_sim_config, main
 from abusekit.glm import ModelSpec
-from abusekit.report import _jsonable
+from abusekit.report import ModelColumn, _jsonable, render_fit_table
 
 FIXTURE = Path(__file__).parent / "data" / "fixture"
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -47,10 +49,13 @@ TWIN_PREDICTORS = "price_per_year,wordpress_use"
 #: A provider table whose ``price_per_year`` has one non-missing value.
 SINGLE_VALUE_TABLE = Path(__file__).parent / "data" / "single_value.csv"
 
+#: A simulation config that sets a value in every section.
+SIM_CONFIG_FILE = Path(__file__).parent / "data" / "sim_config.ini"
+
 #: Single-command runs, by case name: (command, input table or None,
 #: further arguments). A relative table name is a file under ``GOLDEN``,
 #: so the table commands read the golden pipeline tables; ``features``
-#: reads the fixture's raw inputs and ``simulate`` reads no file. Their
+#: reads the fixture's raw inputs and ``simulate`` reads no table. Their
 #: artifacts are stored under ``GOLDEN_COMMANDS / case``.
 GOLDEN_COMMAND_CASES = {
     "features": (
@@ -66,10 +71,14 @@ GOLDEN_COMMAND_CASES = {
         ["--format", "json", "--columns", "assigned_ips_log10,price_per_year,abuse_count"],
     ),
     "twins_sampled": ("twins", "providers.csv", ["--sample-seeds", "5", "--seed", "2"]),
+    "twins_no_reuse": (
+        "twins", "providers.csv", ["--no-reuse", "--sample-seeds", "20", "--seed", "2"],
+    ),
     "simulate_measured": (
         "simulate", None,
         ["--n", "400", "--replicates", "4", "--preset", "measured", "--seed", "3"],
     ),
+    "simulate_config": ("simulate", None, ["--config", str(SIM_CONFIG_FILE)]),
     "fit_stepwise": ("fit", "providers.csv", ["--predictors", STRUCTURAL, "--stepwise"]),
     "fit_stepwise_fe_baseline": (
         "fit", "providers.csv",
@@ -376,6 +385,23 @@ class TestFit:
         assert "Total pseudo R2" in table
         assert "Pseudo R2 baseline(s): fixed_effects_only, intercept_only." in table
 
+    def test_unavailable_standard_error_renders_na(self, providers_csv):
+        d = ingest.load_table(providers_csv)
+        spec = ModelSpec("abuse_count", ("pct_shared",))
+        _rows, (column,), _ = cli._run_fits(d, spec, baseline_mode="intercept")
+        fit = column.fit
+        fit = replace(fit, standard_errors={**fit.standard_errors, "pct_shared": math.inf})
+        column = ModelColumn(column.label, fit, column.dispersion, column.assessments)
+        estimate = fit.coefficients["pct_shared"]
+        r2 = column.assessments["intercept_only"].pseudo_r2
+        md = render_fit_table([column])
+        assert f"| Domains on shared IPs (%) | {estimate:,.3f} (SE unavailable) |" in md
+        assert f"| Pseudo R2 | {r2:,.3f} |" in md
+        assert "Total pseudo R2" not in md
+        text = render_fit_table([column], fmt="csv")
+        assert f"(1),pct_shared,{estimate!r},NA,,,\n" in text
+        assert f"(1),pseudo_r2,{r2!r},,,,\n" in text
+
     def test_missing_response_exits_2(self, providers_csv, tmp_path, capsys):
         code = main(
             [
@@ -598,10 +624,40 @@ class TestSimulate:
 
     def test_reference_section_parsed(self, tmp_path):
         cfg = tmp_path / "sim.ini"
-        cfg.write_text(SIM_CONFIG + "\n[reference]\nintercept = -1.0\nassigned_ips_log10 = 1.0\n")
+        text = SIM_CONFIG.replace("target_mean = 2.8", "intercept = -0.5").replace(
+            "preset = measured", "preset = measured\nhosting_ips_log10 = 0.5, 0.25"
+        )
+        cfg.write_text(text + "\n[reference]\nintercept = -1.0\nassigned_ips_log10 = 1.0\n")
         parsed, reference = load_sim_config(cfg)
         assert parsed.replicates == 4
         assert reference == {"intercept": -1.0, "assigned_ips_log10": 1.0}
+        assert parsed.link_intercept == -0.5
+        # a per-proxy pair replaces that proxy's preset pair only
+        assert parsed.noise == {**sim.MEASURED_NOISE, "hosting_ips_log10": (0.5, 0.25)}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[population]\nsize_mean = 9\n[run]\nreplicate = 3\n[bogus]\n",
+             "[population] unknown key 'size_mean'"),
+            ("[run]\nreplicate = 3\n", "[run] unknown key 'replicate'"),
+            ("[run]\nreplicates = 3\n[bogus]\n", "unknown section [bogus]"),
+            ("[noise]\npct_shared = 0, 1\n", "[noise] unknown key 'pct_shared'"),
+            ("[reference]\npct_shared = 1\n", "[reference] unknown key 'pct_shared'"),
+            ("[noise]\npreset = loud\n", "unknown noise preset 'loud'"),
+            ("[noise]\nhosting_ips_log10 = 1\n",
+             "[noise] hosting_ips_log10: expected 'mu, sigma', got '1'"),
+        ],
+        ids=["first-of-three", "key", "section", "noise-column", "reference-term",
+             "preset", "malformed-pair"],
+    )
+    def test_config_name_or_value_it_cannot_use_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "sim.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"abusekit: error: {cfg}: {message}\n"
+        assert not out.exists()
 
 
 class TestPipeline:
@@ -702,8 +758,8 @@ class TestPipeline:
         ids=["features", "twins", "listwise-exclusion", "fit", "fit-alt"],
     )
     def test_each_stage_labels_its_error(self, tmp_path, capsys, stage, option, value):
+        path, text = tmp_path / "input.csv", value
         if value.endswith("\n"):  # the text of an input file
-            path = tmp_path / "input.csv"
             path.write_text(value)
             value = str(path)
         argv = [
@@ -717,6 +773,8 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith(f"abusekit: [stage:{stage}] "), err
         assert "Traceback" not in err
+        if "1.2.3\n" in text:  # a bad IP cell names its file and row
+            assert f"{path}: row 2: invalid IP address '1.2.3'" in err
 
 
 @pytest.mark.parametrize(

@@ -139,18 +139,21 @@ class TestPseudoR2:
         rows = []
         for t in range(6):
             for member in range(2):
+                price = float(rng.uniform(5, 50))
                 rows.append(
                     {
                         "twin_id": f"t{t}",
-                        "price_per_year": float(rng.uniform(5, 50)),
+                        "price_per_year": price,
+                        "popularity_index": 2 * price,  # dropped as collinear
                         "abuse_count": int(rng.poisson(3 + 2 * t)) + 1,
                     }
                 )
         d = make_dataset(rows)
         fit = _fit(
             d,
-            ModelSpec("abuse_count", ("price_per_year",), ("twin_id",)),
+            ModelSpec("abuse_count", ("price_per_year", "popularity_index"), ("twin_id",)),
         )
+        assert [name for name, _ in fit.dropped] == ["popularity_index"]
         fe_baseline = _fit(d, ModelSpec("abuse_count", (), ("twin_id",)))
         intercept_baseline = _fit(d, ModelSpec("abuse_count"))
         conservative = pseudo_r2(fit, fe_baseline)

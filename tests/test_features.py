@@ -1,4 +1,5 @@
 import csv
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -338,7 +339,8 @@ class TestLoaders:
         with pytest.raises(AllocationError, match=r"^allocation for 'a': start > end$"):
             load_allocations(path)
         path.write_text("provider_id,ip_start,ip_end\na,0,9\nb,1.2.3,9\n")
-        with pytest.raises(AllocationError, match=r"^invalid IP address '1\.2\.3': "):
+        message = rf"^{re.escape(str(path))}: row 3: invalid IP address '1\.2\.3': "
+        with pytest.raises(AllocationError, match=message):
             load_allocations(path)
         path.write_text("provider_id,ip_start\na,0\n")
         with pytest.raises(AllocationError, match="missing required column 'ip_end'"):
@@ -369,8 +371,14 @@ class TestLoaders:
     def test_every_ip_cell_is_validated(self, tmp_path):
         path = tmp_path / "abuse.csv"
         path.write_text("domain,ip\na.example,7\nb.example,4294967296\n")
-        with pytest.raises(AllocationError, match=r"^invalid IP address '4294967296': outside"):
+        message = rf"^{re.escape(str(path))}: row 3: invalid IP address '4294967296': outside"
+        with pytest.raises(AllocationError, match=message):
             load_abuse(path)
+        # a bad dotted quad names its file and row as any other loader error does
+        path.write_text("domain,ip\na.example,1.2.3.4\nb.example,1.2.3.999\n")
+        with pytest.raises(AllocationError) as err:
+            load_abuse(path)
+        assert str(err.value).startswith(f"{path}: row 3: invalid IP address '1.2.3.999': ")
 
     @pytest.mark.parametrize(
         "loader, text, column",
@@ -625,30 +633,40 @@ class TestEnrichmentReader:
 
 
 def row_loop_oracle(path, delimiter, loader):
-    """The raw loaders as a csv row loop: ``read_rows``, then ``parse_ip`` per cell."""
+    """The raw loaders as a csv row loop: ``read_rows``, then ``parse_ip`` per cell.
+
+    A cell ``parse_ip`` rejects raises its error with the file and row named.
+    """
     header, rows, lines, unread = read_rows(path, delimiter, AllocationError)
     positions = [features._column(header, name, path) for name in LOADER_COLUMNS[loader]]
+
+    def ip(cell, lineno):
+        try:
+            return parse_ip(cell)
+        except AllocationError as exc:
+            raise AllocationError(f"{path}: row {lineno}: {exc}") from None
+
     if loader == "allocations":
         pid, lo, hi = positions
         ids, starts, ends = [], [], []
         try:
-            for row in rows:
+            for lineno, row in zip(lines, rows):
                 if row:
                     ids.append(row[pid].strip())
-                    starts.append(parse_ip(row[lo]))
-                    ends.append(parse_ip(row[hi]))
+                    starts.append(ip(row[lo], lineno))
+                    ends.append(ip(row[hi], lineno))
         except IndexError:
             raise short_row(path, header, positions, rows, lines) from None
         if unread:
             raise unread
         return AllocationIndex(ids, starts, ends)
-    dom, ip = positions
+    dom, at = positions
     domains, ips = [], []
     try:
-        for row in rows:
+        for lineno, row in zip(lines, rows):
             if row:
                 domains.append(row[dom].strip())
-                ips.append(parse_ip(row[ip]))
+                ips.append(ip(row[at], lineno))
     except IndexError:
         raise short_row(path, header, positions, rows, lines) from None
     if unread:
@@ -781,6 +799,11 @@ class TestRawReader:
         loaded = load_observations(path)
         assert loaded.domains.tolist() == ["a.example", "b.example"]
         assert loaded.ips.tolist() == [7, 2**32 - 1]
+        # blank lines with no comment line about them are dropped as well
+        for text in ("domain,ip\na.example,7\n\n b.example ,4294967295\n\n",
+                     "\ndomain,ip\na.example,7\n b.example ,4294967295\n"):
+            path.write_text(text)
+            assert loaded_columns(load_observations(path)) == loaded_columns(loaded)
 
         # a quoted, CRLF, ragged file is parsed by columns too
         monkeypatch.undo()
@@ -813,7 +836,8 @@ class TestRawReader:
         # a bad last row: naming it costs no more than a good load (a
         # second read of the whole file through csv.reader took about 12x)
         def load_bad(path):
-            with pytest.raises(AllocationError, match=r"^invalid IP address '1\.2\.3'"):
+            message = rf"^{re.escape(str(path))}: row 40003: invalid IP address '1\.2\.3'"
+            with pytest.raises(AllocationError, match=message):
                 load_observations(path)
 
         with open(path, "a") as fh:

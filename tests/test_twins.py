@@ -63,18 +63,21 @@ CFG2 = MatchingConfig(
 
 
 def exhaustive_oracle(S, T, cfg):
-    """Plain-loop nearest-neighbor scan with the documented tie-break."""
+    """Plain-loop nearest-neighbor scan with the documented tie-break.
+
+    Without ``allow_reuse`` a candidate matched to an earlier seed is skipped.
+    """
 
     def rows(d):
         """(provider_id, matching values) per row, as Python scalars."""
         return list(zip(d.provider_ids(), zip(*(d.column(v).tolist() for v in cfg.variables))))
 
     candidates = rows(T)
-    pairs = []
+    pairs, used = [], set()
     for seed_id, svec in rows(S):
         best = None
         for cand_id, cvec in candidates:
-            if cand_id == seed_id:
+            if cand_id == seed_id or cand_id in used:
                 continue
             squares = 0.0
             for a, b in zip(svec, cvec):
@@ -83,6 +86,8 @@ def exhaustive_oracle(S, T, cfg):
             if best is None or key < best:
                 best = key
         pairs.append((seed_id, best[1], best[0]))
+        if not cfg.allow_reuse:
+            used.add(best[1])
     return pairs
 
 
@@ -170,8 +175,10 @@ class TestDistanceMatrix:
 
         S, T = table("s", 200), table("t", 1500)
         matrix = distance_matrix(S, T).matrix
-        peak = traced_peak(distance_matrix, S, T)
-        assert peak < 2 * matrix.nbytes, peak / matrix.nbytes
+        # matching takes the matrix a row at a time, holding no second one
+        for call in (distance_matrix, match_twins):
+            peak = traced_peak(call, S, T)
+            assert peak < 2 * matrix.nbytes, (call.__name__, peak / matrix.nbytes)
 
 
 class TestMatchTwins:
@@ -225,17 +232,21 @@ class TestMatchTwins:
         assert len(distinct) <= 2 * n_seeds
 
     def test_agrees_with_exhaustive_oracle(self, rng):
-        for trial in range(20):
+        for trial in range(40):
+            allow_reuse = trial % 2 == 0
+            cfg = MatchingConfig(CFG2.variables, standardize=False, allow_reuse=allow_reuse)
             n_pop = int(rng.integers(5, 60))
             coords = rng.integers(0, 6, size=(n_pop, 2)).astype(float)  # force ties
+            # ids out of row order, so a tie broken by row would show
+            names = rng.permutation(n_pop)
             pop = point_dataset(
-                [(f"h{i:03d}", tuple(coords[i])) for i in range(n_pop)]
+                [(f"h{names[i]:03d}", tuple(coords[i])) for i in range(n_pop)]
             )
             n_seeds = int(rng.integers(1, min(8, n_pop)))
             chosen = rng.choice(n_pop, n_seeds, replace=False)
             S = pop.take(chosen)
-            got = match_twins(S, pop, CFG2)
-            want = exhaustive_oracle(S, pop, CFG2)
+            got = match_twins(S, pop, cfg)
+            want = exhaustive_oracle(S, pop, cfg)
             assert [(p.seed_id, p.match_id) for p in got] == [
                 (s, m) for s, m, _ in want
             ]
