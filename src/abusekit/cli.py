@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -380,23 +381,32 @@ def cmd_rank(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 
-def _noise_pair(text: str, where: str) -> tuple[float, float]:
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _noise_pair(text: str) -> tuple[float, float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
-        raise ValueError(f"{where}: expected 'mu, sigma', got {text!r}")
-    return float(parts[0]), float(parts[1])
+        raise ValueError(f"expected 'mu, sigma', got {text!r}")
+    return _finite(parts[0]), _finite(parts[1])
 
 
-#: Each key of a simulation config, by section, with the ``SimulationConfig``
-#: field it sets and the type it is read as; None for a key read apart.
+#: Each key of a simulation config, by section, with the name it is read
+#: under (a ``SimulationConfig`` field in population, link and run) and
+#: the function that reads its value.
 _SIM_CONFIG_KEYS = {
-    "population": {"n": ("n", int), "true_size_mean": ("true_size_mean", float),
-                   "true_size_sd": ("true_size_sd", float)},
-    "link": {"slope": ("link_slope", float), "intercept": ("link_intercept", float),
-             "target_mean": ("target_mean", float)},
-    "noise": dict.fromkeys(("preset", *sim.PROXY_COLUMNS)),
+    "population": {"n": ("n", int), "true_size_mean": ("true_size_mean", _finite),
+                   "true_size_sd": ("true_size_sd", _finite)},
+    "link": {"slope": ("link_slope", _finite), "intercept": ("link_intercept", _finite),
+             "target_mean": ("target_mean", _finite)},
+    "noise": {"preset": ("preset", str), **{c: (c, _noise_pair) for c in sim.PROXY_COLUMNS}},
     "run": {"replicates": ("replicates", int), "rng_seed": ("rng_seed", int)},
-    "reference": dict.fromkeys(("intercept", *sim.PROXY_COLUMNS)),
+    "reference": {"intercept": (INTERCEPT, _finite),
+                  **{c: (c, _finite) for c in sim.PROXY_COLUMNS}},
 }
 
 
@@ -405,28 +415,32 @@ def load_sim_config(path) -> tuple[sim.SimulationConfig, dict[str, float] | None
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8-sig") as fh:
         parser.read_file(fh, source=str(path))
-    kwargs: dict = {}
+    if parser.defaults():  # its keys would show up in every section
+        raise ValueError(f"{path}: unknown section [DEFAULT]")
+    read: dict[str, dict] = {}
     for section in parser.sections():
         keys = _SIM_CONFIG_KEYS.get(section)
         if keys is None:
             raise ValueError(f"{path}: unknown section [{section}]")
-        for key, value in parser[section].items():
+        read[section] = {}
+        for key, text in parser[section].items():
             if key not in keys:
                 raise ValueError(f"{path}: [{section}] unknown key {key!r}")
-            if keys[key]:
-                field, cast = keys[key]
-                kwargs[field] = cast(value)
-    if parser.has_section("noise"):
-        noise = dict(parser["noise"])
-        preset = noise.pop("preset", "zero")
+            name, parse = keys[key]
+            try:
+                read[section][name] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+    kwargs = {**read.get("population", {}), **read.get("link", {}), **read.get("run", {})}
+    if "noise" in read:
+        preset = read["noise"].pop("preset", "zero")
         if preset not in sim.NOISE_PRESETS:
             raise ValueError(f"{path}: unknown noise preset {preset!r}")
-        pairs = {c: _noise_pair(t, f"{path}: [noise] {c}") for c, t in noise.items()}
-        kwargs["noise"] = {**sim.NOISE_PRESETS[preset], **pairs}
-    reference = {
-        (INTERCEPT if k == "intercept" else k): float(v) for k, v in parser["reference"].items()
-    } if parser.has_section("reference") else None
-    return sim.SimulationConfig(**kwargs), reference
+        kwargs["noise"] = {**sim.NOISE_PRESETS[preset], **read["noise"]}
+    try:
+        return sim.SimulationConfig(**kwargs), read.get("reference")
+    except sim.SimulationError as exc:
+        raise sim.SimulationError(f"{path}: {exc}") from None
 
 
 def cmd_simulate(args) -> int:

@@ -3,13 +3,13 @@
 All inputs arrive as delimited files: IP allocations (provider_id with an
 inclusive address range), hosting observations (domain, ip) and abuse
 records (domain, ip). IP addresses are accepted in dotted-quad or plain
-integer form and normalized to integers internally. Every file is parsed
-by columns, one block of rows at a time (``ingest._read_blocks``: 64 KiB
-blocks split on the delimiter while the file is plain, that is, holds no
-CR, no quote outside comment lines and ``width - 1`` delimiters on each
-data line; ``csv.reader`` rows from its first other block on), which only
-tells whether it is good; a bad file is read again by the loader's row
-loop, as far as its first failing row, to name the error. An IP column
+integer form and normalized to integers internally. Every file is read
+once and parsed by columns, one block of rows at a time
+(``ingest._read_blocks``: 64 KiB blocks split on the delimiter while the
+file is plain, that is, holds no CR, no quote outside comment lines and
+``width - 1`` delimiters on each data line; ``csv.reader`` rows from its
+first other block on); a bad file's first failing row is named from the
+masks of the rows each block's checks reject. An IP column
 of ASCII digits only is read by numpy in one call, any other through
 ``parse_ip`` cell by cell. Files are held as columns: an
 ``AllocationIndex`` over the ranges and one ``DomainIps`` per observation
@@ -32,12 +32,9 @@ from .ingest import (
     COLUMNS,
     STRING_COLUMNS,
     Dataset,
-    LoadError,
-    _parse_cell,
     _parse_columns,
     _parse_or,
     _position,
-    _raise_first,
     _read_blocks,
     log10_transform,
 )
@@ -368,38 +365,44 @@ def _parse_ips(cells: list[str]) -> tuple[np.ndarray, bool]:
     return ips, bool((ips >= 0).all())
 
 
+def _reject_ip(text: str, line: int) -> None:
+    """Raise ``parse_ip``'s error for ``text``, a rejected cell on line ``line``."""
+    try:
+        parse_ip(text)
+    except AllocationError as exc:
+        raise AllocationError(f"row {line}: {exc}") from None
+
+
 def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[list, list]:
     """The stripped ``key`` column and the ``ips`` columns as int64 addresses.
 
-    Other columns are ignored. A bad file raises the first error of a row
-    loop reading each row's cells in ``key``, ``ips`` order.
+    Other columns are ignored. A bad file raises the error of its first
+    failing row, as a row loop reading its cells in ``key``, ``ips`` order.
     """
 
     def positions(header):
         return [_column(header, name, path) for name in (key, *ips)]
 
-    def parse(header, cells, shortest):
+    def parse(header, cells, lengths):
         at, width = positions(header), len(header)
-        columns, ok = {key: list(map(str.strip, cells[at[0]::width]))}, shortest > max(at)
-        for name, pos in zip(ips, at[1:]):
-            columns[name], good = _parse_ips(cells[pos::width])
-            ok &= good
-        return columns, ok
+        short = lengths is not None and min(lengths, default=width) <= max(at)
 
-    def check_rows(header, rows):
-        at = positions(header)
-        for line, row in rows:
-            for pos in at:
-                if pos >= len(row):
-                    name = header[min(p for p in at if p >= len(row))]
-                    raise AllocationError(f"{path}: row {line}: no value in column {name!r}")
-                if pos != at[0]:  # any key text is good
-                    try:
-                        parse_ip(row[pos])
-                    except AllocationError as exc:
-                        raise AllocationError(f"{path}: row {line}: {exc}") from None
+        def no_value(length, line):
+            name = header[min(p for p in at if p >= length)]
+            raise AllocationError(f"row {line}: no value in column {name!r}")
 
-    columns = _read_blocks(path, delimiter, AllocationError, parse, check_rows)
+        columns, checks = {key: list(map(str.strip, cells[at[0]::width]))}, []
+        for name, pos in zip((key, *ips), at):
+            if short:
+                checks.append((np.less_equal(lengths, pos), lengths, no_value))
+            if name != key:  # any key text is good
+                column = cells[pos::width]
+                columns[name], ok = _parse_ips(column)
+                if not ok:
+                    checks.append((columns[name] < 0, column, _reject_ip))
+        return columns, checks
+
+    columns = _read_blocks(path, delimiter, AllocationError, parse)
     return columns[key], [columns[name] for name in ips]
 
 
@@ -442,38 +445,19 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
         pid = _column(header, "provider_id", path)
         return pid, {name: _column(header, name, path) for name in header if name in known}
 
-    def parse(header, cells, shortest):
+    def no_id(length, line):
+        raise AllocationError(f"row {line}: no value in column 'provider_id'")
+
+    def parse(header, cells, lengths):
         pid, at = positions(header)
-        columns, ok = _parse_columns(cells, len(header), at)
+        columns, checks = _parse_columns(cells, len(header), at)
         columns["provider_id"] = list(map(str.strip, cells[pid::len(header)]))
-        return columns, ok and shortest > pid
+        if lengths is not None and min(lengths, default=pid + 1) <= pid:
+            checks.insert(0, (np.less_equal(lengths, pid), lengths, no_id))
+        return columns, checks
 
-    def check_keys(header, rows):
-        pid, seen = positions(header)[0], set()
-        for line, row in rows:
-            key = row[pid].strip()
-            if key in seen:
-                raise LoadError(f"row {line}: duplicate provider_id {key!r}")
-            seen.add(key)
-
-    def check_rows(header, rows):
-        pid, at = positions(header)
-
-        def valid():
-            for line, row in rows:
-                if pid >= len(row):
-                    raise AllocationError(f"{path}: row {line}: no value in column 'provider_id'")
-                for name, pos in at.items():
-                    if pos < len(row):
-                        _parse_cell(name, row[pos], line)
-                yield line, row
-
-        check_keys(header, valid())
-
-    columns = _read_blocks(path, delimiter, AllocationError, parse, check_rows)
+    columns = _read_blocks(path, delimiter, AllocationError, parse, ("provider_id",))
     ids = columns.pop("provider_id")
-    if len(set(ids)) < len(ids):  # every cell is good: only the keys are read again
-        _raise_first(path, delimiter, AllocationError, check_keys)
     if "abuse_count" in columns:  # ints, as _parse_cell reads a count
         missing = np.isnan(columns["abuse_count"])
         counts = np.where(missing, 0, columns["abuse_count"]).astype(np.int64).astype(object)

@@ -5,9 +5,9 @@ encoded (a leading byte-order mark is skipped), "." as decimal separator
 and empty cells for missing values. Lines starting with "#" are treated
 as comments (run manifests are embedded that way) and skipped.
 
-Every file is read in blocks of rows (``_read_blocks``), so a load needs
-memory for the columns it keeps; a bad file is read again by the loader's
-row loop, as far as its first failing row, whose error is the one raised.
+Every file is read once, in blocks of rows (``_read_blocks``), so a load
+needs memory for the columns it keeps; a bad file's error is named from the
+block holding its first failing row, at no more cost than a good load.
 A 64 KiB block is plain, and split on the delimiter without ``csv``, when
 it holds no CR, no quote outside its comment lines, and ``width - 1``
 delimiters on each data line; from the first other block on, the file is
@@ -24,7 +24,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, islice
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -294,65 +294,23 @@ def load_table(
                 raise LoadError(f"{path}: missing required column {file_col!r}")
         return found
 
-    def parse(header, cells, shortest):
-        columns, ok = _parse_columns(cells, len(header), positions(header))
-        ok &= None not in columns["provider_id"] and not np.isnan(columns["abuse_count"]).any()
-        return columns, ok
+    def missing(name, value, line):
+        raise LoadError(f"row {line}: missing value in required column {name!r}")
 
-    def check_keys(header, rows):
-        at, seen = positions(header), set()
-        # Twin datasets repeat providers (one row per twin slot), so the
-        # uniqueness key includes twin_id when that column is present.
-        key_at = [at[name] for name in ("provider_id", "twin_id") if name in at]
-        for line, row in rows:
-            row += [""] * (len(header) - len(row))
-            key = tuple(row[pos].strip() or None for pos in key_at)
-            if key in seen:
-                raise LoadError(f"row {line}: duplicate provider_id {key[0]!r}")
-            seen.add(key)
+    def parse(header, cells, lengths):
+        columns, checks = _parse_columns(cells, len(header), positions(header))
+        ids, counts = columns["provider_id"], columns["abuse_count"]
+        if None in ids:
+            checks.append((np.equal(ids, None), ids, partial(missing, "provider_id")))
+        if np.isnan(counts).any():
+            checks.append((np.isnan(counts), counts, partial(missing, "abuse_count")))
+        return columns, checks
 
-    def check_rows(header, rows):
-        at = positions(header)
-
-        def valid():
-            for line, row in rows:
-                row += [""] * (len(header) - len(row))
-                values = {name: _parse_cell(name, row[pos], line) for name, pos in at.items()}
-                for required in ("provider_id", "abuse_count"):
-                    if values[required] is None:
-                        raise LoadError(
-                            f"row {line}: missing value in required column {required!r}"
-                        )
-                yield line, row
-
-        check_keys(header, valid())
-
-    columns = _read_blocks(path, delimiter, LoadError, parse, check_rows)
-    ids = columns["provider_id"]
-    keys = list(zip(ids, columns["twin_id"])) if "twin_id" in columns else ids
-    if len(set(keys)) < len(keys):  # every cell is good: only the keys are read again
-        _raise_first(path, delimiter, LoadError, check_keys)
+    # Twin datasets repeat providers (one row per twin slot), so the
+    # uniqueness key includes twin_id when that column is present.
+    columns = _read_blocks(path, delimiter, LoadError, parse, ("provider_id", "twin_id"))
     columns["abuse_count"] = columns["abuse_count"].astype(np.int64)
     return Dataset(columns)
-
-
-def _raise_first(path, delimiter: str, error: type[Exception], check_rows) -> NoReturn:
-    """Raise the first error of ``check_rows(header, rows)`` on a file that fails a check.
-
-    ``rows`` yields ``(physical line, row)`` pairs from ``_rows``, read only
-    as far as ``check_rows`` asks. A ``LoadError`` gets the path prefixed; a
-    csv error is raised as ``error``.
-    """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = _rows(fh, delimiter)
-        try:
-            _, header = next(rows)
-            check_rows([h.strip() for h in header], rows)
-        except LoadError as exc:
-            raise LoadError(f"{path}: {exc}") from None
-        except csv.Error as exc:
-            raise error(f"{path}: {exc}") from None
-    raise AssertionError(f"{path}: no row failed a check")
 
 
 def _parse_or(default, parse, text: str):
@@ -364,26 +322,29 @@ def _parse_or(default, parse, text: str):
 
 
 def _parse_columns(cells: list[str], width: int, positions: Mapping[str, int]):
-    """Each column at ``positions`` by ``_parse_column``, and whether every cell is good."""
-    columns, ok = {}, True
+    """The columns at ``positions`` by ``_parse_column``, and a check of each rejecting a cell."""
+    columns, checks = {}, []
     for name, pos in positions.items():
-        columns[name], good = _parse_column(name, cells[pos::width])
-        ok &= good
-    return columns, ok
+        column = cells[pos::width]
+        columns[name], bad = _parse_column(name, column)
+        if bad is not None:
+            checks.append((bad, column, partial(_parse_cell, name)))
+    return columns, checks
 
 
-def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, bool]:
-    """One column of cells as ``_parse_cell`` reads each, and whether it rejects none.
+def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, np.ndarray | None]:
+    """One column of cells as ``_parse_cell`` reads each, and the mask of those it rejects.
 
     A string column becomes a list of stripped cells, ``None`` for an empty
     one; a numeric column a float64 array, NaN for an empty or whitespace-only
     cell. ``float`` strips a cell as ``_parse_cell`` does, so only a
     whitespace-only or a bad cell fails the first parse; the cells are then
     stripped and a bad one read as NaN, which fails the finiteness check.
+    The mask is None when no cell is rejected, as no string cell is.
     """
     if name in STRING_COLUMNS:
         stripped = list(map(str.strip, cells))
-        return [cell or None for cell in stripped] if "" in stripped else stripped, True
+        return [cell or None for cell in stripped] if "" in stripped else stripped, None
     present = np.fromiter(map(bool, cells), bool, len(cells)) if "" in cells else None
     try:
         values = np.fromiter(
@@ -394,13 +355,17 @@ def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, bool]
         present = np.fromiter(map(bool, cells), bool, len(cells))
         parse = partial(_parse_or, math.nan, float)
         values = np.fromiter(map(parse, compress(cells, present)), float)
-    # finite first, or _in_bounds warns on inf % 1
-    ok = np.isfinite(values).all() and (name not in _BOUNDS or _in_bounds(name, values).all())
-    if present is None:
-        return values, ok
-    column = np.full(len(cells), math.nan)
-    column[present] = values
-    return column, ok
+    # finite first, or _in_bounds warns on inf % 1; every numeric column has bounds
+    ok = np.isfinite(values).all() and _in_bounds(name, values).all()
+    if present is not None:
+        column = np.full(len(cells), math.nan)
+        column[present] = values
+        values = column
+    if ok:
+        return values, None
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.isfinite(values) & _in_bounds(name, values))
+    return values, bad if present is None else bad & present
 
 
 def _position(header: list[str], name: str, path, error: type[Exception]) -> int | None:
@@ -419,35 +384,59 @@ def _position(header: list[str], name: str, path, error: type[Exception]) -> int
 _BLOCK_CHARS = 1 << 16
 
 
-def _read_blocks(path, delimiter: str, error: type[Exception], parse, check_rows) -> dict:
+def _read_blocks(path, delimiter: str, error: type[Exception], parse, key=()) -> dict:
     """The columns ``parse`` reads from the blocks of ``_blocks``, concatenated.
 
-    ``parse(header, cells, shortest)`` reads the cells of consecutive data
-    rows, ``len(header)`` a row, ``header`` stripped; ``shortest`` is the
-    fewest cells of any of these rows, at most ``len(header)``. It returns a
-    dict of columns, each a list or a numpy array, and whether the rows pass
-    every check the columns can make. At the first block that does not, or
-    a row csv cannot read, ``_raise_first`` names the error by
-    ``check_rows``. A file with no header raises ``error``.
+    ``parse(header, cells, lengths)`` reads the cells of consecutive data
+    rows, ``len(header)`` a row, ``header`` stripped; ``lengths`` is each
+    row's count of cells before it was padded or cut, None if each has
+    ``len(header)``. It returns a dict of columns, each a list or a numpy
+    array, and the checks that reject a row, in the order a row loop runs
+    them: each the boolean mask of the rows it rejects, a value per row and
+    ``fail(value, line)``, which raises a rejected row's error as ``row
+    {line}: ...``. The first rejected row raises its first check's error,
+    and a row csv cannot read ``error``, each with the path prefixed, once
+    the rows before it hold no repeat of the ``key`` columns ``parse``
+    returns; a good read looks for one at the end. A repeat raises a
+    ``LoadError``, a file with no header ``error``.
     """
-    parts, ok = [], True
+    parts, lines, failure = [], [], None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         try:
-            for columns, ok in _blocks(fh, delimiter, parse):
-                if not ok:
-                    break
+            for (columns, checks), numbers in _blocks(fh, delimiter, parse):
                 parts.append(columns)
-        except csv.Error:
-            ok = False
-    if not ok:
-        _raise_first(path, delimiter, error, check_rows)
-    if not parts:
-        raise error(f"{path}: empty file")
-    return {name: _concat([part[name] for part in parts]) for name in parts[0]}
+                lines.append(numbers if key else ())
+                if checks:
+                    row = int(np.flatnonzero(np.logical_or.reduce([c[0] for c in checks]))[0])
+                    _, values, fail = next(check for check in checks if check[0][row])
+                    lines[-1] = lines[-1][:row]  # the rows looked at for a repeated key
+                    try:
+                        fail(values[row], numbers[row])
+                        raise AssertionError(f"{path}: row {numbers[row]}: no check failed")
+                    except ValueError as exc:
+                        failure = type(exc)(f"{path}: {exc}")
+                    break
+        except csv.Error as exc:
+            failure = error(f"{path}: {exc}")
+    if not parts or failure and not key:
+        raise failure or error(f"{path}: empty file")
+    columns = {name: _concat([part[name] for part in parts]) for name in parts[0]}
+    if key:
+        names = [name for name in key if name in columns]
+        keys = list(zip(*map(columns.get, names))) if len(names) > 1 else columns[key[0]]
+        if failure or len(set(keys)) < len(keys):
+            seen = set()
+            for value, pid, line in zip(keys, columns[key[0]], chain.from_iterable(lines)):
+                if value in seen:
+                    raise LoadError(f"{path}: row {line}: duplicate provider_id {pid!r}")
+                seen.add(value)
+    if failure:
+        raise failure
+    return columns
 
 
-def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
-    """``parse`` of each block of ``fh``'s data rows in turn; none if there is no header.
+def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[tuple, Sequence[int]]]:
+    """``parse`` of each block of ``fh``'s data rows, with their physical lines; none if no header.
 
     Blocks are read in whole lines, about ``_BLOCK_CHARS`` characters each.
     Blank and ``#`` lines are dropped as ``_rows`` drops them (one
@@ -460,14 +449,16 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
     check is one comparison: the block, encoded, with every byte but the
     delimiter and ``\n`` deleted, against ``width - 1`` delimiters and a
     ``\n`` per line. A plain block's lines are then split once into one flat
-    list of cells, which the cyclic garbage collector does not track. Only a
+    list of cells, which the cyclic garbage collector does not track; its
+    lines are a ``range`` or those ``_data_lines`` kept. Only a
     delimiter of one ASCII character other than a quote, CR or LF is split
-    so. From the first block that is not plain on, ``_rows`` reads the rest
-    of the file, that block first, in blocks of about ``_BLOCK_CHARS / 16``
-    cells, each row padded with ``""`` or cut to the header's width. No
-    block's cells are alive while the next block is read.
+    so. From the first block that is not plain on, ``_rows`` reads and
+    numbers the rest of the file, that block first, in blocks of about
+    ``_BLOCK_CHARS / 16`` cells, each row padded with ``""`` or cut to the
+    header's width; a row csv cannot read ends its block, and its error is
+    raised after it.
     """
-    header, text = None, ""
+    header, text, line = None, "", 1  # line: the physical number of the block's first line
     # any other delimiter goes to csv.reader, which reads or rejects it
     if len(delimiter.encode()) == 1 and delimiter not in '"\r\n':
         others = bytes(range(256)).translate(None, (delimiter + "\n").encode())
@@ -476,12 +467,13 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
                 text += fh.readline()
             if "\r" in text:
                 break
-            data = text if text.endswith("\n") else text + "\n"
+            data, lines = text if text.endswith("\n") else text + "\n", None
             if "#" in data or "\n\n" in data or data.startswith("\n"):
-                data = _data_lines(data)  # so that the header is the first line
+                data, lines, end = _data_lines(data, line)  # so that the header is the first line
             if '"' in data:
                 break
             if not data:
+                line = end
                 continue
             if header is None:
                 width = data.count(delimiter, 0, data.index("\n")) + 1
@@ -494,13 +486,18 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
             limit = csv.field_size_limit()  # so that _rows fails the row of a longer cell
             if len(data) > limit and max(map(len, cells)) > limit:
                 break
+            if lines is None:
+                end = line + len(cells) // width
+                lines = range(line, end)
+            line = end
             if header is None:  # only now, or a header line that is not plain is read twice
                 header = [h.strip() for h in cells[:width]]
                 del cells[:width]
-            yield parse(header, cells, width)
+                lines = lines[1:]
+            yield parse(header, cells, None), lines
         if not text:
             return  # every block was plain
-    rows = _rows(chain(io.StringIO(text, newline=""), fh), delimiter)
+    rows = _rows(chain(io.StringIO(text, newline=""), fh), delimiter, line)
     if header is None:
         header = [h.strip() for h in next(rows, (0, []))[1]]
         if not header:
@@ -508,12 +505,18 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[dict, bool]]:
     width, pad = len(header), [""] * len(header)
     size = max(1, _BLOCK_CHARS // (16 * width))
     while True:
-        cells, shortest = [], width
-        for _, row in islice(rows, size):
-            shortest = min(shortest, len(row))
-            cells += (row + pad)[:width]
-        yield parse(header, cells, shortest)
-        if len(cells) < size * width:
+        cells, lines, lengths, unread = [], [], [], None
+        try:
+            for line, row in islice(rows, size):
+                lines.append(line)
+                lengths.append(len(row))
+                cells += (row + pad)[:width]
+        except csv.Error as exc:
+            unread = exc
+        yield parse(header, cells, lengths), lines
+        if unread:
+            raise unread
+        if len(lines) < size:
             return
 
 
@@ -523,10 +526,16 @@ def _repeats(data: str, pattern: bytes, others: bytes) -> bool:
     return skeleton == pattern * (len(skeleton) // len(pattern))
 
 
-def _data_lines(text: str) -> str:
-    """``text``'s lines without the blank and ``#`` lines ``_rows`` drops, each ended by ``\n``."""
-    lines = [line for line in text.split("\n") if line and not line.lstrip().startswith("#")]
-    return "\n".join(lines) + "\n" if lines else ""
+def _data_lines(text: str, start: int) -> tuple[str, list[int], int]:
+    """``text``'s lines without the blank and ``#`` lines ``_rows`` drops, each ended by ``\n``.
+
+    Also the physical number of each line kept and of the line after
+    ``text``, which ends with ``\n`` and starts on line ``start``.
+    """
+    lines = text.split("\n")
+    kept = [n for n, line in enumerate(lines, start) if line and not line.lstrip().startswith("#")]
+    data = "\n".join([lines[n - start] for n in kept]) + "\n" if kept else ""
+    return data, kept, start + len(lines) - 1
 
 
 def _concat(parts: list) -> list | np.ndarray:
@@ -536,11 +545,11 @@ def _concat(parts: list) -> list | np.ndarray:
     return list(chain.from_iterable(parts)) if isinstance(parts[0], list) else np.concatenate(parts)
 
 
-def _rows(fh, delimiter: str) -> Iterator[tuple[int, list[str]]]:
+def _rows(fh, delimiter: str, start: int = 1) -> Iterator[tuple[int, list[str]]]:
     """Each row of ``fh``, the header first, with the physical line it starts on.
 
-    ``fh`` is a file opened with ``newline=""``, or its lines from where a
-    row starts on, numbered from there. Blank and ``#`` comment lines yield
+    ``fh`` is a file opened with ``newline=""``, or its lines from line
+    ``start`` on, where a row starts. Blank and ``#`` comment lines yield
     no row. A quoted cell may span lines, so a ``#`` line is a comment only
     where it starts a row, and line numbers come from ``csv.reader``'s count
     of the lines it has read. Rows are read as they are asked for; a
@@ -556,15 +565,15 @@ def _rows(fh, delimiter: str) -> Iterator[tuple[int, list[str]]]:
             yield "" if comment else line
 
     reader = csv.reader(lines(), delimiter=delimiter)
-    start = 1
+    line = start
     try:
         for row in reader:
             starts_row = True
             if row:
-                yield start, row
-            start = reader.line_num + 1
+                yield line, row
+            line = start + reader.line_num
     except csv.Error as exc:
-        raise csv.Error(f"row {start}: {exc}") from None
+        raise csv.Error(f"row {line}: {exc}") from None
 
 
 def write_table(

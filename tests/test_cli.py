@@ -647,9 +647,26 @@ class TestSimulate:
             ("[noise]\npreset = loud\n", "unknown noise preset 'loud'"),
             ("[noise]\nhosting_ips_log10 = 1\n",
              "[noise] hosting_ips_log10: expected 'mu, sigma', got '1'"),
+            ("[population]\nn = abc\n",
+             "[population] n: invalid literal for int() with base 10: 'abc'"),
+            ("[noise]\nhosting_ips_log10 = a, b\n",
+             "[noise] hosting_ips_log10: could not convert string to float: 'a'"),
+            ("[reference]\nintercept = x\n",
+             "[reference] intercept: could not convert string to float: 'x'"),
+            ("[run]\nreplicates = 2.5\n",
+             "[run] replicates: invalid literal for int() with base 10: '2.5'"),
+            ("[population]\nn = 0\n", "population size must be positive"),
+            ("[noise]\nhosting_ips_log10 = 0, -1\n", "noise sd must be >= 0"),
+            ("[link]\nslope = nan\n", "[link] slope: not a finite number: 'nan'"),
+            ("[population]\ntrue_size_mean = -inf\n",
+             "[population] true_size_mean: not a finite number: '-inf'"),
+            ("[DEFAULT]\nn = 50\n[link]\nslope = 1\n", "unknown section [DEFAULT]"),
+            ("[DEFAULT]\nn = 50\n[population]\n", "unknown section [DEFAULT]"),
         ],
         ids=["first-of-three", "key", "section", "noise-column", "reference-term",
-             "preset", "malformed-pair"],
+             "preset", "malformed-pair", "int", "pair-number", "reference-number",
+             "int-not-float", "config-n", "config-noise-sd", "nan", "inf",
+             "default-beside-link", "default-beside-population"],
     )
     def test_config_name_or_value_it_cannot_use_exits_2(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "sim.ini"

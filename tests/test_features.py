@@ -445,9 +445,37 @@ class TestLoaders:
                 LoadError,
                 "row 7: duplicate provider_id 'a'",
             ),
+            (
+                load_table,
+                PROVIDER_HEADER
+                + "\na,1,1,1,10,3\nb,1,1,1,10,3\na,1,1,1,10,3\n# note\nc,1,1,1,x,0\n",
+                LoadError,
+                "row 4: duplicate provider_id 'a'",
+            ),
+            (
+                load_enrichment,
+                "provider_id,price_per_year\na,1.0\n\n a ,2.0\nb,3.0\nc,x\n",
+                LoadError,
+                "row 4: duplicate provider_id 'a'",
+            ),
+            (
+                load_enrichment,
+                "# manifest\nprovider_id,price_per_year\na,1.0\nb,x\n# note\na,2.0\n",
+                LoadError,
+                "row 4: non-numeric value 'x' in column 'price_per_year'",
+            ),
+            (
+                load_table,
+                PROVIDER_HEADER + ',country\na,1,1,1,10,3,"N\nL"\nb,1,1,1,10,3,DE\n# note\n'
+                "a,2,1,1,20,0,\n",
+                LoadError,
+                "row 6: duplicate provider_id 'a'",
+            ),
         ],
         ids=["providers", "observations", "enrichment", "providers-multiline",
-             "observations-multiline", "providers-duplicate", "enrichment-duplicate"],
+             "observations-multiline", "providers-duplicate", "enrichment-duplicate",
+             "duplicate-before-bad-cell", "enrichment-duplicate-before-bad-cell",
+             "bad-cell-before-duplicate", "duplicate-after-multiline"],
     )
     def test_errors_name_file_and_physical_line(self, tmp_path, loader, text, error, message):
         # comment lines count: the row is the line number an editor shows;
@@ -804,6 +832,14 @@ class TestRawReader:
                      "\ndomain,ip\na.example,7\n b.example ,4294967295\n"):
             path.write_text(text)
             assert loaded_columns(load_observations(path)) == loaded_columns(loaded)
+        # a bad last IP is named from the block that holds it, in the one read
+        monkeypatch.setattr(features, "parse_ip", parse_ip)
+        path.write_text("domain,ip\na.example,7\n# note\nb.example,1.2.3\n")
+        with pytest.raises(AllocationError) as err:
+            load_observations(path)
+        assert str(err.value) == (
+            f"{path}: row 4: invalid IP address '1.2.3': Expected 4 octets in '1.2.3'"
+        )
 
         # a quoted, CRLF, ragged file is parsed by columns too
         monkeypatch.undo()

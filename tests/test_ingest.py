@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from abusekit import features, ingest, report
+from abusekit import ingest, report
 from abusekit.features import load_enrichment
 from abusekit.ingest import (
     COLUMNS,
@@ -301,27 +301,49 @@ class TestLoadTable:
         assert same_table(load_table(path), d)
 
     @pytest.mark.parametrize("load", ["table", "enrichment"])
-    def test_late_duplicate_key_reads_only_the_keys_again(self, tmp_path, monkeypatch, load):
-        # every cell is good, so the second read looks at no cell but the keys
+    @pytest.mark.parametrize(
+        "last, message, cells",
+        [
+            ("p7,2,1,1,20,0,DE", "duplicate provider_id 'p7'", 0),
+            ("px,2,1,1,20,x,DE", "non-numeric value 'x' in column 'abuse_count'", 1),
+        ],
+        ids=["repeated-key", "bad-cell"],
+    )
+    def test_late_error_is_named_in_the_one_read(
+        self, tmp_path, monkeypatch, load, last, message, cells
+    ):
+        # the file is opened once and read by columns; only the one
+        # failing cell is read again, by _parse_cell, to word its error
         n = 20_000
         path = tmp_path / "table.csv"
         path.write_text(
             MANIFEST_LINE + "\n" + HEADER + ",country\n"
             + "".join(f"p{i},1,1,1,10,3,NL\n" for i in range(n))
-            + "p7,2,1,1,20,0,DE\n"
+            + last + "\n"
         )
-        calls = []
+        opened, calls = [], []
+
+        def counted_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
 
         def counted(*args):
             calls.append(args)
-            return ingest._parse_cell(*args)
+            return parse_cell(*args)
 
-        module, loader = {"table": (ingest, load_table), "enrichment": (features, load_enrichment)}[load]
-        monkeypatch.setattr(module, "_parse_cell", counted)
+        def refuse(*args, **kwargs):
+            raise AssertionError("file read row by row")
+
+        parse_cell = ingest._parse_cell
+        monkeypatch.setattr(ingest, "open", counted_open, raising=False)
+        monkeypatch.setattr(ingest, "_parse_cell", counted)
+        monkeypatch.setattr(ingest, "_rows", refuse)
+        monkeypatch.setattr(csv, "reader", refuse)
         with pytest.raises(LoadError) as err:
-            loader(path)
-        assert str(err.value) == f"{path}: row {n + 3}: duplicate provider_id 'p7'"
-        assert calls == []
+            {"table": load_table, "enrichment": load_enrichment}[load](path)
+        assert str(err.value) == f"{path}: row {n + 3}: {message}"
+        assert opened == [path]
+        assert len(calls) == cells
 
     @pytest.mark.parametrize(
         "line",
