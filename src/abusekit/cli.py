@@ -16,8 +16,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, diagnostics, features, ingest, scenarios, sim, twins
 from .glm import (
     INTERCEPT,
@@ -83,13 +81,13 @@ def _split(text: str | None) -> tuple[str, ...]:
 
 
 def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
-              baseline_mode: str = "") -> tuple[ingest.Dataset, list[ModelColumn], int]:
+              baseline_mode: str = "") -> tuple[list[ModelColumn], int]:
     """Fit the requested model(s) and pseudo-R2 baselines on a common row set.
 
     All models (stepwise or single) and baselines are estimated on the rows
-    complete for the widest specification, so their likelihoods, AICs and
-    pseudo-R2 values stay comparable. Returns those rows (each fit's
-    ``row_index`` points into them), one column per model and the number
+    of ``d`` complete for the widest specification, so their likelihoods,
+    AICs and pseudo-R2 values stay comparable; each fit's ``row_index``
+    holds positions in ``d``. Returns one column per model and the number
     of rows excluded for missing values. Only the widest design is built;
     every other spec's design is restricted from it when its fit needs it.
     Each distinct spec is fitted once: a stepwise model equal to a
@@ -99,9 +97,8 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
     enough for the next copy and the peak memory of the run would grow.
     """
     dm = build_design(d, spec)
-    rows = d.take(dm.row_index)
-    # The widest design on ``d`` is the one on ``rows``, with its rows renumbered.
-    widest = replace(dm, row_index=np.arange(len(rows)), excluded_rows=0)
+    # fit.json reports the exclusions once, as rows_excluded_for_missing
+    widest = replace(dm, excluded_rows=0)
     fits: dict[ModelSpec, FitResult] = {spec: fit_poisson(widest)}
 
     def fit(s: ModelSpec) -> FitResult:
@@ -135,7 +132,7 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
             except diagnostics.DiagnosticsError:
                 pass
         columns.append(column)
-    return rows, columns, dm.excluded_rows
+    return columns, dm.excluded_rows
 
 
 def _option_echo(args: argparse.Namespace, skip=("out_dir", "func", "command")) -> dict:
@@ -219,7 +216,9 @@ def _read_seed_ids(path) -> list[str]:
 def _resolve_seeds(args, d: ingest.Dataset) -> list[str]:
     if args.seeds:
         return _read_seed_ids(args.seeds)
-    if args.sample_seeds:
+    if args.sample_seeds is not None:
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed {args.seed}: seed must be >= 0")
         return twins.sample_seed_ids(d, args.sample_seeds, args.seed or 0)
     raise ValueError("provide --seeds FILE or --sample-seeds N")
 
@@ -276,8 +275,8 @@ def _model_spec(args) -> ModelSpec:
 def _table_fits(args, stepwise: bool = False):
     """Load ``--input`` and fit the model(s) of a table command.
 
-    Returns the table, the fitted rows, columns and excluded count (see
-    ``_run_fits``), the run manifest and the created output directory.
+    Returns the table, the columns and excluded count of ``_run_fits``,
+    the run manifest and the created output directory.
     Commands without a ``--baseline`` option fit no pseudo-R2 baseline.
     """
     d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
@@ -285,11 +284,11 @@ def _table_fits(args, stepwise: bool = False):
     mode = getattr(args, "baseline", "")
     if mode == "fe" and not spec.fixed_effects:
         raise ValueError("--baseline fe requires --fixed-effects")
-    rows, columns, excluded = _run_fits(d, spec, stepwise, mode)
+    columns, excluded = _run_fits(d, spec, stepwise, mode)
     manifest = build_manifest(args.command, [args.input], _option_echo(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return d, rows, columns, excluded, manifest, out
+    return d, columns, excluded, manifest, out
 
 
 def _write_fits(out: Path, columns: list[ModelColumn], excluded: int, args, manifest,
@@ -305,11 +304,8 @@ def _write_fits(out: Path, columns: list[ModelColumn], excluded: int, args, mani
         manifest,
     )
     if args.format != "json":  # fit.json above already carries everything
-        write_text_document(
-            out / f"fit_table{suffix}.{args.format}",
-            render_fit_table(columns, fmt=args.format, delimiter=args.delimiter),
-            manifest,
-        )
+        text = render_fit_table(columns, fmt=args.format, delimiter=args.delimiter)
+        write_text_document(out / f"fit_table{suffix}.{args.format}", text, manifest)
 
 
 def _write_scenarios(out: Path, fit: FitResult, d: ingest.Dataset, args, manifest) -> None:
@@ -319,24 +315,18 @@ def _write_scenarios(out: Path, fit: FitResult, d: ingest.Dataset, args, manifes
     if args.format == "json":
         write_json_document(out / "scenarios.json", scenarios_document(table), manifest)
     else:
-        write_text_document(
-            out / f"scenarios.{args.format}",
-            render_scenarios(table, fmt=args.format, delimiter=args.delimiter),
-            manifest,
-        )
+        text = render_scenarios(table, fmt=args.format, delimiter=args.delimiter)
+        write_text_document(out / f"scenarios.{args.format}", text, manifest)
 
 
-def _write_rankings(out: Path, rows: ingest.Dataset, fit: FitResult, args, manifest) -> None:
-    """Observed-vs-predicted ranking; ``rows`` are the rows ``fit`` was fitted on."""
-    write_text_document(
-        out / "rankings.csv",
-        render_rankings(diagnostics.rank_providers(rows, fit), args.delimiter),
-        manifest,
-    )
+def _write_rankings(out: Path, d: ingest.Dataset, fit: FitResult, args, manifest) -> None:
+    """Observed-vs-predicted ranking; ``d`` is the table ``fit`` was fitted on."""
+    text = render_rankings(diagnostics.rank_providers(d, fit), args.delimiter)
+    write_text_document(out / "rankings.csv", text, manifest)
 
 
 def cmd_fit(args) -> int:
-    _d, _rows, columns, excluded, manifest, out = _table_fits(args, args.stepwise)
+    _d, columns, excluded, manifest, out = _table_fits(args, args.stepwise)
     _write_fits(out, columns, excluded, args, manifest)
     write_json_document(
         out / "assessment.json",
@@ -347,7 +337,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    _d, _rows, columns, excluded, manifest, out = _table_fits(args)
+    _d, columns, excluded, manifest, out = _table_fits(args)
     column = columns[0]
     write_json_document(
         out / "assessment.json",
@@ -367,14 +357,14 @@ def cmd_diagnostics(args) -> int:
 
 
 def cmd_scenarios(args) -> int:
-    d, _rows, columns, _excluded, manifest, out = _table_fits(args)
+    d, columns, _excluded, manifest, out = _table_fits(args)
     _write_scenarios(out, columns[0].fit, d, args, manifest)
     return 0
 
 
 def cmd_rank(args) -> int:
-    _d, rows, columns, _excluded, manifest, out = _table_fits(args)
-    _write_rankings(out, rows, columns[0].fit, args, manifest)
+    d, columns, _excluded, manifest, out = _table_fits(args)
+    _write_rankings(out, d, columns[0].fit, args, manifest)
     return 0
 
 
@@ -448,9 +438,13 @@ def cmd_simulate(args) -> int:
         cfg, reference = load_sim_config(args.config)
     else:
         cfg, reference = sim.SimulationConfig(), None
-    overrides = {"noise": sim.NOISE_PRESETS.get(args.preset), "replicates": args.replicates,
-                 "rng_seed": args.seed, "n": args.n}
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    for flag, name, value in [("--preset", "noise", sim.NOISE_PRESETS.get(args.preset)),
+                              ("--replicates", "replicates", args.replicates),
+                              ("--seed", "rng_seed", args.seed), ("--n", "n", args.n)]:
+        try:  # the flag names the value its error is about
+            cfg = cfg if value is None else replace(cfg, **{name: value})
+        except sim.SimulationError as exc:
+            raise sim.SimulationError(f"{flag} {value}: {exc}") from None
 
     result = sim.run_monte_carlo(cfg, reference)
     summary = sim.summarize(result)
@@ -506,13 +500,13 @@ def cmd_pipeline(args) -> int:
         ingest.write_table(twin_data, out / "twin_dataset.csv", args.delimiter, comment)
 
     def fit_and_write(data: ingest.Dataset, suffix: str):
-        rows, columns, excluded = _run_fits(data, spec, args.stepwise, "both")
+        columns, excluded = _run_fits(data, spec, args.stepwise, "both")
         _write_fits(out, columns, excluded, args, manifest, suffix,
                     source_label=data.source_label)
-        return rows, columns[-1].fit
+        return columns[-1].fit
 
     with _stage("fit"):
-        rows, fit = fit_and_write(twin_data, "")
+        fit = fit_and_write(twin_data, "")
     if args.abuse_alt:
         with _stage("fit-alt"):
             alt_records = features.load_abuse(args.abuse_alt, args.delimiter)
@@ -524,7 +518,7 @@ def cmd_pipeline(args) -> int:
     with _stage("scenarios"):
         _write_scenarios(out, fit, twin_data, args, manifest)
     with _stage("rank"):
-        _write_rankings(out, rows, fit, args, manifest)
+        _write_rankings(out, twin_data, fit, args, manifest)
     return 0
 
 

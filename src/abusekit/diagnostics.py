@@ -41,14 +41,14 @@ class FitAssessment:
 
 @dataclass(frozen=True)
 class ProviderScore:
-    """Observed-vs-predicted comparison for one provider."""
+    """Observed-vs-predicted comparison, one array per field, in rank order."""
 
-    provider_id: str
-    predicted: float
-    observed: int
-    ratio: float
-    pearson_residual: float
-    better_than_average: bool
+    provider_id: np.ndarray
+    predicted: np.ndarray
+    observed: np.ndarray
+    ratio: np.ndarray
+    pearson_residual: np.ndarray
+    better_than_average: np.ndarray
 
 
 def dispersion(y, lambda_hat, k: int, intercept: bool = True) -> DispersionReport:
@@ -140,33 +140,33 @@ def pseudo_r2(fit: glm.FitResult, baseline: glm.FitResult) -> FitAssessment:
     )
 
 
-def rank_providers(d: Dataset, fit: glm.FitResult) -> list[ProviderScore]:
+def rank_providers(d: Dataset, fit: glm.FitResult) -> ProviderScore:
     """Comparative ranking of observed against model-predicted counts.
 
-    Scores are sorted by Pearson residual ascending, so the providers
-    doing best relative to their structural prediction come first. A
-    provider observed below its prediction is flagged better-than-average.
-    ``d`` must be the rows the model was fitted on: ``fit.row_index``
-    points into it. There is one score per fitted row, so a provider that
-    appears in two twins gets one ranking row per twin.
+    Rows are sorted by Pearson residual ascending, then provider id, so
+    the providers doing best relative to their structural prediction come
+    first; one observed below its prediction is flagged better-than-average.
+    ``fit.row_index`` holds positions in ``d``, the table the fit's design
+    was built on. There is one entry per fitted row, so a provider that
+    appears in two twins is ranked once per twin.
     """
     if fit.row_index is None or len(fit.row_index) != fit.n:
         raise DiagnosticsError("fit does not carry row indices for this dataset")
     if len(d) <= int(np.max(fit.row_index)):
         raise DiagnosticsError("fit rows do not cover the given dataset")
-    ids = d.provider_ids()
-    scores = []
-    for pos, row in enumerate(fit.row_index):
-        observed = int(fit.y[pos])
-        predicted = float(fit.fitted[pos])
-        scores.append(
-            ProviderScore(
-                provider_id=ids[row],
-                predicted=predicted,
-                observed=observed,
-                ratio=observed / predicted,
-                pearson_residual=float((observed - predicted) / np.sqrt(predicted)),
-                better_than_average=observed < predicted,
-            )
-        )
-    return sorted(scores, key=lambda s: (s.pearson_residual, s.provider_id))
+    ids = d.column("provider_id")[fit.row_index]
+    if None in ids:  # ties are broken by id, so every id must compare
+        raise DiagnosticsError("a fitted row has no provider_id")
+    residual = (fit.y - fit.fitted) / np.sqrt(fit.fitted)
+    # two stable sorts: by residual, and within equal residuals by id
+    order = np.argsort(ids, kind="stable")
+    order = order[np.argsort(residual[order], kind="stable")]
+    observed, predicted = fit.y[order], fit.fitted[order]
+    return ProviderScore(
+        provider_id=ids[order],
+        predicted=predicted,
+        observed=observed.astype(np.int64),
+        ratio=observed / predicted,
+        pearson_residual=residual[order],
+        better_than_average=observed < predicted,
+    )

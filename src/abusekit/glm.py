@@ -250,6 +250,8 @@ def build_design(d: Dataset, spec: ModelSpec) -> DesignMatrix:
         C[:, j : j + width] = code[:, None] == np.arange(1, width + 1)
         j += width
 
+    # every fit and restriction of this design shares y and keep, so neither may change
+    y.flags.writeable = keep.flags.writeable = False
     block = _Block(C, np.linalg.qr(C, mode="r"), {name: j for j, name in enumerate(names)})
     return block.select(spec, y, factor_levels, excluded, keep)
 
@@ -277,7 +279,10 @@ def aic(log_likelihood: float, n_parameters: int) -> float:
 
 @dataclass
 class FitResult:
-    """Fitted Poisson GLM: estimates, uncertainty and convergence record."""
+    """Fitted Poisson GLM: estimates, uncertainty and convergence record.
+
+    ``row_index`` holds positions in the table given to ``build_design``.
+    """
 
     coefficients: dict[str, float]
     standard_errors: dict[str, float]
@@ -446,7 +451,7 @@ def fit_poisson(dm: DesignMatrix) -> FitResult:
         coefficients=dict(zip(dm.columns, beta.tolist())),
         standard_errors=dict(zip(dm.columns, se.tolist())),
         fitted=lam,
-        y=dm.y.copy(),
+        y=dm.y,
         log_likelihood=ll,
         aic=aic(ll, p),
         n=n,
@@ -457,7 +462,7 @@ def fit_poisson(dm: DesignMatrix) -> FitResult:
         factor_levels=dict(dm.factor_levels),
         dropped=list(dm.dropped),
         excluded_rows=dm.excluded_rows,
-        row_index=dm.row_index.copy(),
+        row_index=dm.row_index,
         separated=separated,
         messages=messages,
     )

@@ -92,12 +92,8 @@ _Row = namedtuple("_Row", COLUMNS)
 
 
 def _as_column(name: str, values) -> np.ndarray:
-    if name in STRING_COLUMNS:
-        arr = np.empty(len(values), dtype=object)
-        arr[:] = values
-    else:
-        arr = np.asarray(values, dtype=np.int64 if name == "abuse_count" else float)
-    view = arr.view()
+    kind = object if name in STRING_COLUMNS else np.int64 if name == "abuse_count" else float
+    view = np.asarray(values, dtype=kind).view()
     view.flags.writeable = False
     return view
 
@@ -109,7 +105,8 @@ class Dataset:
     ``abuse_count`` is int64 and never missing; ``provider_id``,
     ``country`` and ``twin_id`` are object arrays with ``None`` marking
     missing values. ``columns`` must hold every required column; absent
-    optional columns are all missing. ``source_label`` names the origin of
+    optional columns are all missing. An array already in its column's
+    storage type is kept, not copied. ``source_label`` names the origin of
     ``abuse_count`` (e.g. which abuse feed produced it) so fits on
     alternative feeds stay distinguishable.
     """
@@ -123,14 +120,12 @@ class Dataset:
         for name in COLUMNS:
             if name in columns:
                 col = _as_column(name, columns[name])
-                if col.shape != (n,):
-                    raise ValueError(f"column {name!r} holds {col.shape} values, not {n}")
             elif name in REQUIRED_COLUMNS:
                 raise KeyError(f"missing required column {name!r}")
-            elif name in STRING_COLUMNS:
-                col = _as_column(name, np.full(n, None))
-            else:
-                col = _as_column(name, np.full(n, math.nan))
+            else:  # an absent optional column is all missing
+                col = _as_column(name, np.full(n, None if name in STRING_COLUMNS else math.nan))
+            if col.shape != (n,):
+                raise ValueError(f"column {name!r} holds {col.shape} values, not {n}")
             self._columns[name] = col
         self._source_label = source_label
 

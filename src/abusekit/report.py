@@ -13,7 +13,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain
+from itertools import chain, count
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -348,10 +348,9 @@ def fit_document(column: ModelColumn) -> dict:
     return doc
 
 
-def render_rankings(scores: Sequence[ProviderScore], delimiter: str = ",") -> str:
+def render_rankings(scores: ProviderScore, delimiter: str = ",") -> str:
     """Plot-ready observed-vs-predicted rows, best relative performers first."""
-    cells = _cells(ProviderScore)
-    rows = ((rank, *cells(s)) for rank, s in enumerate(scores, start=1))
+    rows = zip(count(1), *(column.tolist() for column in _cells(ProviderScore)(scores)))
     return _csv_text(["rank", *_names(ProviderScore)], rows, delimiter)
 
 

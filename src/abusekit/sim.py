@@ -89,6 +89,10 @@ class SimulationConfig:
             raise SimulationError("replicates must be >= 1")
         if self.true_size_sd < 0:
             raise SimulationError("true_size_sd must be >= 0")
+        if self.target_mean <= 0:
+            raise SimulationError("target_mean must be > 0")
+        if self.rng_seed < 0:
+            raise SimulationError("rng_seed must be >= 0")
         noise = {c: (float(m), float(s)) for c, (m, s) in dict(self.noise).items()}
         missing = set(PROXY_COLUMNS) - set(noise)
         if missing:

@@ -281,6 +281,27 @@ class TestTwins:
         assert code == 2
         assert "zz99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["twins", "pipeline"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--sample-seeds", "0"], "cannot sample 0 seeds from "),
+            (["--sample-seeds", "3", "--seed", "-1"], "--seed -1: seed must be >= 0"),
+        ],
+        ids=["zero-seeds", "negative-seed"],
+    )
+    def test_seed_sample_it_cannot_draw_exits_2(
+        self, providers_csv, tmp_path, capsys, command, options, message
+    ):
+        if command == "twins":
+            inputs = ["--input", str(providers_csv)]
+        else:
+            inputs = [*fixture_args(), "--predictors", TWIN_PREDICTORS]
+        assert main([command, *inputs, *options, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        prefix = "error: " if command == "twins" else "[stage:twins] ValueError: "
+        assert err.startswith(f"abusekit: {prefix}{message}"), err
+
 
 class TestFit:
     def test_stepwise_structural_table(self, providers_csv, tmp_path):
@@ -346,7 +367,7 @@ class TestFit:
         predictors = tuple(STRUCTURAL.split(","))
         spec = ModelSpec("abuse_count", predictors, ("country",))
         d = ingest.load_table(providers_csv)
-        _rows, columns, _excluded = cli._run_fits(d, spec, stepwise=True, baseline_mode="both")
+        columns, _excluded = cli._run_fits(d, spec, stepwise=True, baseline_mode="both")
         assert [c.label for c in columns] == ["(1)", "(2)", "(3)", "(4)", "(5)"]
         assert [c.fit.spec.predictors for c in columns] == [predictors[:k] for k in range(5)]
         # fitted widest first; then the intercept-only baseline
@@ -388,7 +409,7 @@ class TestFit:
     def test_unavailable_standard_error_renders_na(self, providers_csv):
         d = ingest.load_table(providers_csv)
         spec = ModelSpec("abuse_count", ("pct_shared",))
-        _rows, (column,), _ = cli._run_fits(d, spec, baseline_mode="intercept")
+        (column,), _ = cli._run_fits(d, spec, baseline_mode="intercept")
         fit = column.fit
         fit = replace(fit, standard_errors={**fit.standard_errors, "pct_shared": math.inf})
         column = ModelColumn(column.label, fit, column.dispersion, column.assessments)
@@ -662,11 +683,14 @@ class TestSimulate:
              "[population] true_size_mean: not a finite number: '-inf'"),
             ("[DEFAULT]\nn = 50\n[link]\nslope = 1\n", "unknown section [DEFAULT]"),
             ("[DEFAULT]\nn = 50\n[population]\n", "unknown section [DEFAULT]"),
+            ("[link]\ntarget_mean = 0\n", "target_mean must be > 0"),
+            ("[run]\nrng_seed = -1\n", "rng_seed must be >= 0"),
         ],
         ids=["first-of-three", "key", "section", "noise-column", "reference-term",
              "preset", "malformed-pair", "int", "pair-number", "reference-number",
              "int-not-float", "config-n", "config-noise-sd", "nan", "inf",
-             "default-beside-link", "default-beside-population"],
+             "default-beside-link", "default-beside-population", "config-target-mean",
+             "config-rng-seed"],
     )
     def test_config_name_or_value_it_cannot_use_exits_2(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "sim.ini"
@@ -674,6 +698,20 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"abusekit: error: {cfg}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n", "0", "population size must be positive"),
+            ("--replicates", "0", "replicates must be >= 1"),
+            ("--seed", "-1", "rng_seed must be >= 0"),
+        ],
+    )
+    def test_flag_value_it_cannot_use_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out"
+        assert main(["simulate", flag, value, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"abusekit: error: {flag} {value}: {message}\n"
         assert not out.exists()
 
 
@@ -953,6 +991,46 @@ def test_console_pipeline_matches_golden_bytes(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert_golden_artifacts(tmp_path, GOLDEN)
+
+
+def test_fit_documents_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits its reductions by thread count, so the last bits of
+    # a fit may move with it; what the documents say may not. Structure is
+    # compared exactly, the identified numbers at rel 1e-8.
+    docs = []
+    for name, threads in (("one", "1"), ("default", None)):
+        env = _child_env()
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "abusekit.cli", *golden_pipeline_argv(tmp_path / name)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        docs.append([json.loads((tmp_path / name / f).read_text())["models"]
+                     for f in ("fit.json", "fit_alt.json")])
+
+    def structure(models):
+        return [(m["model"], m["n"], m["k"], [c["term"] for c in m["coefficients"]],
+                 m["dropped_columns"], m["separated"]) for m in models]
+
+    def numbers(models):
+        out = []
+        for m in models:
+            for c in m["coefficients"]:
+                if c["term"] in m["spec"]["predictors"]:
+                    out += [c["estimate"], c["se"], c["z"], c["p"]]
+            out += [m["log_likelihood"], m["aic"], m["dispersion"]["phi_hat"]]
+            for a in m["assessments"]:
+                out += [a["deviance_model"], a["deviance_baseline"], a["pseudo_r2"]]
+        return out
+
+    (one, one_alt), (default, default_alt) = docs
+    for single, threaded in ((one, default), (one_alt, default_alt)):
+        assert structure(single) == structure(threaded)
+        assert numbers(single) == pytest.approx(numbers(threaded), rel=1e-8, abs=1e-12)
 
 
 def test_console_invocation_smoke(tmp_path):

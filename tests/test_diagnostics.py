@@ -171,24 +171,45 @@ class TestPseudoR2:
             pseudo_r2(f1, f2)
 
 
+def _rank_rows(d, fit):
+    """The ranking built one row at a time: the reference of ``rank_providers``.
+
+    One (provider_id, predicted, observed, ratio, pearson_residual,
+    better_than_average) tuple per fitted row, sorted by residual, then id.
+    """
+    ids = d.provider_ids()
+    rows = []
+    for pos, row in enumerate(fit.row_index):
+        observed = int(fit.y[pos])
+        predicted = float(fit.fitted[pos])
+        residual = float((observed - predicted) / np.sqrt(predicted))
+        rows.append((ids[row], predicted, observed, observed / predicted, residual,
+                     observed < predicted))
+    return sorted(rows, key=lambda r: (r[4], r[0]))
+
+
+RANK_FIELDS = ("provider_id", "predicted", "observed", "ratio", "pearson_residual",
+               "better_than_average")
+
+
 class TestRankProviders:
     def test_ratio_and_flag(self):
         d = make_dataset([5, 15])
         fit = _fit(d, ModelSpec("abuse_count"))  # lambda = 10 everywhere
         scores = rank_providers(d, fit)
-        by_id = {s.provider_id: s for s in scores}
-        assert by_id["p0000"].ratio == pytest.approx(0.5)
-        assert by_id["p0000"].better_than_average
-        assert not by_id["p0001"].better_than_average
+        at = {pid: i for i, pid in enumerate(scores.provider_id.tolist())}
+        assert scores.ratio[at["p0000"]] == pytest.approx(0.5)
+        assert scores.better_than_average[at["p0000"]]
+        assert not scores.better_than_average[at["p0001"]]
         # ascending pearson residual: the under-performer ranks last
-        assert scores[0].provider_id == "p0000"
+        assert scores.provider_id[0] == "p0000"
 
     def test_exact_prediction_scores_zero(self):
         d = make_dataset([4, 4])
         fit = _fit(d, ModelSpec("abuse_count"))
         scores = rank_providers(d, fit)
-        assert all(s.pearson_residual == pytest.approx(0.0, abs=1e-7) for s in scores)
-        assert all(s.ratio == pytest.approx(1.0) for s in scores)
+        assert all(r == pytest.approx(0.0, abs=1e-7) for r in scores.pearson_residual)
+        assert all(r == pytest.approx(1.0) for r in scores.ratio)
 
     def test_inflated_provider_lands_in_worst_decile(self):
         # brute-force check of the tail-bound claim: one provider drawing
@@ -202,7 +223,7 @@ class TestRankProviders:
             d = make_dataset([int(v) for v in y])
             fit = _fit(d, ModelSpec("abuse_count"))
             scores = rank_providers(d, fit)
-            worst_decile = {s.provider_id for s in scores[-20:]}
+            worst_decile = set(scores.provider_id[-20:].tolist())
             hits += "p0000" in worst_decile
         assert hits >= 99
 
@@ -214,9 +235,50 @@ class TestRankProviders:
         )
         s1 = rank_providers(d1, _fit(d1, ModelSpec("abuse_count")))
         s2 = rank_providers(d2, _fit(d2, ModelSpec("abuse_count")))
-        assert [s.pearson_residual for s in s1] == pytest.approx(
-            [s.pearson_residual for s in s2]
-        )
+        assert s1.pearson_residual.tolist() == pytest.approx(s2.pearson_residual.tolist())
+
+    def test_missing_provider_id_rejected(self):
+        d = make_dataset([{"abuse_count": 2, "provider_id": None}, 3, 5])
+        fit = _fit(d, ModelSpec("abuse_count"))
+        with pytest.raises(DiagnosticsError, match="no provider_id"):
+            rank_providers(d, fit)
+
+    @pytest.mark.parametrize("case", ["tied", "ids-out-of-order", "two-twins", "excluded-rows"])
+    def test_columns_equal_the_row_by_row_ranking(self, case, rng):
+        if case == "tied":  # an intercept-only fit on three distinct counts
+            d = make_dataset([int(v) for v in rng.choice([2, 5, 9], size=40)])
+            spec = ModelSpec("abuse_count")
+        elif case == "ids-out-of-order":  # ties among ids that sort against table order
+            counts = rng.choice([1, 3], size=25)
+            d = make_dataset([{"abuse_count": int(c), "provider_id": f"q{(7 * i) % 25:03d}"}
+                              for i, c in enumerate(counts)])
+            spec = ModelSpec("abuse_count")
+        elif case == "two-twins":  # p0001 is the match of two seeds
+            pairs = [("p0000", "p0001"), ("p0002", "p0001"), ("p0003", "p0004")]
+            rows = [
+                {"provider_id": pid, "abuse_count": int(rng.poisson(4.0)) + 1,
+                 "pct_shared": float(rng.uniform(0, 100)), "twin_id": f"twin:{seed}"}
+                for seed, match in pairs for pid in (seed, match)
+            ]
+            d = make_dataset(rows)
+            spec = ModelSpec("abuse_count", ("pct_shared",), ("twin_id",))
+        else:  # rows missing the predictor are left out of the fit
+            rows = [{"abuse_count": int(rng.poisson(5.0)),
+                     "pct_shared": None if i % 4 == 1 else float(rng.uniform(0, 100))}
+                    for i in range(30)]
+            d = make_dataset(rows)
+            spec = ModelSpec("abuse_count", ("pct_shared",))
+        fit = _fit(d, spec)
+        reference = _rank_rows(d, fit)
+        scores = rank_providers(d, fit)
+        for j, name in enumerate(RANK_FIELDS):
+            assert getattr(scores, name).tolist() == [r[j] for r in reference], name
+        if case == "tied":
+            assert len(set(scores.pearson_residual.tolist())) == 3
+        elif case == "two-twins":
+            assert scores.provider_id.tolist().count("p0001") == 2
+        elif case == "excluded-rows":
+            assert len(scores.provider_id) == fit.n < len(d)
 
 
 class TestDispersionCalibration:
