@@ -19,16 +19,15 @@ from pathlib import Path
 from . import __version__, diagnostics, features, ingest, scenarios, sim, twins
 from .glm import (
     INTERCEPT,
-    DesignError,
     FitResult,
     ModelSpec,
-    PredictionError,
     SeparationError,
     build_design,
     fit_poisson,
 )
 from .report import (
     ModelColumn,
+    RunManifest,
     _cells,
     _csv_text,
     _names,
@@ -47,14 +46,11 @@ from .report import (
     write_text_document,
 )
 
-USAGE_ERRORS = (
-    ValueError,
-    KeyError,
-    OSError,
-    SeparationError,
-    PredictionError,
-    DesignError,
-    configparser.Error,
+USAGE_ERRORS = (ValueError, KeyError, OSError, SeparationError, configparser.Error)
+
+#: The options that name an input file, in the order a manifest digests them.
+_INPUT_OPTIONS = (
+    "input", "allocations", "observations", "abuse", "enrichment", "seeds", "abuse_alt", "config"
 )
 
 
@@ -135,10 +131,25 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
     return columns, dm.excluded_rows
 
 
-def _option_echo(args: argparse.Namespace, skip=("out_dir", "func", "command")) -> dict:
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
+def _manifest(args: argparse.Namespace, rng_seed: int | None = None) -> RunManifest:
+    """The run manifest: a digest of each input file given, and every option given.
+
+    Files are digested in ``_INPUT_OPTIONS`` order, so an unreadable one
+    is reported before those after it; ``--out-dir`` is not echoed.
+    """
+    inputs = [getattr(args, name) for name in _INPUT_OPTIONS if getattr(args, name, None)]
+    skip = ("out_dir", "func", "command")
+    options = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    return build_manifest(args.command, inputs, options, rng_seed)
+
+
+def _outputs(args: argparse.Namespace, rng_seed: int | None = None):
+    """The run manifest and the created ``--out-dir``, None if none is given."""
+    manifest = _manifest(args, rng_seed)
+    out = None if args.out_dir is None else Path(args.out_dir)
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
+    return manifest, out
 
 
 # ---------------------------------------------------------------- describe
@@ -148,7 +159,7 @@ def cmd_describe(args) -> int:
     d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
     columns = _split(args.columns) or ingest.REQUIRED_COLUMNS[1:]  # all but provider_id
     summaries = ingest.describe(d, columns)
-    manifest = build_manifest("describe", [args.input], _option_echo(args))
+    manifest, out = _outputs(args)
     if args.format == "json":
         text = json_document_text(describe_document(summaries), manifest)
     else:
@@ -156,8 +167,6 @@ def cmd_describe(args) -> int:
             summaries, fmt=args.format, delimiter=args.delimiter
         )
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         (out / f"describe.{args.format}").write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -185,12 +194,7 @@ def _build_features(
 
 def cmd_features(args) -> int:
     table, rep, _index = _build_features(args)
-    inputs = [args.allocations, args.observations, args.abuse]
-    if args.enrichment:
-        inputs.append(args.enrichment)
-    manifest = build_manifest("features", inputs, _option_echo(args))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    manifest, out = _outputs(args)
     ingest.write_table(
         table, out / "providers.csv", args.delimiter, [manifest.comment_line()]
     )
@@ -248,14 +252,7 @@ def _match(args, d: ingest.Dataset) -> list[twins.TwinPairing]:
 def cmd_twins(args) -> int:
     d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
     pairings = _match(args, d)
-    manifest = build_manifest(
-        "twins",
-        [args.input] + ([args.seeds] if args.seeds else []),
-        _option_echo(args),
-        rng_seed=args.seed,
-    )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    manifest, out = _outputs(args, args.seed)
     _write_pairings(out, pairings, args, manifest)
     return 0
 
@@ -285,10 +282,7 @@ def _table_fits(args, stepwise: bool = False):
     if mode == "fe" and not spec.fixed_effects:
         raise ValueError("--baseline fe requires --fixed-effects")
     columns, excluded = _run_fits(d, spec, stepwise, mode)
-    manifest = build_manifest(args.command, [args.input], _option_echo(args))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return d, columns, excluded, manifest, out
+    return d, columns, excluded, *_outputs(args)
 
 
 def _write_fits(out: Path, columns: list[ModelColumn], excluded: int, args, manifest,
@@ -448,14 +442,7 @@ def cmd_simulate(args) -> int:
 
     result = sim.run_monte_carlo(cfg, reference)
     summary = sim.summarize(result)
-    manifest = build_manifest(
-        "simulate",
-        [args.config] if args.config else [],
-        _option_echo(args),
-        rng_seed=cfg.rng_seed,
-    )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    manifest, out = _outputs(args, cfg.rng_seed)
     write_text_document(out / "samples.csv", render_simulation_samples(result), manifest)
     write_json_document(
         out / "summary.json", simulation_summary_document(summary, result), manifest
@@ -476,15 +463,7 @@ def _stage(name: str):
 
 
 def cmd_pipeline(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    inputs = [args.allocations, args.observations, args.abuse, args.enrichment]
-    if args.seeds:
-        inputs.append(args.seeds)
-    if args.abuse_alt:
-        inputs.append(args.abuse_alt)
-    manifest = build_manifest("pipeline", inputs, _option_echo(args), rng_seed=args.seed)
-
+    manifest, out = _outputs(args, args.seed)
     comment = [manifest.comment_line()]
 
     with _stage("features"):

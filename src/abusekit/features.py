@@ -377,7 +377,8 @@ def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[l
     """The stripped ``key`` column and the ``ips`` columns as int64 addresses.
 
     Other columns are ignored. A bad file raises the error of its first
-    failing row, as a row loop reading its cells in ``key``, ``ips`` order.
+    failing row, as a row loop reading its cells in ``key``, ``ips`` order;
+    a key cell empty after stripping has no value.
     """
 
     def positions(header):
@@ -391,15 +392,18 @@ def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[l
             name = header[min(p for p in at if p >= length)]
             raise AllocationError(f"row {line}: no value in column {name!r}")
 
-        columns, checks = {key: list(map(str.strip, cells[at[0]::width]))}, []
-        for name, pos in zip((key, *ips), at):
+        keys = list(map(str.strip, cells[at[0]::width]))
+        columns, checks = {key: keys}, []
+        if "" in keys:  # no key: the row ends before its cell, or the cell is empty
+            ends = np.minimum(lengths or [width] * len(keys), at[0])
+            checks.append((np.equal(keys, ""), ends, no_value))
+        for name, pos in zip(ips, at[1:]):
             if short:
                 checks.append((np.less_equal(lengths, pos), lengths, no_value))
-            if name != key:  # any key text is good
-                column = cells[pos::width]
-                columns[name], ok = _parse_ips(column)
-                if not ok:
-                    checks.append((columns[name] < 0, column, _reject_ip))
+            column = cells[pos::width]
+            columns[name], ok = _parse_ips(column)
+            if not ok:
+                checks.append((columns[name] < 0, column, _reject_ip))
         return columns, checks
 
     columns = _read_blocks(path, delimiter, AllocationError, parse)
@@ -433,11 +437,11 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
 
     Canonical columns go through the same cell validation as provider
     tables (ranges, numeric parsing); unknown columns are ignored. A
-    provider_id may appear on one row only, and a canonical column once in
-    the header. Returns the stripped ids and, per canonical column in
-    header order, its values: a list of str for a string column, a float64
-    array for a numeric one and an object array of int for
-    ``abuse_count``; ``None`` or NaN marks an empty cell.
+    provider_id must not be empty and may appear on one row only, and a
+    canonical column once in the header. Returns the stripped ids and, per
+    canonical column in header order, its values: a list of str for a
+    string column, a float64 array for a numeric one and an object array
+    of int for ``abuse_count``; ``None`` or NaN marks an empty cell.
     """
 
     def positions(header):
@@ -445,15 +449,15 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
         pid = _column(header, "provider_id", path)
         return pid, {name: _column(header, name, path) for name in header if name in known}
 
-    def no_id(length, line):
+    def no_id(value, line):
         raise AllocationError(f"row {line}: no value in column 'provider_id'")
 
     def parse(header, cells, lengths):
         pid, at = positions(header)
         columns, checks = _parse_columns(cells, len(header), at)
-        columns["provider_id"] = list(map(str.strip, cells[pid::len(header)]))
-        if lengths is not None and min(lengths, default=pid + 1) <= pid:
-            checks.insert(0, (np.less_equal(lengths, pid), lengths, no_id))
+        ids = columns["provider_id"] = list(map(str.strip, cells[pid::len(header)]))
+        if "" in ids:  # cut off, or empty after stripping
+            checks.insert(0, (np.equal(ids, ""), ids, no_id))
         return columns, checks
 
     columns = _read_blocks(path, delimiter, AllocationError, parse, ("provider_id",))

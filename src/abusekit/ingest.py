@@ -115,13 +115,14 @@ class Dataset:
         unknown = set(columns) - set(COLUMNS)
         if unknown:
             raise KeyError(f"unknown columns {sorted(unknown)}")
+        absent = [name for name in REQUIRED_COLUMNS if name not in columns]
+        if absent:
+            raise KeyError(f"missing required column {absent[0]!r}")
         n = len(columns["provider_id"])
         self._columns: dict[str, np.ndarray] = {}
         for name in COLUMNS:
             if name in columns:
                 col = _as_column(name, columns[name])
-            elif name in REQUIRED_COLUMNS:
-                raise KeyError(f"missing required column {name!r}")
             else:  # an absent optional column is all missing
                 col = _as_column(name, np.full(n, None if name in STRING_COLUMNS else math.nan))
             if col.shape != (n,):

@@ -147,8 +147,13 @@ def match_twins(
     Raises
     ------
     MatchingError
-        For a seed with no eligible match left.
+        For a seed with no value in a matching variable or no eligible match left.
     """
+    missing = np.argwhere(np.isnan([S.numeric(v) for v in cfg.variables]).T)
+    if len(missing):  # the first seed's first missing variable
+        seed, var = missing[0]
+        raise MatchingError(f"seed {S.column('provider_id')[seed]!r} has no value for "
+                            f"matching variable {cfg.variables[var]!r}")
     dres = distance_matrix(S, T, cfg)
     ids = np.asarray(dres.population_ids)
     order = np.argsort(ids, kind="stable")

@@ -1,4 +1,6 @@
+import configparser
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -209,6 +211,26 @@ class TestFeatures:
             b"hosted_domains_log10,pct_shared,abuse_count\n"
         )
 
+    @pytest.mark.parametrize(
+        "option, text, column",
+        [("--allocations", "provider_id,ip_start,ip_end\na,0,99\n,100,199\n", "provider_id"),
+         ("--abuse", "domain,ip\na.example,7\n,150\n", "domain")],
+        ids=["allocations", "abuse"],
+    )
+    def test_empty_key_cell_is_a_usage_error(self, tmp_path, capsys, option, text, column):
+        # read as a key, the empty cell would make a provider "" (whose
+        # providers.csv describe rejects) or count an abused domain ""
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        inputs = {"--allocations": FIXTURE / "allocations.csv", "--abuse": FIXTURE / "abuse.csv",
+                  "--observations": FIXTURE / "observations.csv", option: path}
+        argv = ["features", *(str(a) for item in inputs.items() for a in item),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"abusekit: error: {path}: row 3: no value in column {column!r}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_short_observation_row_is_a_usage_error(self, tmp_path, capsys):
         observations = tmp_path / "observations.csv"
         observations.write_text("domain,ip\na.example,1\nb.example\n")
@@ -280,6 +302,18 @@ class TestTwins:
         )
         assert code == 2
         assert "zz99" in capsys.readouterr().err
+
+    def test_seed_without_a_matching_value_exits_2(self, tmp_path, capsys):
+        # hp00 and hp30 have no price in the golden table
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("hp00\nhp30\n")
+        argv = ["twins", "--input", str(GOLDEN / "providers.csv"), "--seeds", str(seeds),
+                "--match-vars", "price_per_year", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "abusekit: error: seed 'hp00' has no value for matching variable 'price_per_year'\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["twins", "pipeline"])
     @pytest.mark.parametrize(
@@ -881,6 +915,56 @@ def test_single_command_matches_golden_bytes(case, tmp_path):
     # Regenerate with tests/data/make_golden.py after an intended change.
     assert main(golden_command_argv(case, tmp_path)) == 0
     assert_golden_artifacts(tmp_path, GOLDEN_COMMANDS / case)
+
+
+def artifact_manifests(path):
+    """Every run manifest ``path`` carries: a JSON document's key, a text file's ``# manifest`` lines."""
+    data = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        return [json.loads(data)["manifest"]]
+    prefix = "# manifest "
+    return [json.loads(line[len(prefix):]) for line in data.splitlines() if line.startswith(prefix)]
+
+
+@pytest.mark.parametrize("case", ["pipeline", *sorted(GOLDEN_COMMAND_CASES)])
+def test_manifest_records_the_command_line(case, tmp_path):
+    # goldens are stored without manifests; this holds each one to its argv
+    out = tmp_path / "out"
+    if case == "pipeline":
+        argv = golden_pipeline_argv(out)
+    else:
+        argv = golden_command_argv(case, out)
+    assert main(argv) == 0
+    flags = {}
+    for i, token in enumerate(argv):
+        if token.startswith("--") and token != "--out-dir":
+            value = argv[i + 1] if i + 1 < len(argv) else None
+            bare = value is None or value.startswith("--")
+            flags[token[2:].replace("-", "_")] = True if bare else value
+    files = [Path(token) for token in argv if Path(token).is_file()]
+    if "seed" in flags:
+        rng_seed = int(flags["seed"])
+    elif "config" in flags:
+        parser = configparser.ConfigParser()
+        parser.read(flags["config"])
+        rng_seed = parser.getint("run", "rng_seed")
+    else:
+        rng_seed = None
+    artifacts = sorted(out.iterdir())
+    assert artifacts
+    for path in artifacts:
+        (manifest,) = artifact_manifests(path)
+        assert manifest["command"] == argv[0], path.name
+        assert manifest["inputs"] == {
+            str(f): hashlib.sha256(f.read_bytes()).hexdigest() for f in files
+        }, path.name
+        options = manifest["options"]
+        assert "out_dir" not in options
+        for name, value in flags.items():
+            shown = options[name] if value is True else str(options[name])
+            assert shown == value, name
+        assert manifest["rng_seed"] == rng_seed, path.name
+        assert manifest["tool_version"] == abusekit.__version__
 
 
 def test_quoted_crlf_table_matches_golden_bytes(tmp_path):

@@ -401,6 +401,29 @@ class TestLoaders:
         assert str(err.value) == f"{path}: row 3: no value in column {column!r}"
 
     @pytest.mark.parametrize(
+        "loader, text, column",
+        [
+            (load_allocations, "provider_id,ip_start,ip_end\na,0,99\n,100,199\n", "provider_id"),
+            (load_allocations, "provider_id,ip_start,ip_end\na,0,99\n  ,x,199\n", "provider_id"),
+            (load_abuse, "domain,ip\na.example,7\n,150\n", "domain"),
+            (load_observations, "ip,domain\n7,a.example\n1.2.3.999, \n", "domain"),
+            (load_enrichment, "provider_id,price_per_year\na,1.0\n,2.0\n", "provider_id"),
+            (load_enrichment, "provider_id,price_per_year\na,1.0\n ,x\n,3.0\n", "provider_id"),
+        ],
+        ids=["allocations", "allocations-before-bad-ip", "abuse", "observations-before-bad-ip",
+             "enrichment", "enrichment-before-bad-cell-and-duplicate"],
+    )
+    def test_empty_key_cell_has_no_value(self, tmp_path, loader, text, column):
+        # an empty key would name a provider "" or count a domain ""; it is
+        # checked before the row's other cells, as a row loop reads them
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        for chars in range(1, len(text) + 1):
+            with block_chars(chars), pytest.raises(AllocationError) as err:
+                loader(path)
+            assert str(err.value) == f"{path}: row 3: no value in column {column!r}", chars
+
+    @pytest.mark.parametrize(
         "loader, text, error, message",
         [
             (
@@ -601,6 +624,9 @@ def enrichment_row_loop(path, delimiter):
                 continue
             if len(row) <= pid:
                 raise short_row(path, header, (pid,), rows, lines)
+            key = row[pid].strip()
+            if not key:
+                raise AllocationError(f"{path}: row {lineno}: no value in column 'provider_id'")
             values = {}
             for idx, name in enumerate(header):
                 if idx == pid or idx >= len(row) or name not in known:
@@ -608,7 +634,6 @@ def enrichment_row_loop(path, delimiter):
                 parsed = ingest._parse_cell(name, row[idx], lineno)
                 if parsed is not None:
                     values[name] = parsed
-            key = row[pid].strip()
             if key in out:
                 raise LoadError(f"row {lineno}: duplicate provider_id {key!r}")
             out[key] = values
@@ -663,10 +688,17 @@ class TestEnrichmentReader:
 def row_loop_oracle(path, delimiter, loader):
     """The raw loaders as a csv row loop: ``read_rows``, then ``parse_ip`` per cell.
 
-    A cell ``parse_ip`` rejects raises its error with the file and row named.
+    A key cell empty after stripping, or a cell ``parse_ip`` rejects, raises
+    its error with the file and row named.
     """
     header, rows, lines, unread = read_rows(path, delimiter, AllocationError)
     positions = [features._column(header, name, path) for name in LOADER_COLUMNS[loader]]
+
+    def key(cell, lineno):
+        if not cell.strip():
+            name = LOADER_COLUMNS[loader][0]
+            raise AllocationError(f"{path}: row {lineno}: no value in column {name!r}")
+        return cell.strip()
 
     def ip(cell, lineno):
         try:
@@ -680,7 +712,7 @@ def row_loop_oracle(path, delimiter, loader):
         try:
             for lineno, row in zip(lines, rows):
                 if row:
-                    ids.append(row[pid].strip())
+                    ids.append(key(row[pid], lineno))
                     starts.append(ip(row[lo], lineno))
                     ends.append(ip(row[hi], lineno))
         except IndexError:
@@ -693,7 +725,7 @@ def row_loop_oracle(path, delimiter, loader):
     try:
         for lineno, row in zip(lines, rows):
             if row:
-                domains.append(row[dom].strip())
+                domains.append(key(row[dom], lineno))
                 ips.append(ip(row[at], lineno))
     except IndexError:
         raise short_row(path, header, positions, rows, lines) from None

@@ -568,6 +568,18 @@ def test_numeric_column_rejects_strings():
         d.numeric("country")
 
 
+@pytest.mark.parametrize(
+    "columns, name",
+    [({"abuse_count": [1]}, "provider_id"), ({"provider_id": ["a"], "abuse_count": [1]},
+                                            "assigned_ips_log10")],
+    ids=["provider_id", "structural"],
+)
+def test_dataset_names_its_first_missing_required_column(columns, name):
+    with pytest.raises(KeyError) as err:
+        Dataset(columns)
+    assert err.value.args == (f"missing required column {name!r}",)
+
+
 def test_describe_median_mean_cross_check(rng):
     # independent oracle: plain sorted-list median / two-pass mean
     values = rng.integers(0, 60, size=31)

@@ -217,6 +217,17 @@ class TestMatchTwins:
         with pytest.raises(MatchingError):
             match_twins(only, only, CFG2)
 
+    def test_seed_without_a_matching_value_rejected(self):
+        # distance_matrix leaves such a seed out; matching would drop it silently
+        T = make_dataset(
+            [dict(provider_id=pid, price_per_year=price, pct_shared=shared)
+             for pid, price, shared in [("a", 1.0, None), ("b", None, None), ("c", 3.0, 5.0)]]
+        )
+        cfg = MatchingConfig(variables=("pct_shared", "price_per_year"), standardize=False)
+        with pytest.raises(MatchingError) as err:
+            match_twins(T.take([2, 1, 0]), T, cfg)
+        assert str(err.value) == "seed 'b' has no value for matching variable 'pct_shared'"
+
     def test_pairing_counts_and_uniqueness_bound(self, rng):
         n_pop, n_seeds = 400, 25
         pop = point_dataset(
