@@ -84,18 +84,25 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
     of ``d`` complete for the widest specification, so their likelihoods,
     AICs and pseudo-R2 values stay comparable; each fit's ``row_index``
     holds positions in ``d``. Returns one column per model and the number
-    of rows excluded for missing values. Only the widest design is built;
-    every other spec's design is restricted from it when its fit needs it.
-    Each distinct spec is fitted once: a stepwise model equal to a
-    baseline shares its fit. The stepwise specs are fitted widest first, so
-    each restricted copy of the design fits in the memory that the wider
-    copy before it freed; narrowest first, no freed block would be big
-    enough for the next copy and the peak memory of the run would grow.
+    of rows excluded for missing values. Only the widest design is built,
+    and its ``X`` is never read: each fit gets a design of its own,
+    restricted from it, whose ``X`` lives only through that fit. A caller
+    that passes its only reference to ``d`` has the table freed once the
+    design is built (from CPython 3.11 on, a call's arguments belong to the
+    callee's frame). Each distinct spec is fitted once: a stepwise model
+    equal to a baseline shares its fit. The stepwise specs are fitted
+    widest first, so each design's ``X`` fits in the memory that the wider
+    one before it freed; narrowest first, no freed block would be big
+    enough for the next one and the peak memory of the run would grow.
     """
-    dm = build_design(d, spec)
+    if baseline_mode == "fe" and not spec.fixed_effects:
+        raise ValueError("--baseline fe requires --fixed-effects")
     # fit.json reports the exclusions once, as rows_excluded_for_missing
-    widest = replace(dm, excluded_rows=0)
-    fits: dict[ModelSpec, FitResult] = {spec: fit_poisson(widest)}
+    widest = build_design(d, spec)
+    excluded, source_label = widest.excluded_rows, d.source_label
+    widest = replace(widest, excluded_rows=0)
+    del d
+    fits: dict[ModelSpec, FitResult] = {}
 
     def fit(s: ModelSpec) -> FitResult:
         if s not in fits:
@@ -109,7 +116,7 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
     columns = []
     for j, s in enumerate(specs, 1):
         f = fit(s)
-        column = ModelColumn(label=f"({j})", fit=f, source_label=d.source_label)
+        column = ModelColumn(label=f"({j})", fit=f, source_label=source_label)
         try:
             column.dispersion = diagnostics.dispersion(f.y, f.fitted, f.k, f.has_intercept)
         except diagnostics.DiagnosticsError:
@@ -128,7 +135,7 @@ def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
             except diagnostics.DiagnosticsError:
                 pass
         columns.append(column)
-    return columns, dm.excluded_rows
+    return columns, excluded
 
 
 def _manifest(args: argparse.Namespace, rng_seed: int | None = None) -> RunManifest:
@@ -156,7 +163,7 @@ def _outputs(args: argparse.Namespace, rng_seed: int | None = None):
 
 
 def cmd_describe(args) -> int:
-    d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
+    d = _load_input(args)
     columns = _split(args.columns) or ingest.REQUIRED_COLUMNS[1:]  # all but provider_id
     summaries = ingest.describe(d, columns)
     manifest, out = _outputs(args)
@@ -250,7 +257,7 @@ def _match(args, d: ingest.Dataset) -> list[twins.TwinPairing]:
 
 
 def cmd_twins(args) -> int:
-    d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
+    d = _load_input(args)
     pairings = _match(args, d)
     manifest, out = _outputs(args, args.seed)
     _write_pairings(out, pairings, args, manifest)
@@ -269,20 +276,8 @@ def _model_spec(args) -> ModelSpec:
     )
 
 
-def _table_fits(args, stepwise: bool = False):
-    """Load ``--input`` and fit the model(s) of a table command.
-
-    Returns the table, the columns and excluded count of ``_run_fits``,
-    the run manifest and the created output directory.
-    Commands without a ``--baseline`` option fit no pseudo-R2 baseline.
-    """
-    d = ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
-    spec = _model_spec(args)
-    mode = getattr(args, "baseline", "")
-    if mode == "fe" and not spec.fixed_effects:
-        raise ValueError("--baseline fe requires --fixed-effects")
-    columns, excluded = _run_fits(d, spec, stepwise, mode)
-    return d, columns, excluded, *_outputs(args)
+def _load_input(args) -> ingest.Dataset:
+    return ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
 
 
 def _write_fits(out: Path, columns: list[ModelColumn], excluded: int, args, manifest,
@@ -320,7 +315,10 @@ def _write_rankings(out: Path, d: ingest.Dataset, fit: FitResult, args, manifest
 
 
 def cmd_fit(args) -> int:
-    _d, columns, excluded, manifest, out = _table_fits(args, args.stepwise)
+    # _run_fits gets the only reference to the table, and frees it once its design is built
+    columns, excluded = _run_fits(_load_input(args), _model_spec(args), args.stepwise,
+                                  args.baseline)
+    manifest, out = _outputs(args)
     _write_fits(out, columns, excluded, args, manifest)
     write_json_document(
         out / "assessment.json",
@@ -331,7 +329,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    _d, columns, excluded, manifest, out = _table_fits(args)
+    # _run_fits gets the only reference to the table, as in cmd_fit
+    columns, excluded = _run_fits(_load_input(args), _model_spec(args), False, args.baseline)
+    manifest, out = _outputs(args)
     column = columns[0]
     write_json_document(
         out / "assessment.json",
@@ -339,7 +339,7 @@ def cmd_diagnostics(args) -> int:
             "model": column.label,
             "rows_excluded_for_missing": excluded,
             "n": column.fit.n,
-            "deviance_model": diagnostics.deviance(column.fit.y, column.fit.fitted),
+            "deviance_model": column.fit.deviance,
             **column.assessment_document(),
         },
         manifest,
@@ -351,13 +351,17 @@ def cmd_diagnostics(args) -> int:
 
 
 def cmd_scenarios(args) -> int:
-    d, columns, _excluded, manifest, out = _table_fits(args)
+    d = _load_input(args)
+    columns, _excluded = _run_fits(d, _model_spec(args))
+    manifest, out = _outputs(args)
     _write_scenarios(out, columns[0].fit, d, args, manifest)
     return 0
 
 
 def cmd_rank(args) -> int:
-    d, columns, _excluded, manifest, out = _table_fits(args)
+    d = _load_input(args)
+    columns, _excluded = _run_fits(d, _model_spec(args))
+    manifest, out = _outputs(args)
     _write_rankings(out, d, columns[0].fit, args, manifest)
     return 0
 

@@ -120,8 +120,7 @@ def pseudo_r2(fit: glm.FitResult, baseline: glm.FitResult) -> FitAssessment:
     if fit.n != baseline.n or not np.array_equal(fit.y, baseline.y):
         raise DiagnosticsError("fit and baseline were estimated on different rows")
     kind = _baseline_kind(fit, baseline)
-    d_model = deviance(fit.y, fit.fitted)
-    d_base = deviance(baseline.y, baseline.fitted)
+    d_model, d_base = fit.deviance, baseline.deviance
     if d_base == 0:
         raise DiagnosticsError("baseline deviance is zero (already-perfect baseline)")
     if kind in ("intercept_only", "self"):

@@ -56,19 +56,22 @@ class AllocationError(ValueError):
 def parse_ip(text) -> int:
     """Normalize a dotted-quad or integer IP representation to an integer.
 
-    Integers, given as such or as digits, must lie in [0, 2**32 - 1].
+    Integers, given as such or as ASCII digits after an optional ``-``, must
+    lie in [0, 2**32 - 1]; ``int`` would also read ``+``, ``_`` between
+    digits and non-ASCII digits.
     """
-    if not isinstance(text, int):
+    if isinstance(text, int):
+        value = text
+    else:
         text = text.strip()
         if "." in text:
             try:
                 return int(ipaddress.IPv4Address(text))
             except ipaddress.AddressValueError as exc:
                 raise AllocationError(f"invalid IP address {text!r}: {exc}") from None
-    try:
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise AllocationError(f"invalid IP address {text!r}")
         value = int(text)
-    except ValueError:
-        raise AllocationError(f"invalid IP address {text!r}") from None
     if not 0 <= value <= MAX_IPV4:
         raise AllocationError(f"invalid IP address {text!r}: outside [0, {MAX_IPV4}]")
     return value
@@ -326,8 +329,10 @@ def merge_enrichment(d: Dataset, enrichment: tuple, columns: Sequence[str]) -> D
     merged = {}
     for c in columns:
         if c in values:
-            new = np.asarray(values[c], dtype=d.column(c).dtype)[at[rows]]
-            present = ~(np.equal(new, None) if c in STRING_COLUMNS else np.isnan(new))
+            # numbers as float, a missing one NaN; int64 takes an integral count exactly
+            kind = object if c in STRING_COLUMNS else float
+            new = np.asarray(values[c], dtype=kind)[at[rows]]
+            present = ~(np.equal(new, None) if kind is object else np.isnan(new))
             column = d.column(c).copy()
             column[rows[present]] = new[present]
             merged[c] = column
@@ -384,7 +389,7 @@ def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[l
     def positions(header):
         return [_column(header, name, path) for name in (key, *ips)]
 
-    def parse(header, cells, lengths):
+    def parse(header, cells, lengths, no_extras):
         at, width = positions(header), len(header)
         short = lengths is not None and min(lengths, default=width) <= max(at)
 
@@ -452,9 +457,9 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
     def no_id(value, line):
         raise AllocationError(f"row {line}: no value in column 'provider_id'")
 
-    def parse(header, cells, lengths):
+    def parse(header, cells, lengths, no_extras):
         pid, at = positions(header)
-        columns, checks = _parse_columns(cells, len(header), at)
+        columns, checks = _parse_columns(cells, len(header), at, no_extras)
         ids = columns["provider_id"] = list(map(str.strip, cells[pid::len(header)]))
         if "" in ids:  # cut off, or empty after stripping
             checks.insert(0, (np.equal(ids, ""), ids, no_id))

@@ -2,8 +2,10 @@
 
 Datasets are delimiter-separated text files with a header row, UTF-8
 encoded (a leading byte-order mark is skipped), "." as decimal separator
-and empty cells for missing values. Lines starting with "#" are treated
-as comments (run manifests are embedded that way) and skipped.
+and empty cells for missing values. A number holds ASCII characters only
+and no "_", which Python's ``float`` would also read. Lines starting with
+"#" are treated as comments (run manifests are embedded that way) and
+skipped.
 
 Every file is read once, in blocks of rows (``_read_blocks``), so a load
 needs memory for the columns it keeps; a bad file's error is named from the
@@ -225,7 +227,7 @@ def _parse_cell(column: str, text: str, row: int):
     if column in STRING_COLUMNS:
         return text
     try:
-        value = float(text)
+        value = _float(text)
     except ValueError:
         raise LoadError(
             f"row {row}: non-numeric value {text!r} in column {column!r}"
@@ -235,6 +237,22 @@ def _parse_cell(column: str, text: str, row: int):
     if column in _BOUNDS and not _in_bounds(column, value):
         raise LoadError(f"row {row}: {_BOUNDS[column][2]}, got {text!r}")
     return int(value) if column == "abuse_count" else value
+
+
+def _no_extras(text: str) -> bool:
+    """Whether ``text`` is ASCII and holds no ``_``.
+
+    ``float`` and ``int`` also read what Python literals allow beyond a
+    file's numbers: ``_`` between digits, and non-ASCII digits.
+    """
+    return text.isascii() and "_" not in text
+
+
+def _float(text: str) -> float:
+    """``float`` of a stripped cell with ``_no_extras``; ValueError for any other."""
+    if not _no_extras(text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def _in_bounds(column: str, values):
@@ -293,8 +311,8 @@ def load_table(
     def missing(name, value, line):
         raise LoadError(f"row {line}: missing value in required column {name!r}")
 
-    def parse(header, cells, lengths):
-        columns, checks = _parse_columns(cells, len(header), positions(header))
+    def parse(header, cells, lengths, no_extras):
+        columns, checks = _parse_columns(cells, len(header), positions(header), no_extras)
         ids, counts = columns["provider_id"], columns["abuse_count"]
         if None in ids:
             checks.append((np.equal(ids, None), ids, partial(missing, "provider_id")))
@@ -317,18 +335,20 @@ def _parse_or(default, parse, text: str):
         return default
 
 
-def _parse_columns(cells: list[str], width: int, positions: Mapping[str, int]):
+def _parse_columns(cells: list[str], width: int, positions: Mapping[str, int], no_extras: bool):
     """The columns at ``positions`` by ``_parse_column``, and a check of each rejecting a cell."""
     columns, checks = {}, []
     for name, pos in positions.items():
         column = cells[pos::width]
-        columns[name], bad = _parse_column(name, column)
+        columns[name], bad = _parse_column(name, column, no_extras)
         if bad is not None:
             checks.append((bad, column, partial(_parse_cell, name)))
     return columns, checks
 
 
-def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, np.ndarray | None]:
+def _parse_column(
+    name: str, cells: list[str], no_extras: bool
+) -> tuple[list | np.ndarray, np.ndarray | None]:
     """One column of cells as ``_parse_cell`` reads each, and the mask of those it rejects.
 
     A string column becomes a list of stripped cells, ``None`` for an empty
@@ -336,20 +356,25 @@ def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, np.nd
     cell. ``float`` strips a cell as ``_parse_cell`` does, so only a
     whitespace-only or a bad cell fails the first parse; the cells are then
     stripped and a bad one read as NaN, which fails the finiteness check.
-    The mask is None when no cell is rejected, as no string cell is.
+    The first parse is by ``float`` only when the cells, or their whole
+    block (``no_extras``), have ``_no_extras``; otherwise each cell is read
+    by ``_float``. The mask is None when no cell is rejected, as no string
+    cell is.
     """
     if name in STRING_COLUMNS:
         stripped = list(map(str.strip, cells))
         return [cell or None for cell in stripped] if "" in stripped else stripped, None
     present = np.fromiter(map(bool, cells), bool, len(cells)) if "" in cells else None
     try:
+        if not (no_extras or _no_extras("".join(cells))):
+            raise ValueError("a cell may hold an extra, which float reads")
         values = np.fromiter(
             map(float, cells if present is None else compress(cells, present)), float
         )
     except ValueError:
         cells = list(map(str.strip, cells))
         present = np.fromiter(map(bool, cells), bool, len(cells))
-        parse = partial(_parse_or, math.nan, float)
+        parse = partial(_parse_or, math.nan, _float)
         values = np.fromiter(map(parse, compress(cells, present)), float)
     # finite first, or _in_bounds warns on inf % 1; every numeric column has bounds
     ok = np.isfinite(values).all() and _in_bounds(name, values).all()
@@ -383,18 +408,20 @@ _BLOCK_CHARS = 1 << 16
 def _read_blocks(path, delimiter: str, error: type[Exception], parse, key=()) -> dict:
     """The columns ``parse`` reads from the blocks of ``_blocks``, concatenated.
 
-    ``parse(header, cells, lengths)`` reads the cells of consecutive data
-    rows, ``len(header)`` a row, ``header`` stripped; ``lengths`` is each
-    row's count of cells before it was padded or cut, None if each has
-    ``len(header)``. It returns a dict of columns, each a list or a numpy
-    array, and the checks that reject a row, in the order a row loop runs
-    them: each the boolean mask of the rows it rejects, a value per row and
-    ``fail(value, line)``, which raises a rejected row's error as ``row
-    {line}: ...``. The first rejected row raises its first check's error,
-    and a row csv cannot read ``error``, each with the path prefixed, once
-    the rows before it hold no repeat of the ``key`` columns ``parse``
-    returns; a good read looks for one at the end. A repeat raises a
-    ``LoadError``, a file with no header ``error``.
+    ``parse(header, cells, lengths, no_extras)`` reads the cells of
+    consecutive data rows, ``len(header)`` a row, ``header`` stripped;
+    ``lengths`` is each row's count of cells before it was padded or cut,
+    None if each has ``len(header)``, and ``no_extras`` is True when the
+    block's text has ``_no_extras`` (looked for in a plain block only).
+    It returns a dict of columns, each a list or a numpy array, and the
+    checks that reject a row, in the order a row loop runs them: each the
+    boolean mask of the rows it rejects, a value per row and ``fail(value,
+    line)``, which raises a rejected row's error as ``row {line}: ...``.
+    The first rejected row raises its first check's error, and a row csv
+    cannot read ``error``, each with the path prefixed, once the rows before
+    it hold no repeat of the ``key`` columns ``parse`` returns; a good read
+    looks for one at the end. A repeat raises a ``LoadError``, a file with
+    no header ``error``.
     """
     parts, lines, failure = [], [], None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -490,7 +517,7 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[tuple, Sequence[int]]]:
                 header = [h.strip() for h in cells[:width]]
                 del cells[:width]
                 lines = lines[1:]
-            yield parse(header, cells, None), lines
+            yield parse(header, cells, None, _no_extras(data)), lines
         if not text:
             return  # every block was plain
     rows = _rows(chain(io.StringIO(text, newline=""), fh), delimiter, line)
@@ -509,7 +536,7 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[tuple, Sequence[int]]]:
                 cells += (row + pad)[:width]
         except csv.Error as exc:
             unread = exc
-        yield parse(header, cells, lengths), lines
+        yield parse(header, cells, lengths, False), lines
         if unread:
             raise unread
         if len(lines) < size:

@@ -57,6 +57,29 @@ def same_table(a, b):
     )
 
 
+#: The four structural variables, the paper's size predictors.
+STRUCTURAL = ("assigned_ips_log10", "hosting_ips_log10", "hosted_domains_log10", "pct_shared")
+
+
+def country_table(n: int = 20_000, levels: int = 24, seed: int = 11) -> Dataset:
+    """``n`` providers: uniform structural values, one of ``levels`` countries, Poisson counts.
+
+    With the defaults, the design of the structural predictors and a
+    country fixed effect is 20,000 x 28: intercept, 4 predictors and 23
+    country dummies.
+    """
+    r = np.random.default_rng(seed)
+    x = r.uniform(0.0, 2.0, (n, 4))
+    country = r.integers(0, levels, n)
+    y = r.poisson(np.exp(0.3 + x @ [0.2, -0.1, 0.3, 0.05] + 0.02 * country))
+    return Dataset({
+        "provider_id": [f"p{i}" for i in range(n)],
+        **dict(zip(STRUCTURAL, x.T)),
+        "abuse_count": y,
+        "country": [f"c{c:02d}" for c in country],
+    })
+
+
 def traced_peak(call, *args):
     """Bytes ``call(*args)`` allocates at its peak, above what was allocated before it."""
     tracemalloc.start()

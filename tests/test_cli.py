@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from abusekit import cli, ingest, sim
 from abusekit.cli import load_sim_config, main
 from abusekit.glm import ModelSpec
 from abusekit.report import ModelColumn, _jsonable, render_fit_table
+
+from conftest import country_table, traced_peak
 
 FIXTURE = Path(__file__).parent / "data" / "fixture"
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -407,6 +410,41 @@ class TestFit:
         # fitted widest first; then the intercept-only baseline
         assert [len(s.predictors) for s in fitted] == [4, 3, 2, 1, 0, 0]
         assert fitted[-1] == ModelSpec("abuse_count")
+
+    def test_stepwise_fits_peak_memory(self):
+        # each design's X lives only through its own fit, beside its work buffer
+        spec = ModelSpec("abuse_count", STRUCTURAL.split(","), ("country",))
+        d = country_table()
+        design = len(d) * 28 * 8  # the widest design: intercept, 4 predictors, 23 dummies
+        peak = traced_peak(cli._run_fits, d, spec, True, "both")
+        assert peak <= 2.8 * design, peak / design
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="before 3.11 the caller's frame holds the arguments"
+    )
+    @pytest.mark.parametrize("command, freed", [("fit", True), ("diagnostics", True),
+                                                ("scenarios", False), ("rank", False)])
+    def test_table_freed_before_fitting(self, providers_csv, tmp_path, monkeypatch,
+                                        command, freed):
+        tables, alive = [], []
+        load_table, fit_poisson = ingest.load_table, cli.fit_poisson
+
+        def loading(*args):
+            d = load_table(*args)
+            tables.append(weakref.ref(d))
+            return d
+
+        def fitting(dm):
+            alive.append(tables[0]() is not None)
+            return fit_poisson(dm)
+
+        monkeypatch.setattr(ingest, "load_table", loading)
+        monkeypatch.setattr(cli, "fit_poisson", fitting)
+        argv = [command, "--input", str(providers_csv), "--predictors", STRUCTURAL,
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(tables) == 1 and alive
+        assert alive == [not freed] * len(alive)
 
     def test_fixed_effects_table_structure(self, tmp_path):
         # build the twin dataset through the pipeline, then refit via `fit`

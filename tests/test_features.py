@@ -108,6 +108,11 @@ class TestParseIp:
         for value in ("-5", "4294967296", -5, 2**32):  # integers outside IPv4
             with pytest.raises(AllocationError, match="outside"):
                 parse_ip(value)
+        # int() also reads these, as Python literals
+        for value in ("+7", "1_000", "\u0663", " +7 "):
+            with pytest.raises(AllocationError) as err:
+                parse_ip(value)
+            assert str(err.value) == f"invalid IP address {value.strip()!r}"
 
 
 class TestAllocationIndex:
@@ -345,6 +350,63 @@ class TestLoaders:
         path.write_text("provider_id,ip_start\na,0\n")
         with pytest.raises(AllocationError, match="missing required column 'ip_end'"):
             load_allocations(path)
+
+    # float() and int() also read "_" between digits and non-ASCII digits, as
+    # Python literals; a file's number is rejected with its row's error, in a
+    # file split by columns (LF) and in one read by csv.reader (CRLF)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663"])
+    @pytest.mark.parametrize(
+        "loader, text, error, message",
+        [
+            (load_table, PROVIDER_HEADER + "\na,1,1,1,10,3\nb,1,1,1,{},0\n", LoadError,
+             "row 3: non-numeric value {!r} in column 'pct_shared'"),
+            (load_enrichment, "provider_id,price_per_year\na,2\nb,{}\n", LoadError,
+             "row 3: non-numeric value {!r} in column 'price_per_year'"),
+        ],
+        ids=["providers", "enrichment"],
+    )
+    def test_number_with_literal_extras_rejected(self, tmp_path, loader, text, error, message,
+                                                  cell, newline):
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.format(cell).replace("\n", newline).encode())
+        with pytest.raises(error) as err:
+            loader(path)
+        assert str(err.value) == f"{path}: {message.format(cell)}"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("cell", ["1_000", "+7", "\u0663"])
+    @pytest.mark.parametrize(
+        "loader, text",
+        [
+            (load_allocations, "provider_id,ip_start,ip_end\na,0,9\nb,{},20\n"),
+            (load_observations, "domain,ip\na.example,1\nb.example,{}\n"),
+            (load_abuse, "domain,ip,timestamp\na.example,1,t\nb.example,{},t\n"),
+        ],
+        ids=["allocations", "observations", "abuse"],
+    )
+    def test_ip_with_literal_extras_rejected(self, tmp_path, loader, text, cell, newline):
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.format(cell).replace("\n", newline).encode())
+        with pytest.raises(AllocationError) as err:
+            loader(path)
+        assert str(err.value) == f"{path}: row 3: invalid IP address {cell!r}"
+
+    def test_empty_enrichment_count_keeps_the_table_count(self, tmp_path):
+        path = tmp_path / "enrichment.csv"
+        path.write_text("provider_id,abuse_count,price_per_year\na,,1.5\nb,7,\n")
+        table = ingest.Dataset({
+            "provider_id": ["a", "b", "c"],
+            **{name: [0.0] * 3 for name in ingest.REQUIRED_COLUMNS[1:5]},
+            "abuse_count": [1, 2, 3],
+        })
+        merged = features.merge_enrichment(
+            table, load_enrichment(path), ["abuse_count", "price_per_year", "country"]
+        )
+        assert merged.column("abuse_count").tolist() == [1, 7, 3]
+        assert merged.column("abuse_count").dtype == np.int64
+        assert merged.column("price_per_year").tolist()[0] == 1.5
+        assert merged.missing("price_per_year").tolist() == [False, True, True]
 
     def test_observations_and_abuse_share_one_columnar_type(self, tmp_path):
         observations = tmp_path / "observations.csv"

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import fields, replace
 from functools import partial
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, optimize
 
+from abusekit import glm
 from abusekit.diagnostics import deviance
 from abusekit.glm import (
     COLLINEARITY_RTOL,
@@ -30,11 +32,12 @@ from abusekit.glm import (
     score_vector,
     star_label,
     wald_tests,
+    _Block,
     _solve_normal_equations,
 )
 from abusekit.ingest import Dataset
 
-from conftest import make_dataset, traced_peak
+from conftest import STRUCTURAL, country_table, make_dataset, traced_peak
 
 
 def poisson_nll(beta, X, y):
@@ -287,6 +290,35 @@ class TestBuildDesign:
             if spec.include_intercept:
                 assert any(name.startswith("twin_id[") for name in dropped_names)
 
+    @settings(max_examples=150, deadline=None)
+    @given(planted_designs(), st.integers(min_value=1, max_value=4096))
+    def test_blockwise_r_keeps_what_a_full_qr_keeps(self, case, block_bytes):
+        # rows per block: 1 below 8 bytes per candidate, up to every row
+        d, spec, _ = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glm, "R_BLOCK_BYTES", block_bytes)
+            dm = build_design(d, spec)
+        # the oracle: one np.linalg.qr of every candidate, the intercept always among them
+        candidate = candidate_columns(d, replace(spec, include_intercept=True), dm)
+        assert [name for name, _ in candidate] == list(dm._block.position)
+        full = copy.copy(dm._block)
+        full.R = np.linalg.qr(np.column_stack([col for _, col in candidate]), mode="r")
+        oracle = replace(dm, _block=full)
+
+        def outcome(design, sub_spec):
+            try:
+                sub = design.restrict(sub_spec)
+            except DesignError as exc:
+                return str(exc)
+            return sub.columns, sub.dropped
+
+        narrower = [replace(spec, predictors=spec.predictors[:k])
+                    for k in range(len(spec.predictors) + 1)]
+        narrower += [ModelSpec(spec.response, (), spec.fixed_effects), ModelSpec(spec.response)]
+        for base in narrower:
+            for sub_spec in (replace(base, include_intercept=flag) for flag in (True, False)):
+                assert outcome(dm, sub_spec) == outcome(oracle, sub_spec)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
@@ -481,6 +513,7 @@ def manual_fit(coefficients, spec=None, factor_levels=None):
         fitted=np.array([]),
         y=np.array([]),
         log_likelihood=0.0,
+        deviance=0.0,
         aic=0.0,
         n=0,
         k=len(coefficients),
@@ -686,6 +719,7 @@ def _allocating_fit(dm):
         fitted=lam,
         y=dm.y.copy(),
         log_likelihood=ll,
+        deviance=dev,
         aic=aic(ll, p),
         n=n,
         k=p - (1 if has_intercept else 0),
@@ -769,18 +803,17 @@ class TestWorkBuffer:
 
     @staticmethod
     def hand_design(X, y, columns):
-        """A design as given, without build_design's rank filter."""
+        """A design of the columns of ``X`` as given, without build_design's rank filter."""
         predictors = tuple(c for c in columns if c != INTERCEPT)
         return DesignMatrix(
             columns=list(columns),
-            X=X,
             y=y,
             spec=ModelSpec("abuse_count", predictors, (), INTERCEPT in columns),
             factor_levels={},
             dropped=[],
             excluded_rows=0,
             row_index=np.arange(len(y)),
-            _block=None,
+            _block=_Block(X, [], list(columns)),
         )
 
     def assert_least_squares_step(self, dm, monkeypatch):
@@ -863,31 +896,10 @@ class TestWorkBuffer:
         assert flagged == ["separation: column 'hosting_ips_log10' only active where y = 0"]
 
     def test_peak_memory_below_one_and_a_half_designs(self):
-        # 20,000 x 28: intercept, 4 continuous columns and 23 country dummies
-        r = np.random.default_rng(11)
-        n = 20_000
-        x = r.uniform(0.0, 2.0, (n, 4))
-        country = r.integers(0, 24, n)
-        y = r.poisson(np.exp(0.3 + x @ [0.2, -0.1, 0.3, 0.05] + 0.02 * country))
-        d = Dataset({
-            "provider_id": [f"p{i}" for i in range(n)],
-            **dict(zip(("assigned_ips_log10", "hosting_ips_log10",
-                        "hosted_domains_log10", "pct_shared"), x.T)),
-            "abuse_count": y,
-            "country": [f"c{c:02d}" for c in country],
-        })
-        dm = build_design(d, ModelSpec(
-            "abuse_count",
-            ("assigned_ips_log10", "hosting_ips_log10", "hosted_domains_log10", "pct_shared"),
-            ("country",),
-        ))
-        assert dm.X.shape == (n, 28)
+        dm = build_design(country_table(), ModelSpec("abuse_count", STRUCTURAL, ("country",)))
+        assert dm.X.shape == (20_000, 28)
         peak = traced_peak(fit_poisson, dm)
         assert peak < 1.5 * dm.X.nbytes, peak / dm.X.nbytes
-
-
-#: The four structural variables, the paper's size predictors.
-STRUCTURAL = ("assigned_ips_log10", "hosting_ips_log10", "hosted_domains_log10", "pct_shared")
 
 
 def planted_table(y, **columns):

@@ -255,7 +255,7 @@ class TestLoadTable:
             + "# note\n"
             + "a, 1.5 ,1,1,0,0,NL,t2\n"
             + "\n"
-            + "b,2,1,1_000,100,7,,t1\n",
+            + "b,2,1,1000,100,7,,t1\n",
             encoding="utf-8",
         )
         d = load_table(path)
@@ -276,7 +276,7 @@ class TestLoadTable:
             + b'"a",1,1,1,10,3,,t1\r\n'
             + b'a, 1.5 ,1,1,0,0,"N\r\nL",t2,extra\r\n'
             + b"\r\n"
-            + b'b,2,1,1_000,100," 7 "\r\n'
+            + b'b,2,1,1000,100," 7 "\r\n'
         )
         d = load_table(path)
         assert d.provider_ids() == ["a", "a", "b"]
