@@ -19,6 +19,7 @@ from pathlib import Path
 from . import __version__, diagnostics, features, ingest, scenarios, sim, twins
 from .glm import (
     INTERCEPT,
+    DesignMatrix,
     FitResult,
     ModelSpec,
     SeparationError,
@@ -76,32 +77,27 @@ def _split(text: str | None) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def _run_fits(d: ingest.Dataset, spec: ModelSpec, stepwise: bool = False,
+def _run_fits(widest: DesignMatrix, source_label: str, stepwise: bool = False,
               baseline_mode: str = "") -> tuple[list[ModelColumn], int]:
-    """Fit the requested model(s) and pseudo-R2 baselines on a common row set.
+    """Fit the model of ``widest`` (or its stepwise models) and pseudo-R2 baselines.
 
-    All models (stepwise or single) and baselines are estimated on the rows
-    of ``d`` complete for the widest specification, so their likelihoods,
-    AICs and pseudo-R2 values stay comparable; each fit's ``row_index``
-    holds positions in ``d``. Returns one column per model and the number
-    of rows excluded for missing values. Only the widest design is built,
-    and its ``X`` is never read: each fit gets a design of its own,
-    restricted from it, whose ``X`` lives only through that fit. A caller
-    that passes its only reference to ``d`` has the table freed once the
-    design is built (from CPython 3.11 on, a call's arguments belong to the
-    callee's frame). Each distinct spec is fitted once: a stepwise model
-    equal to a baseline shares its fit. The stepwise specs are fitted
-    widest first, so each design's ``X`` fits in the memory that the wider
-    one before it freed; narrowest first, no freed block would be big
-    enough for the next one and the peak memory of the run would grow.
+    ``widest`` is the design of the widest specification, from
+    ``build_design`` on a table labelled ``source_label``. All models and
+    baselines are estimated on its rows, so their likelihoods, AICs and
+    pseudo-R2 values stay comparable; each fit's ``row_index`` holds
+    positions in that table. Returns one column per model and the number of
+    rows excluded for missing values. The ``X`` of ``widest`` is never
+    read: each fit gets a design of its own, restricted from it, whose
+    ``X`` lives only through that fit. Each distinct spec is fitted once: a
+    stepwise model equal to a baseline shares its fit. The stepwise specs
+    are fitted widest first, so each design's ``X`` fits in the memory that
+    the wider one before it freed; narrowest first, no freed block would be
+    big enough for the next one and the peak memory of the run would grow.
     """
-    if baseline_mode == "fe" and not spec.fixed_effects:
-        raise ValueError("--baseline fe requires --fixed-effects")
+    spec = widest.spec
     # fit.json reports the exclusions once, as rows_excluded_for_missing
-    widest = build_design(d, spec)
-    excluded, source_label = widest.excluded_rows, d.source_label
+    excluded = widest.excluded_rows
     widest = replace(widest, excluded_rows=0)
-    del d
     fits: dict[ModelSpec, FitResult] = {}
 
     def fit(s: ModelSpec) -> FitResult:
@@ -280,6 +276,19 @@ def _load_input(args) -> ingest.Dataset:
     return ingest.load_table(args.input, _parse_schema(args.schema), args.delimiter)
 
 
+def _input_design(args) -> tuple[DesignMatrix, str]:
+    """The design of the model of a ``--baseline`` command on its input, and the table's label.
+
+    The table itself is freed on return, so a command that needs only the
+    fits holds no table while it fits.
+    """
+    d = _load_input(args)
+    spec = _model_spec(args)
+    if args.baseline == "fe" and not spec.fixed_effects:
+        raise ValueError("--baseline fe requires --fixed-effects")
+    return build_design(d, spec), d.source_label
+
+
 def _write_fits(out: Path, columns: list[ModelColumn], excluded: int, args, manifest,
                 suffix: str = "", **extra) -> None:
     """``fit{suffix}.json`` and, unless the format is json, the rendered table.
@@ -315,9 +324,7 @@ def _write_rankings(out: Path, d: ingest.Dataset, fit: FitResult, args, manifest
 
 
 def cmd_fit(args) -> int:
-    # _run_fits gets the only reference to the table, and frees it once its design is built
-    columns, excluded = _run_fits(_load_input(args), _model_spec(args), args.stepwise,
-                                  args.baseline)
+    columns, excluded = _run_fits(*_input_design(args), args.stepwise, args.baseline)
     manifest, out = _outputs(args)
     _write_fits(out, columns, excluded, args, manifest)
     write_json_document(
@@ -329,8 +336,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_diagnostics(args) -> int:
-    # _run_fits gets the only reference to the table, as in cmd_fit
-    columns, excluded = _run_fits(_load_input(args), _model_spec(args), False, args.baseline)
+    columns, excluded = _run_fits(*_input_design(args), False, args.baseline)
     manifest, out = _outputs(args)
     column = columns[0]
     write_json_document(
@@ -352,7 +358,7 @@ def cmd_diagnostics(args) -> int:
 
 def cmd_scenarios(args) -> int:
     d = _load_input(args)
-    columns, _excluded = _run_fits(d, _model_spec(args))
+    columns, _excluded = _run_fits(build_design(d, _model_spec(args)), d.source_label)
     manifest, out = _outputs(args)
     _write_scenarios(out, columns[0].fit, d, args, manifest)
     return 0
@@ -360,7 +366,7 @@ def cmd_scenarios(args) -> int:
 
 def cmd_rank(args) -> int:
     d = _load_input(args)
-    columns, _excluded = _run_fits(d, _model_spec(args))
+    columns, _excluded = _run_fits(build_design(d, _model_spec(args)), d.source_label)
     manifest, out = _outputs(args)
     _write_rankings(out, d, columns[0].fit, args, manifest)
     return 0
@@ -483,7 +489,8 @@ def cmd_pipeline(args) -> int:
         ingest.write_table(twin_data, out / "twin_dataset.csv", args.delimiter, comment)
 
     def fit_and_write(data: ingest.Dataset, suffix: str):
-        columns, excluded = _run_fits(data, spec, args.stepwise, "both")
+        columns, excluded = _run_fits(build_design(data, spec), data.source_label,
+                                      args.stepwise, "both")
         _write_fits(out, columns, excluded, args, manifest, suffix,
                     source_label=data.source_label)
         return columns[-1].fit

@@ -389,7 +389,7 @@ def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[l
     def positions(header):
         return [_column(header, name, path) for name in (key, *ips)]
 
-    def parse(header, cells, lengths, no_extras):
+    def parse(header, cells, lengths):
         at, width = positions(header), len(header)
         short = lengths is not None and min(lengths, default=width) <= max(at)
 
@@ -457,9 +457,9 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
     def no_id(value, line):
         raise AllocationError(f"row {line}: no value in column 'provider_id'")
 
-    def parse(header, cells, lengths, no_extras):
+    def parse(header, cells, lengths):
         pid, at = positions(header)
-        columns, checks = _parse_columns(cells, len(header), at, no_extras)
+        columns, checks = _parse_columns(cells, len(header), at)
         ids = columns["provider_id"] = list(map(str.strip, cells[pid::len(header)]))
         if "" in ids:  # cut off, or empty after stripping
             checks.insert(0, (np.equal(ids, ""), ids, no_id))

@@ -311,8 +311,8 @@ def load_table(
     def missing(name, value, line):
         raise LoadError(f"row {line}: missing value in required column {name!r}")
 
-    def parse(header, cells, lengths, no_extras):
-        columns, checks = _parse_columns(cells, len(header), positions(header), no_extras)
+    def parse(header, cells, lengths):
+        columns, checks = _parse_columns(cells, len(header), positions(header))
         ids, counts = columns["provider_id"], columns["abuse_count"]
         if None in ids:
             checks.append((np.equal(ids, None), ids, partial(missing, "provider_id")))
@@ -335,20 +335,18 @@ def _parse_or(default, parse, text: str):
         return default
 
 
-def _parse_columns(cells: list[str], width: int, positions: Mapping[str, int], no_extras: bool):
+def _parse_columns(cells: list[str], width: int, positions: Mapping[str, int]):
     """The columns at ``positions`` by ``_parse_column``, and a check of each rejecting a cell."""
     columns, checks = {}, []
     for name, pos in positions.items():
         column = cells[pos::width]
-        columns[name], bad = _parse_column(name, column, no_extras)
+        columns[name], bad = _parse_column(name, column)
         if bad is not None:
             checks.append((bad, column, partial(_parse_cell, name)))
     return columns, checks
 
 
-def _parse_column(
-    name: str, cells: list[str], no_extras: bool
-) -> tuple[list | np.ndarray, np.ndarray | None]:
+def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, np.ndarray | None]:
     """One column of cells as ``_parse_cell`` reads each, and the mask of those it rejects.
 
     A string column becomes a list of stripped cells, ``None`` for an empty
@@ -356,17 +354,17 @@ def _parse_column(
     cell. ``float`` strips a cell as ``_parse_cell`` does, so only a
     whitespace-only or a bad cell fails the first parse; the cells are then
     stripped and a bad one read as NaN, which fails the finiteness check.
-    The first parse is by ``float`` only when the cells, or their whole
-    block (``no_extras``), have ``_no_extras``; otherwise each cell is read
-    by ``_float``. The mask is None when no cell is rejected, as no string
-    cell is.
+    The first parse is by ``float`` only when the cells, joined, have
+    ``_no_extras`` (one scan of the column's text); otherwise each cell is
+    read by ``_float``. The mask is None when no cell is rejected, as no
+    string cell is.
     """
     if name in STRING_COLUMNS:
         stripped = list(map(str.strip, cells))
         return [cell or None for cell in stripped] if "" in stripped else stripped, None
     present = np.fromiter(map(bool, cells), bool, len(cells)) if "" in cells else None
     try:
-        if not (no_extras or _no_extras("".join(cells))):
+        if not _no_extras("".join(cells)):
             raise ValueError("a cell may hold an extra, which float reads")
         values = np.fromiter(
             map(float, cells if present is None else compress(cells, present)), float
@@ -408,20 +406,18 @@ _BLOCK_CHARS = 1 << 16
 def _read_blocks(path, delimiter: str, error: type[Exception], parse, key=()) -> dict:
     """The columns ``parse`` reads from the blocks of ``_blocks``, concatenated.
 
-    ``parse(header, cells, lengths, no_extras)`` reads the cells of
-    consecutive data rows, ``len(header)`` a row, ``header`` stripped;
-    ``lengths`` is each row's count of cells before it was padded or cut,
-    None if each has ``len(header)``, and ``no_extras`` is True when the
-    block's text has ``_no_extras`` (looked for in a plain block only).
-    It returns a dict of columns, each a list or a numpy array, and the
-    checks that reject a row, in the order a row loop runs them: each the
-    boolean mask of the rows it rejects, a value per row and ``fail(value,
-    line)``, which raises a rejected row's error as ``row {line}: ...``.
-    The first rejected row raises its first check's error, and a row csv
-    cannot read ``error``, each with the path prefixed, once the rows before
-    it hold no repeat of the ``key`` columns ``parse`` returns; a good read
-    looks for one at the end. A repeat raises a ``LoadError``, a file with
-    no header ``error``.
+    ``parse(header, cells, lengths)`` reads the cells of consecutive data
+    rows, ``len(header)`` a row, ``header`` stripped; ``lengths`` is each
+    row's count of cells before it was padded or cut, None if each has
+    ``len(header)``. It returns a dict of columns, each a list or a numpy
+    array, and the checks that reject a row, in the order a row loop runs
+    them: each the boolean mask of the rows it rejects, a value per row and
+    ``fail(value, line)``, which raises a rejected row's error as ``row
+    {line}: ...``. The first rejected row raises its first check's error,
+    and a row csv cannot read ``error``, each with the path prefixed, once
+    the rows before it hold no repeat of the ``key`` columns ``parse``
+    returns; a good read looks for one at the end. A repeat raises a
+    ``LoadError``, a file with no header ``error``.
     """
     parts, lines, failure = [], [], None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -517,7 +513,7 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[tuple, Sequence[int]]]:
                 header = [h.strip() for h in cells[:width]]
                 del cells[:width]
                 lines = lines[1:]
-            yield parse(header, cells, None, _no_extras(data)), lines
+            yield parse(header, cells, None), lines
         if not text:
             return  # every block was plain
     rows = _rows(chain(io.StringIO(text, newline=""), fh), delimiter, line)
@@ -536,7 +532,7 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[tuple, Sequence[int]]]:
                 cells += (row + pad)[:width]
         except csv.Error as exc:
             unread = exc
-        yield parse(header, cells, lengths, False), lines
+        yield parse(header, cells, lengths), lines
         if unread:
             raise unread
         if len(lines) < size:

@@ -17,7 +17,7 @@ import pytest
 import abusekit
 from abusekit import cli, ingest, sim
 from abusekit.cli import load_sim_config, main
-from abusekit.glm import ModelSpec
+from abusekit.glm import ModelSpec, build_design
 from abusekit.report import ModelColumn, _jsonable, render_fit_table
 
 from conftest import country_table, traced_peak
@@ -404,7 +404,8 @@ class TestFit:
         predictors = tuple(STRUCTURAL.split(","))
         spec = ModelSpec("abuse_count", predictors, ("country",))
         d = ingest.load_table(providers_csv)
-        columns, _excluded = cli._run_fits(d, spec, stepwise=True, baseline_mode="both")
+        columns, _excluded = cli._run_fits(build_design(d, spec), d.source_label,
+                                           stepwise=True, baseline_mode="both")
         assert [c.label for c in columns] == ["(1)", "(2)", "(3)", "(4)", "(5)"]
         assert [c.fit.spec.predictors for c in columns] == [predictors[:k] for k in range(5)]
         # fitted widest first; then the intercept-only baseline
@@ -416,12 +417,11 @@ class TestFit:
         spec = ModelSpec("abuse_count", STRUCTURAL.split(","), ("country",))
         d = country_table()
         design = len(d) * 28 * 8  # the widest design: intercept, 4 predictors, 23 dummies
-        peak = traced_peak(cli._run_fits, d, spec, True, "both")
+        peak = traced_peak(
+            lambda: cli._run_fits(build_design(d, spec), d.source_label, True, "both")
+        )
         assert peak <= 2.8 * design, peak / design
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11), reason="before 3.11 the caller's frame holds the arguments"
-    )
     @pytest.mark.parametrize("command, freed", [("fit", True), ("diagnostics", True),
                                                 ("scenarios", False), ("rank", False)])
     def test_table_freed_before_fitting(self, providers_csv, tmp_path, monkeypatch,
@@ -481,7 +481,8 @@ class TestFit:
     def test_unavailable_standard_error_renders_na(self, providers_csv):
         d = ingest.load_table(providers_csv)
         spec = ModelSpec("abuse_count", ("pct_shared",))
-        (column,), _ = cli._run_fits(d, spec, baseline_mode="intercept")
+        (column,), _ = cli._run_fits(build_design(d, spec), d.source_label,
+                                     baseline_mode="intercept")
         fit = column.fit
         fit = replace(fit, standard_errors={**fit.standard_errors, "pct_shared": math.inf})
         column = ModelColumn(column.label, fit, column.dispersion, column.assessments)

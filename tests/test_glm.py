@@ -303,21 +303,24 @@ class TestBuildDesign:
         assert [name for name, _ in candidate] == list(dm._block.position)
         full = copy.copy(dm._block)
         full.R = np.linalg.qr(np.column_stack([col for _, col in candidate]), mode="r")
-        oracle = replace(dm, _block=full)
 
-        def outcome(design, sub_spec):
+        # select, not restrict: restrict to a design's own spec copies its columns
+        def outcome(block, sub_spec):
+            levels = {factor: dm.factor_levels[factor] for factor in sub_spec.fixed_effects}
             try:
-                sub = design.restrict(sub_spec)
+                sub = block.select(sub_spec, dm.y, levels, dm.excluded_rows, dm.row_index)
             except DesignError as exc:
                 return str(exc)
             return sub.columns, sub.dropped
 
+        assert (dm.columns, dm.dropped) == outcome(full, spec)
+        # the widest spec is among these: its every predictor, with either intercept flag
         narrower = [replace(spec, predictors=spec.predictors[:k])
                     for k in range(len(spec.predictors) + 1)]
         narrower += [ModelSpec(spec.response, (), spec.fixed_effects), ModelSpec(spec.response)]
         for base in narrower:
             for sub_spec in (replace(base, include_intercept=flag) for flag in (True, False)):
-                assert outcome(dm, sub_spec) == outcome(oracle, sub_spec)
+                assert outcome(dm._block, sub_spec) == outcome(full, sub_spec)
 
     @settings(max_examples=200, deadline=None)
     @given(
