@@ -8,15 +8,16 @@ once and parsed by columns, one block of rows at a time
 (``ingest._read_blocks``: 64 KiB blocks split on the delimiter while the
 file is plain, that is, holds no CR, no quote outside comment lines and
 ``width - 1`` delimiters on each data line; ``csv.reader`` rows from its
-first other block on); a bad file's first failing row is named from the
-masks of the rows each block's checks reject. An IP column
-of ASCII digits only is read by numpy in one call, any other through
-``parse_ip`` cell by cell. Files are held as columns: an
-``AllocationIndex`` over the ranges and one ``DomainIps`` per observation
-or abuse file. Each file's rows are attributed to providers by one
-vectorised owner lookup, distinct counts come from sorted integer keys,
-and per-provider results are arrays in ``AllocationIndex.provider_ids``
-order.
+first other block on). Each block's ``parse(header, cells)`` returns its
+columns and checks, whose ``fail(value)`` raises only the reason, and the
+reader names the file and row of the first rejected row. A key or IP cell
+empty after stripping, or cut off, has no value. An IP column of ASCII
+digits only is read by numpy in one call, any other through ``parse_ip``
+cell by cell. Files are held as columns: an ``AllocationIndex`` over the
+ranges and one ``DomainIps`` per observation or abuse file. Each file's
+rows are attributed to providers by one vectorised owner lookup, distinct
+counts come from sorted integer keys, and per-provider results are arrays
+in ``AllocationIndex.provider_ids`` order.
 """
 from __future__ import annotations
 
@@ -339,13 +340,6 @@ def merge_enrichment(d: Dataset, enrichment: tuple, columns: Sequence[str]) -> D
     return d.with_columns(merged)
 
 
-def _column(header: list[str], name: str, path) -> int:
-    pos = _position(header, name, path, AllocationError)
-    if pos is None:
-        raise AllocationError(f"{path}: missing required column {name!r}")
-    return pos
-
-
 def _parse_ips(cells: list[str]) -> tuple[np.ndarray, bool]:
     """IP cells as an int64 array, as ``parse_ip`` reads them, and whether it rejects none.
 
@@ -370,12 +364,9 @@ def _parse_ips(cells: list[str]) -> tuple[np.ndarray, bool]:
     return ips, bool((ips >= 0).all())
 
 
-def _reject_ip(text: str, line: int) -> None:
-    """Raise ``parse_ip``'s error for ``text``, a rejected cell on line ``line``."""
-    try:
-        parse_ip(text)
-    except AllocationError as exc:
-        raise AllocationError(f"row {line}: {exc}") from None
+def _no_value(name: str, value) -> None:
+    """A check's ``fail`` for a cell empty after stripping, or cut off, in column ``name``."""
+    raise AllocationError(f"no value in column {name!r}")
 
 
 def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[list, list]:
@@ -383,32 +374,22 @@ def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[l
 
     Other columns are ignored. A bad file raises the error of its first
     failing row, as a row loop reading its cells in ``key``, ``ips`` order;
-    a key cell empty after stripping has no value.
+    a cell empty after stripping, or cut off, has no value.
     """
 
-    def positions(header):
-        return [_column(header, name, path) for name in (key, *ips)]
-
-    def parse(header, cells, lengths):
-        at, width = positions(header), len(header)
-        short = lengths is not None and min(lengths, default=width) <= max(at)
-
-        def no_value(length, line):
-            name = header[min(p for p in at if p >= length)]
-            raise AllocationError(f"row {line}: no value in column {name!r}")
-
-        keys = list(map(str.strip, cells[at[0]::width]))
+    def parse(header, cells):
+        at = [_position(header, name, path, AllocationError, True) for name in (key, *ips)]
+        keys = list(map(str.strip, cells[at[0]::len(header)]))
         columns, checks = {key: keys}, []
-        if "" in keys:  # no key: the row ends before its cell, or the cell is empty
-            ends = np.minimum(lengths or [width] * len(keys), at[0])
-            checks.append((np.equal(keys, ""), ends, no_value))
+        if "" in keys:
+            checks.append((np.equal(keys, ""), keys, partial(_no_value, key)))
         for name, pos in zip(ips, at[1:]):
-            if short:
-                checks.append((np.less_equal(lengths, pos), lengths, no_value))
-            column = cells[pos::width]
+            column = cells[pos::len(header)]
             columns[name], ok = _parse_ips(column)
-            if not ok:
-                checks.append((columns[name] < 0, column, _reject_ip))
+            if not ok:  # an empty cell has no value; parse_ip rejects any other
+                stripped = list(map(str.strip, column))
+                checks.append((np.equal(stripped, ""), stripped, partial(_no_value, name)))
+                checks.append((columns[name] < 0, column, parse_ip))
         return columns, checks
 
     columns = _read_blocks(path, delimiter, AllocationError, parse)
@@ -445,30 +426,22 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
     provider_id must not be empty and may appear on one row only, and a
     canonical column once in the header. Returns the stripped ids and, per
     canonical column in header order, its values: a list of str for a
-    string column, a float64 array for a numeric one and an object array
-    of int for ``abuse_count``; ``None`` or NaN marks an empty cell.
+    string column and a float64 array for a numeric one, ``abuse_count``
+    among them; ``None`` or NaN marks an empty cell.
     """
 
     def positions(header):
-        known = set(COLUMNS) - {"provider_id"}
-        pid = _column(header, "provider_id", path)
-        return pid, {name: _column(header, name, path) for name in header if name in known}
+        known = [name for name in header if name in COLUMNS and name != "provider_id"]
+        pid = _position(header, "provider_id", path, AllocationError, True)
+        return pid, {name: _position(header, name, path, AllocationError) for name in known}
 
-    def no_id(value, line):
-        raise AllocationError(f"row {line}: no value in column 'provider_id'")
-
-    def parse(header, cells, lengths):
+    def parse(header, cells):
         pid, at = positions(header)
         columns, checks = _parse_columns(cells, len(header), at)
         ids = columns["provider_id"] = list(map(str.strip, cells[pid::len(header)]))
         if "" in ids:  # cut off, or empty after stripping
-            checks.insert(0, (np.equal(ids, ""), ids, no_id))
+            checks.insert(0, (np.equal(ids, ""), ids, partial(_no_value, "provider_id")))
         return columns, checks
 
     columns = _read_blocks(path, delimiter, AllocationError, parse, ("provider_id",))
-    ids = columns.pop("provider_id")
-    if "abuse_count" in columns:  # ints, as _parse_cell reads a count
-        missing = np.isnan(columns["abuse_count"])
-        counts = np.where(missing, 0, columns["abuse_count"]).astype(np.int64).astype(object)
-        columns["abuse_count"] = np.where(missing, None, counts)
-    return ids, columns
+    return columns.pop("provider_id"), columns

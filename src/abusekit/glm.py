@@ -461,6 +461,7 @@ def fit_poisson(dm: DesignMatrix) -> FitResult:
         np.multiply(X, w[:, None], out=Xw)
         H = X.T @ Xw
         g = Xw.T @ z
+        del w, z  # two n-vectors the step-halving does not need
         step = _solve_normal_equations(H, g) - beta
 
         # Step-halving: shrink toward the current iterate until the

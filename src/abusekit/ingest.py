@@ -8,8 +8,10 @@ and no "_", which Python's ``float`` would also read. Lines starting with
 skipped.
 
 Every file is read once, in blocks of rows (``_read_blocks``), so a load
-needs memory for the columns it keeps; a bad file's error is named from the
-block holding its first failing row, at no more cost than a good load.
+needs memory for the columns it keeps. A loader's ``parse(header, cells)``
+reads a block's columns and the checks that reject a row, each raising
+only its reason by ``fail(value)``; the reader names the file and row of
+the first rejected one, at no more cost than a good load.
 A 64 KiB block is plain, and split on the delimiter without ``csv``, when
 it holds no CR, no quote outside its comment lines, and ``width - 1``
 delimiters on each data line; from the first other block on, the file is
@@ -220,7 +222,7 @@ def log10_transform(x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _parse_cell(column: str, text: str, row: int):
+def _parse_cell(column: str, text: str):
     text = text.strip()
     if text == "":
         return None
@@ -229,13 +231,11 @@ def _parse_cell(column: str, text: str, row: int):
     try:
         value = _float(text)
     except ValueError:
-        raise LoadError(
-            f"row {row}: non-numeric value {text!r} in column {column!r}"
-        ) from None
+        raise LoadError(f"non-numeric value {text!r} in column {column!r}") from None
     if not math.isfinite(value):
-        raise LoadError(f"row {row}: non-finite value {text!r} in column {column!r}")
+        raise LoadError(f"non-finite value {text!r} in column {column!r}")
     if column in _BOUNDS and not _in_bounds(column, value):
-        raise LoadError(f"row {row}: {_BOUNDS[column][2]}, got {text!r}")
+        raise LoadError(f"{_BOUNDS[column][2]}, got {text!r}")
     return int(value) if column == "abuse_count" else value
 
 
@@ -300,18 +300,16 @@ def load_table(
     def positions(header: list[str]) -> dict[str, int]:
         found = {}
         for canonical in COLUMNS:
-            file_col = schema.get(canonical, canonical)
-            pos = _position(header, file_col, path, LoadError)
+            required = canonical in REQUIRED_COLUMNS or canonical in schema
+            pos = _position(header, schema.get(canonical, canonical), path, LoadError, required)
             if pos is not None:
                 found[canonical] = pos
-            elif canonical in REQUIRED_COLUMNS or canonical in schema:
-                raise LoadError(f"{path}: missing required column {file_col!r}")
         return found
 
-    def missing(name, value, line):
-        raise LoadError(f"row {line}: missing value in required column {name!r}")
+    def missing(name, value):
+        raise LoadError(f"missing value in required column {name!r}")
 
-    def parse(header, cells, lengths):
+    def parse(header, cells):
         columns, checks = _parse_columns(cells, len(header), positions(header))
         ids, counts = columns["provider_id"], columns["abuse_count"]
         if None in ids:
@@ -387,9 +385,16 @@ def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, np.nd
     return values, bad if present is None else bad & present
 
 
-def _position(header: list[str], name: str, path, error: type[Exception]) -> int | None:
-    """Index of ``name`` in ``header``, None if absent; raises ``error`` if it is there twice."""
+def _position(
+    header: list[str], name: str, path, error: type[Exception], required: bool = False
+) -> int | None:
+    """Index of ``name`` in ``header``, None if absent; raises ``error`` if it is there twice.
+
+    An absent ``required`` column raises ``error`` as well.
+    """
     if name not in header:
+        if required:
+            raise error(f"{path}: missing required column {name!r}")
         return None
     if header.count(name) > 1:
         raise error(f"{path}: column {name!r} appears twice in the header")
@@ -406,18 +411,17 @@ _BLOCK_CHARS = 1 << 16
 def _read_blocks(path, delimiter: str, error: type[Exception], parse, key=()) -> dict:
     """The columns ``parse`` reads from the blocks of ``_blocks``, concatenated.
 
-    ``parse(header, cells, lengths)`` reads the cells of consecutive data
-    rows, ``len(header)`` a row, ``header`` stripped; ``lengths`` is each
-    row's count of cells before it was padded or cut, None if each has
-    ``len(header)``. It returns a dict of columns, each a list or a numpy
-    array, and the checks that reject a row, in the order a row loop runs
-    them: each the boolean mask of the rows it rejects, a value per row and
-    ``fail(value, line)``, which raises a rejected row's error as ``row
-    {line}: ...``. The first rejected row raises its first check's error,
-    and a row csv cannot read ``error``, each with the path prefixed, once
-    the rows before it hold no repeat of the ``key`` columns ``parse``
-    returns; a good read looks for one at the end. A repeat raises a
-    ``LoadError``, a file with no header ``error``.
+    ``parse(header, cells)`` reads the cells of consecutive data rows,
+    ``len(header)`` a row, ``header`` stripped. It returns a dict of
+    columns, each a list or a numpy array, and the checks that reject a
+    row, in the order a row loop runs them: each the boolean mask of the
+    rows it rejects, a value per row and ``fail(value)``, which raises a
+    rejected value's reason. The first rejected row raises its first
+    check's reason as ``{path}: row {line}: {reason}``, ``line`` being the
+    row's physical line, and a row csv cannot read ``error``, with the path
+    and row named too, once the rows before it hold no repeat of the
+    ``key`` columns ``parse`` returns; a good read looks for one at the
+    end. A repeat raises a ``LoadError``, a file with no header ``error``.
     """
     parts, lines, failure = [], [], None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -430,10 +434,10 @@ def _read_blocks(path, delimiter: str, error: type[Exception], parse, key=()) ->
                     _, values, fail = next(check for check in checks if check[0][row])
                     lines[-1] = lines[-1][:row]  # the rows looked at for a repeated key
                     try:
-                        fail(values[row], numbers[row])
+                        fail(values[row])
                         raise AssertionError(f"{path}: row {numbers[row]}: no check failed")
                     except ValueError as exc:
-                        failure = type(exc)(f"{path}: {exc}")
+                        failure = type(exc)(f"{path}: row {numbers[row]}: {exc}")
                     break
         except csv.Error as exc:
             failure = error(f"{path}: {exc}")
@@ -513,7 +517,7 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[tuple, Sequence[int]]]:
                 header = [h.strip() for h in cells[:width]]
                 del cells[:width]
                 lines = lines[1:]
-            yield parse(header, cells, None), lines
+            yield parse(header, cells), lines
         if not text:
             return  # every block was plain
     rows = _rows(chain(io.StringIO(text, newline=""), fh), delimiter, line)
@@ -524,15 +528,14 @@ def _blocks(fh, delimiter: str, parse) -> Iterator[tuple[tuple, Sequence[int]]]:
     width, pad = len(header), [""] * len(header)
     size = max(1, _BLOCK_CHARS // (16 * width))
     while True:
-        cells, lines, lengths, unread = [], [], [], None
+        cells, lines, unread = [], [], None
         try:
             for line, row in islice(rows, size):
                 lines.append(line)
-                lengths.append(len(row))
                 cells += (row + pad)[:width]
         except csv.Error as exc:
             unread = exc
-        yield parse(header, cells, lengths), lines
+        yield parse(header, cells), lines
         if unread:
             raise unread
         if len(lines) < size:

@@ -450,10 +450,12 @@ class TestLoaders:
             (load_abuse, "domain,ip,timestamp\na.example,1,2015\nb.example\n", "ip"),
             (load_allocations, "provider_id,ip_start,ip_end\na,0,9\nb,10\n", "ip_end"),
             (load_allocations, "ip_start,provider_id,ip_end\n0,a,9\n10\n", "provider_id"),
+            # the key is read first, though an IP column is cut off before it
+            (load_allocations, "ip_start,ip_end,provider_id\n0,9,a\n10\n", "provider_id"),
             (load_enrichment, "country,provider_id\nUS,a\nDE\n", "provider_id"),
         ],
         ids=["observations", "observations-reordered", "abuse", "allocations",
-             "allocations-reordered", "enrichment"],
+             "allocations-reordered", "allocations-cut-before-key", "enrichment"],
     )
     def test_short_row_names_file_row_and_column(self, tmp_path, loader, text, column):
         path = tmp_path / "input.csv"
@@ -471,13 +473,25 @@ class TestLoaders:
             (load_observations, "ip,domain\n7,a.example\n1.2.3.999, \n", "domain"),
             (load_enrichment, "provider_id,price_per_year\na,1.0\n,2.0\n", "provider_id"),
             (load_enrichment, "provider_id,price_per_year\na,1.0\n ,x\n,3.0\n", "provider_id"),
+            (load_allocations, "provider_id,ip_start,ip_end\na,0,99\nb,,199\n", "ip_start"),
+            (load_allocations, "provider_id,ip_start,ip_end\na,0,99\nb, ,x\n", "ip_start"),
+            (load_allocations, "provider_id,ip_start,ip_end\na,0,99\nb,100,\n", "ip_end"),
+            (load_allocations, "provider_id,ip_start,ip_end\na,0,99\nb,100,\t\n", "ip_end"),
+            (load_observations, "domain,ip\na.example,7\nb.example,\n", "ip"),
+            (load_observations, "ip,domain\n7,a.example\n  ,b.example\n", "ip"),
+            (load_abuse, "domain,ip,timestamp\na.example,7,t\nb.example,,t\n", "ip"),
+            (load_abuse, "domain,ip,timestamp\na.example,7,t\nb.example, ,t\n", "ip"),
         ],
         ids=["allocations", "allocations-before-bad-ip", "abuse", "observations-before-bad-ip",
-             "enrichment", "enrichment-before-bad-cell-and-duplicate"],
+             "enrichment", "enrichment-before-bad-cell-and-duplicate",
+             "allocations-empty-start", "allocations-blank-start-before-bad-end",
+             "allocations-empty-end", "allocations-blank-end", "observations-empty-ip",
+             "observations-blank-ip", "abuse-empty-ip", "abuse-blank-ip"],
     )
     def test_empty_key_cell_has_no_value(self, tmp_path, loader, text, column):
         # an empty key would name a provider "" or count a domain ""; it is
-        # checked before the row's other cells, as a row loop reads them
+        # checked before the row's other cells, as a row loop reads them.
+        # An IP cell empty after stripping has no value either.
         path = tmp_path / "input.csv"
         path.write_text(text)
         for chars in range(1, len(text) + 1):
@@ -637,7 +651,7 @@ class TestLoaders:
             "a,x, 9.5 ,3,NL\n\n b ,y,,,\n"
         )
         expected = [
-            ("a", [("price_per_year", float, 9.5), ("abuse_count", int, 3),
+            ("a", [("price_per_year", float, 9.5), ("abuse_count", float, 3.0),
                    ("country", str, "NL")]),
             ("b", []),
         ]
@@ -662,45 +676,35 @@ def loaded(result):
     return {c: result.column(c).tolist() for c in COLUMNS if not result.missing(c).all()}
 
 
-def short_row(path, header, positions, rows, lines):
-    """The error for the first data row without a cell in one of the ``positions``.
-
-    ``rows`` and ``lines`` are as ``read_rows`` returns them, so the error
-    names the physical line, as ``load_table``'s errors do.
-    """
-    width = max(positions) + 1
-    lineno, row = next((n, r) for n, r in zip(lines, rows) if r and len(r) < width)
-    name = header[min(i for i in positions if i >= len(row))]
-    return AllocationError(f"{path}: row {lineno}: no value in column {name!r}")
-
-
 def enrichment_row_loop(path, delimiter):
-    """``load_enrichment`` as a csv row loop: ``read_rows``, then ``_parse_cell`` per cell."""
+    """``load_enrichment`` as a csv row loop: ``read_rows``, then ``_parse_cell`` per cell.
+
+    A cut-off cell is an empty one, and ``abuse_count`` is a float, as every
+    numeric enrichment column is.
+    """
     known = set(COLUMNS)
     header, rows, lines, unread = read_rows(path, delimiter, AllocationError)
-    pid = features._column(header, "provider_id", path)
+    pid = ingest._position(header, "provider_id", path, AllocationError, True)
     out = {}
-    try:
-        for lineno, row in zip(lines, rows):
-            if not row:
-                continue
-            if len(row) <= pid:
-                raise short_row(path, header, (pid,), rows, lines)
-            key = row[pid].strip()
+    for lineno, row in zip(lines, rows):
+        if not row:
+            continue
+        try:
+            key = row[pid].strip() if pid < len(row) else ""
             if not key:
-                raise AllocationError(f"{path}: row {lineno}: no value in column 'provider_id'")
+                raise AllocationError("no value in column 'provider_id'")
             values = {}
             for idx, name in enumerate(header):
                 if idx == pid or idx >= len(row) or name not in known:
                     continue
-                parsed = ingest._parse_cell(name, row[idx], lineno)
+                parsed = ingest._parse_cell(name, row[idx])
                 if parsed is not None:
-                    values[name] = parsed
+                    values[name] = float(parsed) if name == "abuse_count" else parsed
             if key in out:
-                raise LoadError(f"row {lineno}: duplicate provider_id {key!r}")
-            out[key] = values
-    except LoadError as exc:
-        raise LoadError(f"{path}: {exc}") from None
+                raise LoadError(f"duplicate provider_id {key!r}")
+        except ValueError as exc:
+            raise type(exc)(f"{path}: row {lineno}: {exc}") from None
+        out[key] = values
     if unread:
         raise unread
     return out
@@ -750,50 +754,27 @@ class TestEnrichmentReader:
 def row_loop_oracle(path, delimiter, loader):
     """The raw loaders as a csv row loop: ``read_rows``, then ``parse_ip`` per cell.
 
-    A key cell empty after stripping, or a cell ``parse_ip`` rejects, raises
-    its error with the file and row named.
+    A key or IP cell empty after stripping, or cut off, has no value, and a
+    cell ``parse_ip`` rejects raises its error; either names the file and row.
     """
     header, rows, lines, unread = read_rows(path, delimiter, AllocationError)
-    positions = [features._column(header, name, path) for name in LOADER_COLUMNS[loader]]
-
-    def key(cell, lineno):
-        if not cell.strip():
-            name = LOADER_COLUMNS[loader][0]
-            raise AllocationError(f"{path}: row {lineno}: no value in column {name!r}")
-        return cell.strip()
-
-    def ip(cell, lineno):
+    names = LOADER_COLUMNS[loader]
+    positions = [ingest._position(header, name, path, AllocationError, True) for name in names]
+    columns = [[] for _ in names]
+    for lineno, row in zip(lines, rows):
+        if not row:
+            continue
         try:
-            return parse_ip(cell)
+            for column, name, pos in zip(columns, names, positions):
+                cell = row[pos].strip() if pos < len(row) else ""
+                if not cell:
+                    raise AllocationError(f"no value in column {name!r}")
+                column.append(cell if column is columns[0] else parse_ip(cell))
         except AllocationError as exc:
             raise AllocationError(f"{path}: row {lineno}: {exc}") from None
-
-    if loader == "allocations":
-        pid, lo, hi = positions
-        ids, starts, ends = [], [], []
-        try:
-            for lineno, row in zip(lines, rows):
-                if row:
-                    ids.append(key(row[pid], lineno))
-                    starts.append(ip(row[lo], lineno))
-                    ends.append(ip(row[hi], lineno))
-        except IndexError:
-            raise short_row(path, header, positions, rows, lines) from None
-        if unread:
-            raise unread
-        return AllocationIndex(ids, starts, ends)
-    dom, at = positions
-    domains, ips = [], []
-    try:
-        for lineno, row in zip(lines, rows):
-            if row:
-                domains.append(key(row[dom], lineno))
-                ips.append(ip(row[at], lineno))
-    except IndexError:
-        raise short_row(path, header, positions, rows, lines) from None
     if unread:
         raise unread
-    return DomainIps(domains, ips)
+    return (AllocationIndex if loader == "allocations" else DomainIps)(*columns)
 
 
 def loaded_columns(result):

@@ -408,31 +408,25 @@ def row_loop_oracle(path, schema=None, delimiter=","):
             raise LoadError(f"{path}: missing required column {file_col!r}")
     columns = {canonical: [] for canonical in positions}
     seen = set()
-    try:
-        for lineno, raw in zip(lines, rows):
-            if not raw:
-                continue
+    for lineno, raw in zip(lines, rows):
+        if not raw:
+            continue
+        try:
             values = {
-                canonical: ingest._parse_cell(
-                    canonical, raw[idx] if idx < len(raw) else "", lineno
-                )
+                canonical: ingest._parse_cell(canonical, raw[idx] if idx < len(raw) else "")
                 for canonical, idx in positions.items()
             }
             for required in ("provider_id", "abuse_count"):
                 if values[required] is None:
-                    raise LoadError(
-                        f"row {lineno}: missing value in required column {required!r}"
-                    )
+                    raise LoadError(f"missing value in required column {required!r}")
             key = (values["provider_id"], values.get("twin_id"))
             if key in seen:
-                raise LoadError(
-                    f"row {lineno}: duplicate provider_id {values['provider_id']!r}"
-                )
-            seen.add(key)
-            for canonical, value in values.items():
-                columns[canonical].append(value)
-    except LoadError as exc:
-        raise LoadError(f"{path}: {exc}") from None
+                raise LoadError(f"duplicate provider_id {values['provider_id']!r}")
+        except LoadError as exc:
+            raise LoadError(f"{path}: row {lineno}: {exc}") from None
+        seen.add(key)
+        for canonical, value in values.items():
+            columns[canonical].append(value)
     if unread:
         raise unread
     return Dataset(columns)
