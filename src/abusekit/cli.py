@@ -28,9 +28,9 @@ from .glm import (
 )
 from .report import (
     ModelColumn,
-    RunManifest,
     _cells,
     _csv_text,
+    _manifest_line,
     _names,
     build_manifest,
     describe_document,
@@ -105,7 +105,8 @@ def _run_fits(widest: DesignMatrix, source_label: str, stepwise: bool = False,
             fits[s] = fit_poisson(widest.restrict(s))
         return fits[s]
 
-    steps = range(len(spec.predictors) + 1) if stepwise else [len(spec.predictors)]
+    first = 0 if spec.include_intercept or spec.fixed_effects else 1  # 0 would fit no column
+    steps = range(first, len(spec.predictors) + 1) if stepwise else [len(spec.predictors)]
     specs = [replace(spec, predictors=spec.predictors[:k]) for k in steps]
     for s in reversed(specs):
         fit(s)
@@ -134,7 +135,7 @@ def _run_fits(widest: DesignMatrix, source_label: str, stepwise: bool = False,
     return columns, excluded
 
 
-def _manifest(args: argparse.Namespace, rng_seed: int | None = None) -> RunManifest:
+def _manifest(args: argparse.Namespace, rng_seed: int | None = None) -> dict:
     """The run manifest: a digest of each input file given, and every option given.
 
     Files are digested in ``_INPUT_OPTIONS`` order, so an unreadable one
@@ -166,7 +167,7 @@ def cmd_describe(args) -> int:
     if args.format == "json":
         text = json_document_text(describe_document(summaries), manifest)
     else:
-        text = f"# {manifest.comment_line()}\n" + render_describe(
+        text = f"# {_manifest_line(manifest)}\n" + render_describe(
             summaries, fmt=args.format, delimiter=args.delimiter
         )
     if args.out_dir:
@@ -198,9 +199,7 @@ def _build_features(
 def cmd_features(args) -> int:
     table, rep, _index = _build_features(args)
     manifest, out = _outputs(args)
-    ingest.write_table(
-        table, out / "providers.csv", args.delimiter, [manifest.comment_line()]
-    )
+    ingest.write_table(table, out / "providers.csv", args.delimiter, [_manifest_line(manifest)])
     write_json_document(out / "features_report.json", asdict(rep), manifest)
     return 0
 
@@ -474,7 +473,7 @@ def _stage(name: str):
 
 def cmd_pipeline(args) -> int:
     manifest, out = _outputs(args, args.seed)
-    comment = [manifest.comment_line()]
+    comment = [_manifest_line(manifest)]
 
     with _stage("features"):
         table, _rep, index = _build_features(args)

@@ -10,7 +10,10 @@ file is plain, that is, holds no CR, no quote outside comment lines and
 ``width - 1`` delimiters on each data line; ``csv.reader`` rows from its
 first other block on). Each block's ``parse(header, cells)`` returns its
 columns and checks, whose ``fail(value)`` raises only the reason, and the
-reader names the file and row of the first rejected row. A key or IP cell
+reader names the file and row of the first rejected row. It raises every
+input error of an allocation, observation or abuse file as an
+``AllocationError``, and of an enrichment file, which is a provider table
+read under ``load_table``'s cell rules, as a ``LoadError``. A key or IP cell
 empty after stripping, or cut off, has no value. An IP column of ASCII
 digits only is read by numpy in one call, any other through ``parse_ip``
 cell by cell. Files are held as columns: an ``AllocationIndex`` over the
@@ -33,6 +36,8 @@ from .ingest import (
     COLUMNS,
     STRING_COLUMNS,
     Dataset,
+    LoadError,
+    _no_value,
     _parse_columns,
     _parse_or,
     _position,
@@ -51,7 +56,7 @@ MAX_IPV4 = 2**32 - 1
 
 
 class AllocationError(ValueError):
-    """Raised when IP allocations overlap or cannot be parsed."""
+    """Raised on a bad IP address, overlapping allocations or any fault of a raw input file."""
 
 
 def parse_ip(text) -> int:
@@ -364,11 +369,6 @@ def _parse_ips(cells: list[str]) -> tuple[np.ndarray, bool]:
     return ips, bool((ips >= 0).all())
 
 
-def _no_value(name: str, value) -> None:
-    """A check's ``fail`` for a cell empty after stripping, or cut off, in column ``name``."""
-    raise AllocationError(f"no value in column {name!r}")
-
-
 def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[list, list]:
     """The stripped ``key`` column and the ``ips`` columns as int64 addresses.
 
@@ -424,7 +424,8 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
     Canonical columns go through the same cell validation as provider
     tables (ranges, numeric parsing); unknown columns are ignored. A
     provider_id must not be empty and may appear on one row only, and a
-    canonical column once in the header. Returns the stripped ids and, per
+    canonical column once in the header; any fault raises a ``LoadError``,
+    as in ``load_table``. Returns the stripped ids and, per
     canonical column in header order, its values: a list of str for a
     string column and a float64 array for a numeric one, ``abuse_count``
     among them; ``None`` or NaN marks an empty cell.
@@ -432,8 +433,8 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
 
     def positions(header):
         known = [name for name in header if name in COLUMNS and name != "provider_id"]
-        pid = _position(header, "provider_id", path, AllocationError, True)
-        return pid, {name: _position(header, name, path, AllocationError) for name in known}
+        pid = _position(header, "provider_id", path, LoadError, True)
+        return pid, {name: _position(header, name, path, LoadError) for name in known}
 
     def parse(header, cells):
         pid, at = positions(header)
@@ -443,5 +444,5 @@ def load_enrichment(path, delimiter: str = ",") -> tuple[list[str], dict[str, Se
             checks.insert(0, (np.equal(ids, ""), ids, partial(_no_value, "provider_id")))
         return columns, checks
 
-    columns = _read_blocks(path, delimiter, AllocationError, parse, ("provider_id",))
+    columns = _read_blocks(path, delimiter, LoadError, parse, ("provider_id",))
     return columns.pop("provider_id"), columns

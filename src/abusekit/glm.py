@@ -283,6 +283,8 @@ def build_design(d: Dataset, spec: ModelSpec) -> DesignMatrix:
     kept columns when it is first read, and ``DesignMatrix.restrict``
     reuses the candidates and R for narrower specs.
     """
+    if not len(d):
+        raise DesignError("empty design: the table has no rows")
     used = (spec.response,) + spec.predictors + spec.fixed_effects
     missing = np.zeros(len(d), dtype=bool)
     for name in used:

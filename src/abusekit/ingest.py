@@ -11,7 +11,9 @@ Every file is read once, in blocks of rows (``_read_blocks``), so a load
 needs memory for the columns it keeps. A loader's ``parse(header, cells)``
 reads a block's columns and the checks that reject a row, each raising
 only its reason by ``fail(value)``; the reader names the file and row of
-the first rejected one, at no more cost than a good load.
+the first rejected one, at no more cost than a good load, and raises
+every input error in its loader's class: ``LoadError`` for a provider or
+enrichment table, ``features.AllocationError`` for a raw file.
 A 64 KiB block is plain, and split on the delimiter without ``csv``, when
 it holds no CR, no quote outside its comment lines, and ``width - 1``
 delimiters on each data line; from the first other block on, the file is
@@ -222,21 +224,21 @@ def log10_transform(x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _parse_cell(column: str, text: str):
+def _no_value(name: str, value) -> None:
+    """A check's ``fail`` for a cell empty after stripping, or cut off, in column ``name``."""
+    raise ValueError(f"no value in column {name!r}")
+
+
+def _check_number(column: str, text: str) -> None:
+    """A check's ``fail`` for a numeric cell ``_parse_column`` rejects: the reason why."""
     text = text.strip()
-    if text == "":
-        return None
-    if column in STRING_COLUMNS:
-        return text
     try:
         value = _float(text)
     except ValueError:
-        raise LoadError(f"non-numeric value {text!r} in column {column!r}") from None
+        raise ValueError(f"non-numeric value {text!r} in column {column!r}") from None
     if not math.isfinite(value):
-        raise LoadError(f"non-finite value {text!r} in column {column!r}")
-    if column in _BOUNDS and not _in_bounds(column, value):
-        raise LoadError(f"{_BOUNDS[column][2]}, got {text!r}")
-    return int(value) if column == "abuse_count" else value
+        raise ValueError(f"non-finite value {text!r} in column {column!r}")
+    raise ValueError(f"{_BOUNDS[column][2]}, got {text!r}")
 
 
 def _no_extras(text: str) -> bool:
@@ -288,9 +290,9 @@ def load_table(
     ------
     LoadError
         On a missing required column, a used column named twice in the
-        header, a non-numeric or non-finite cell in a numeric column or a
-        duplicate provider key, each reported with the file and its row
-        number (physical line, comment lines included).
+        header, an empty ``provider_id`` or ``abuse_count`` cell, a bad
+        numeric cell or a duplicate provider key, each reported with the
+        file and its row number (physical line, comment lines included).
     """
     schema = dict(schema or {})
     unknown = set(schema) - set(COLUMNS)
@@ -306,16 +308,13 @@ def load_table(
                 found[canonical] = pos
         return found
 
-    def missing(name, value):
-        raise LoadError(f"missing value in required column {name!r}")
-
     def parse(header, cells):
         columns, checks = _parse_columns(cells, len(header), positions(header))
         ids, counts = columns["provider_id"], columns["abuse_count"]
         if None in ids:
-            checks.append((np.equal(ids, None), ids, partial(missing, "provider_id")))
+            checks.append((np.equal(ids, None), ids, partial(_no_value, "provider_id")))
         if np.isnan(counts).any():
-            checks.append((np.isnan(counts), counts, partial(missing, "abuse_count")))
+            checks.append((np.isnan(counts), counts, partial(_no_value, "abuse_count")))
         return columns, checks
 
     # Twin datasets repeat providers (one row per twin slot), so the
@@ -340,16 +339,17 @@ def _parse_columns(cells: list[str], width: int, positions: Mapping[str, int]):
         column = cells[pos::width]
         columns[name], bad = _parse_column(name, column)
         if bad is not None:
-            checks.append((bad, column, partial(_parse_cell, name)))
+            checks.append((bad, column, partial(_check_number, name)))
     return columns, checks
 
 
 def _parse_column(name: str, cells: list[str]) -> tuple[list | np.ndarray, np.ndarray | None]:
-    """One column of cells as ``_parse_cell`` reads each, and the mask of those it rejects.
+    """One column of cells, parsed, and the mask of those ``_check_number`` rejects.
 
     A string column becomes a list of stripped cells, ``None`` for an empty
     one; a numeric column a float64 array, NaN for an empty or whitespace-only
-    cell. ``float`` strips a cell as ``_parse_cell`` does, so only a
+    cell. A present numeric cell is rejected unless it is a finite number
+    within its column's ``_BOUNDS``. ``float`` strips a cell, so only a
     whitespace-only or a bad cell fails the first parse; the cells are then
     stripped and a bad one read as NaN, which fails the finiteness check.
     The first parse is by ``float`` only when the cells, joined, have
@@ -416,12 +416,13 @@ def _read_blocks(path, delimiter: str, error: type[Exception], parse, key=()) ->
     columns, each a list or a numpy array, and the checks that reject a
     row, in the order a row loop runs them: each the boolean mask of the
     rows it rejects, a value per row and ``fail(value)``, which raises a
-    rejected value's reason. The first rejected row raises its first
-    check's reason as ``{path}: row {line}: {reason}``, ``line`` being the
-    row's physical line, and a row csv cannot read ``error``, with the path
-    and row named too, once the rows before it hold no repeat of the
-    ``key`` columns ``parse`` returns; a good read looks for one at the
-    end. A repeat raises a ``LoadError``, a file with no header ``error``.
+    rejected value's reason as a ValueError. Every input error is raised as
+    ``error``, the caller's class: the first rejected row's first reason as
+    ``{path}: row {line}: {reason}``, ``line`` being the row's physical
+    line, and a row csv cannot read, with the path and row named too, once
+    the rows before it hold no repeat of the ``key`` columns ``parse``
+    returns (a good read looks for one at the end); a repeat; and a file
+    with no header.
     """
     parts, lines, failure = [], [], None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -437,7 +438,7 @@ def _read_blocks(path, delimiter: str, error: type[Exception], parse, key=()) ->
                         fail(values[row])
                         raise AssertionError(f"{path}: row {numbers[row]}: no check failed")
                     except ValueError as exc:
-                        failure = type(exc)(f"{path}: row {numbers[row]}: {exc}")
+                        failure = error(f"{path}: row {numbers[row]}: {exc}")
                     break
         except csv.Error as exc:
             failure = error(f"{path}: {exc}")
@@ -451,7 +452,7 @@ def _read_blocks(path, delimiter: str, error: type[Exception], parse, key=()) ->
             seen = set()
             for value, pid, line in zip(keys, columns[key[0]], chain.from_iterable(lines)):
                 if value in seen:
-                    raise LoadError(f"{path}: row {line}: duplicate provider_id {pid!r}")
+                    raise error(f"{path}: row {line}: duplicate provider_id {pid!r}")
                 seen.add(value)
     if failure:
         raise failure

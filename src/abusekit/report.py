@@ -60,43 +60,29 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record embedded in every output document."""
-
-    command: str
-    inputs: Mapping[str, str]  # path -> sha256
-    options: Mapping[str, object]
-    tool_version: str = __version__
-    rng_seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": dict(sorted(self.inputs.items())),
-            "options": _jsonable(dict(self.options)),
-            "tool_version": self.tool_version,
-            "rng_seed": self.rng_seed,
-        }
-
-    def comment_line(self) -> str:
-        return "manifest " + json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-
-
 def build_manifest(
     command: str,
     input_paths: Sequence[str],
     options: Mapping[str, object],
     rng_seed: int | None = None,
-) -> RunManifest:
-    return RunManifest(
-        command=command,
-        inputs={str(p): sha256_file(p) for p in input_paths},
-        options=dict(options),
-        rng_seed=rng_seed,
-    )
+) -> dict:
+    """The provenance record embedded in every output document.
+
+    Inputs are digested in the order given and listed sorted by path.
+    """
+    inputs = {str(p): sha256_file(p) for p in input_paths}
+    return {
+        "command": command,
+        "inputs": dict(sorted(inputs.items())),
+        "options": _jsonable(dict(options)),
+        "tool_version": __version__,
+        "rng_seed": rng_seed,
+    }
+
+
+def _manifest_line(manifest: dict) -> str:
+    """The manifest as one comment line's text, without its ``# ``."""
+    return "manifest " + json.dumps(manifest, sort_keys=True, separators=(",", ":"))
 
 
 def _jsonable(value):
@@ -119,19 +105,19 @@ def _jsonable(value):
     return str(value)
 
 
-def json_document_text(doc: Mapping, manifest: RunManifest) -> str:
-    payload = {"manifest": manifest.to_dict(), **_jsonable(dict(doc))}
+def json_document_text(doc: Mapping, manifest: dict) -> str:
+    payload = {"manifest": manifest, **_jsonable(dict(doc))}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_json_document(path, doc: Mapping, manifest: RunManifest) -> None:
+def write_json_document(path, doc: Mapping, manifest: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_document_text(doc, manifest))
 
 
-def write_text_document(path, text: str, manifest: RunManifest) -> None:
+def write_text_document(path, text: str, manifest: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {manifest.comment_line()}\n")
+        fh.write(f"# {_manifest_line(manifest)}\n")
         fh.write(text)
         if not text.endswith("\n"):
             fh.write("\n")
@@ -161,6 +147,12 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence[object]], delimiter
     return out.getvalue()
 
 
+def _md_table(header: Sequence[str], rows: Iterable[Sequence[str]], left: int = 1) -> str:
+    """A Markdown table; its first ``left`` columns align left, the others right."""
+    rule = ["---"] * left + ["---:"] * (len(header) - left)
+    return "".join("| " + " | ".join(cells) + " |\n" for cells in chain([header, rule], rows))
+
+
 def _names(record_type) -> list[str]:
     """The field names of a result dataclass, in declaration order."""
     return [f.name for f in fields(record_type)]
@@ -180,17 +172,12 @@ def render_describe(
 ) -> str:
     """Render descriptive statistics in min/mean/median/max/sd layout."""
     if fmt == "md":
-        lines = [
-            "| variable | min | mean | median | max | sd | n |",
-            "| --- | ---: | ---: | ---: | ---: | ---: | ---: |",
-        ]
-        for s in summaries:
-            sd = _fmt(s.sd) + (" (single value)" if s.single_value else "")
-            lines.append(
-                f"| {label_for(s.name)} | {_fmt(s.min)} | {_fmt(s.mean)} "
-                f"| {_fmt(s.median)} | {_fmt(s.max)} | {sd} | {s.n:,} |"
-            )
-        return "\n".join(lines) + "\n"
+        rows = (
+            [label_for(s.name), _fmt(s.min), _fmt(s.mean), _fmt(s.median), _fmt(s.max),
+             _fmt(s.sd) + (" (single value)" if s.single_value else ""), f"{s.n:,}"]
+            for s in summaries
+        )
+        return _md_table(["variable", "min", "mean", "median", "max", "sd", "n"], rows)
     # the csv names the ``name`` column "variable", as the Markdown layout does
     header = ["variable", *_names(ColumnSummary)[1:]]
     return _csv_text(header, map(_cells(ColumnSummary), summaries), delimiter)
@@ -264,20 +251,11 @@ def render_fit_table(columns: Sequence[ModelColumn], fmt: str = "md", delimiter:
             a = column.assessments.get(kind)
             return _fmt(a.pseudo_r2) if a else ""
 
-        head = "| | " + " | ".join(f"({i})" for i in range(1, len(columns) + 1)) + " |"
-        rule = "| --- |" + " ---: |" * len(columns)
-        lines = [head, rule]
-        for term in terms:
-            cells = [_coefficient_cell(c, term) for c in columns]
-            lines.append(f"| {label_for(term)} | " + " | ".join(cells) + " |")
-        if has_intercept:
-            cells = [_coefficient_cell(c, INTERCEPT) for c in columns]
-            lines.append(f"| {label_for(INTERCEPT)} | " + " | ".join(cells) + " |")
-        for factor in factors:
-            cells = [
-                "Yes" if factor in c.fit.spec.fixed_effects else "No" for c in columns
-            ]
-            lines.append(f"| {factor} fixed effects | " + " | ".join(cells) + " |")
+        rows = [[label_for(t), *(_coefficient_cell(c, t) for c in columns)]
+                for t in terms + ([INTERCEPT] if has_intercept else [])]
+        rows += [[f"{factor} fixed effects",
+                  *("Yes" if factor in c.fit.spec.fixed_effects else "No" for c in columns)]
+                 for factor in factors]
         stat_rows = [
             ("Observations", lambda c: f"{c.fit.n:,}"),
             ("Log likelihood", lambda c: _fmt(c.fit.log_likelihood)),
@@ -293,12 +271,14 @@ def render_fit_table(columns: Sequence[ModelColumn], fmt: str = "md", delimiter:
         for name, getter in stat_rows:
             cells = [getter(c) for c in columns]
             if any(cells):
-                lines.append(f"| {name} | " + " | ".join(cells) + " |")
+                rows.append([name, *cells])
+        header = ["", *(f"({i})" for i in range(1, len(columns) + 1))]
+        table = _md_table(header, rows).replace("|  |", "| |", 1)  # the corner cell is "| |"
         footer = [f"\n{STAR_FOOTNOTE}"]
         kinds = sorted({kind for c in columns for kind in c.assessments})
         if kinds:
             footer.append(f"Pseudo R2 baseline(s): {', '.join(kinds)}.")
-        return "\n".join(lines) + "\n" + "\n".join(footer) + "\n"
+        return table + "\n".join(footer) + "\n"
 
     test_fields = [name for name in _names(WaldTest) if name != "available"]
     pad = [""] * (len(test_fields) - 2)  # a statistic fills the estimate cell
@@ -356,17 +336,14 @@ def render_rankings(scores: ProviderScore, delimiter: str = ",") -> str:
 
 def render_scenarios(rows: Sequence[ScenarioRow], fmt: str = "csv", delimiter: str = ",") -> str:
     if fmt == "md":
-        lines = [
-            "| scenario | variable | delta | multiplier | baseline | incremented | change |",
-            "| --- | --- | ---: | ---: | ---: | ---: | ---: |",
-        ]
-        for r in rows:
-            lines.append(
-                f"| {r.scenario} | {label_for(r.variable)} | {_fmt(r.delta, 2)} "
-                f"| {_fmt(r.multiplier)} | {_fmt(r.baseline_lambda)} "
-                f"| {_fmt(r.incremented_lambda)} | {_fmt(r.absolute_change)} |"
-            )
-        return "\n".join(lines) + "\n"
+        header = ["scenario", "variable", "delta", "multiplier", "baseline", "incremented",
+                  "change"]
+        cells = (
+            [r.scenario, label_for(r.variable), _fmt(r.delta, 2), _fmt(r.multiplier),
+             _fmt(r.baseline_lambda), _fmt(r.incremented_lambda), _fmt(r.absolute_change)]
+            for r in rows
+        )
+        return _md_table(header, cells, left=2)
     return _csv_text(_names(ScenarioRow), map(_cells(ScenarioRow), rows), delimiter)
 
 

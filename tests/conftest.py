@@ -1,4 +1,5 @@
 import csv
+import math
 import tracemalloc
 from contextlib import contextmanager
 
@@ -112,6 +113,32 @@ def read_rows(path, delimiter, error):
     if not rows:
         raise unread or error(f"{path}: empty file")
     return [h.strip() for h in rows[0]], rows[1:], starts[1:], unread
+
+
+def read_cell(column, text):
+    """A cell as the table loaders must read it, by rules of their own: ``None`` if empty.
+
+    The cell is stripped. A string cell is its text. A numeric cell must be
+    ASCII and hold no ``_`` (``float`` also reads Python's literal extras),
+    be read by ``float`` to a finite value and lie within the column's
+    ``ingest._BOUNDS``, an ``abuse_count`` integral too; it is a float.
+    Otherwise a ValueError gives the reason, as the loaders word it.
+    """
+    text = text.strip()
+    if not text or column in STRING_COLUMNS:
+        return text or None
+    try:
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"non-numeric value {text!r} in column {column!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r} in column {column!r}")
+    low, high, message = ingest._BOUNDS[column]
+    if not low <= value <= high or column == "abuse_count" and value % 1:
+        raise ValueError(f"{message}, got {text!r}")
+    return value
 
 
 #: A comment line as abusekit writes one, quotes and all.

@@ -18,8 +18,10 @@ With ``--check`` it reruns every case into a temporary directory and
 writes nothing. It prints each number that changed as old -> new with its
 relative difference, and any other differing text verbatim, with its line
 number, and exits 1 on any difference; the single commands then read the
-stored golden tables. Run it before a regeneration, to see what the
-regeneration would change:
+stored golden tables. For a differing ``fit*.json`` it also says whether
+the quantities its models identify still agree: the structure exactly,
+and the numbers of ``test_cli.fit_numbers`` at rel 1e-8. Run it before a
+regeneration, to see what the regeneration would change:
 
     PYTHONPATH=src python3 tests/data/make_golden.py --check
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import math
 import re
 import shutil
@@ -34,12 +37,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from test_cli import (  # noqa: E402
     GOLDEN,
     GOLDEN_COMMAND_CASES,
     GOLDEN_COMMANDS,
+    fit_numbers,
+    fit_structure,
     golden_command_argv,
     golden_pipeline_argv,
     strip_manifest,
@@ -86,6 +93,16 @@ def diff_text(old: str, new: str) -> list[str]:
     return out
 
 
+def identified_verdict(old: str, new: str) -> str:
+    """Whether two fit documents agree on what their models identify, as one line."""
+    a, b = json.loads(old)["models"], json.loads(new)["models"]
+    if fit_structure(a) != fit_structure(b):
+        return "identified quantities differ: the structure moved"
+    if fit_numbers(a) == pytest.approx(fit_numbers(b), rel=1e-8, abs=1e-12):
+        return "identified quantities agree at rel 1e-8"
+    return "identified quantities differ beyond rel 1e-8"
+
+
 def _runs():
     """(target directory, argv builder) of every golden case, pipeline first.
 
@@ -129,6 +146,8 @@ def _check(target: Path, artifacts: dict[str, bytes]) -> int:
             old, new = stored[name].decode("utf-8"), artifacts[name].decode("utf-8")
             for line in diff_text(old, new) or ["bytes differ outside the lines"]:
                 print(f"  {line}")
+            if re.fullmatch(r"fit.*\.json", name):
+                print(f"  {identified_verdict(old, new)}")
         else:
             continue
         differing += 1

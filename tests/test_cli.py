@@ -132,6 +132,33 @@ def strip_manifest(path):
     return rest
 
 
+def fit_structure(models):
+    """What the models of a fit document must share exactly: names, sizes, terms, drops."""
+    return [(m["model"], m["n"], m["k"], [c["term"] for c in m["coefficients"]],
+             m["dropped_columns"], m["separated"]) for m in models]
+
+
+def fit_numbers(models):
+    """The numbers the models of a fit document identify, in document order.
+
+    The estimate, SE, z and p of each spec predictor, the log-likelihood,
+    AIC and dispersion, and the deviances and pseudo-R2 of each assessment;
+    not the intercept or a fixed-effect dummy, which a separated twin fit
+    leaves unidentified.
+    """
+    out = []
+    for m in models:
+        for c in m["coefficients"]:
+            if c["term"] in m["spec"]["predictors"]:
+                out += [c["estimate"], c["se"], c["z"], c["p"]]
+        out += [m["log_likelihood"], m["aic"]]
+        if "dispersion" in m:  # a fit document leaves out a missing one
+            out.append(m["dispersion"]["phi_hat"])
+        for a in m.get("assessments", []):
+            out += [a["deviance_model"], a["deviance_baseline"], a["pseudo_r2"]]
+    return out
+
+
 @pytest.fixture(scope="module")
 def providers_csv(tmp_path_factory):
     out = tmp_path_factory.mktemp("features")
@@ -364,6 +391,27 @@ class TestFit:
         assert lls[4] >= lls[0]  # likelihood dominance along the nest
         assert (tmp_path / "assessment.json").exists()
 
+    @pytest.mark.parametrize(
+        "table, extra, sequence",
+        [
+            ("providers.csv", [], [["pct_shared"], ["pct_shared", "assigned_ips_log10"]]),
+            ("twin_dataset.csv", ["--fixed-effects", "twin_id"],
+             [[], ["price_per_year"], ["price_per_year", "wordpress_use"]]),
+        ],
+        ids=["no-factor", "factor"],
+    )
+    def test_stepwise_without_intercept_starts_where_a_model_has_a_column(
+        self, tmp_path, table, extra, sequence
+    ):
+        # without an intercept or a factor, the empty first model would have no column
+        predictors = ",".join(sequence[-1])
+        argv = ["fit", "--input", str(GOLDEN / table), "--predictors", predictors, *extra,
+                "--no-intercept", "--stepwise", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        models = json.loads((tmp_path / "fit.json").read_text())["models"]
+        assert [m["spec"]["predictors"] for m in models] == sequence
+        assert [m["model"] for m in models] == [f"({i})" for i in range(1, len(sequence) + 1)]
+
     def test_no_intercept_dispersion_df_is_n_minus_p(self, providers_csv, tmp_path):
         argv = ["fit", "--input", str(providers_csv), "--predictors", STRUCTURAL,
                 "--no-intercept", "--out-dir", str(tmp_path)]
@@ -495,6 +543,15 @@ class TestFit:
         text = render_fit_table([column], fmt="csv")
         assert f"(1),pct_shared,{estimate!r},NA,,,\n" in text
         assert f"(1),pseudo_r2,{r2!r},,,,\n" in text
+
+    @pytest.mark.parametrize("command", ["fit", "diagnostics", "scenarios", "rank"])
+    def test_table_without_rows_exits_2(self, command, tmp_path, capsys):
+        table = tmp_path / "providers.csv"
+        table.write_text(",".join(ingest.REQUIRED_COLUMNS) + "\n")
+        argv = [command, "--input", str(table), "--predictors", "pct_shared",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "abusekit: error: empty design: the table has no rows\n"
 
     def test_missing_response_exits_2(self, providers_csv, tmp_path, capsys):
         code = main(
@@ -1044,6 +1101,32 @@ def test_golden_check_diffs_numbers_and_text():
     assert diff_text("x 0\n", "x 1e-300\n") == ["line 1: 0 -> 1e-300 (rel inf)"]
 
 
+@pytest.mark.parametrize(
+    "term, verdict",
+    [("twin_id[twin:hp11]", "identified quantities agree at rel 1e-8"),
+     ("price_per_year", "identified quantities differ beyond rel 1e-8")],
+    ids=["twin-dummy", "spec-slope"],
+)
+def test_golden_check_says_whether_identified_quantities_agree(
+    term, verdict, tmp_path, monkeypatch, capsys
+):
+    # a twin dummy is not identified in a separated fit; a spec slope is
+    make_golden = _make_golden()
+    stored = tmp_path / "golden"
+    stored.mkdir()
+    (stored / "fit.json").write_bytes((GOLDEN / "fit.json").read_bytes())
+    doc = json.loads((GOLDEN / "fit.json").read_text())
+    (coefficient,) = [c for c in doc["models"][-1]["coefficients"] if c["term"] == term]
+    coefficient["estimate"] *= 1 + 1e-6
+    moved = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    monkeypatch.setattr(make_golden, "GOLDEN", stored)
+    assert make_golden._check(stored, {"fit.json": moved}) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "golden/fit.json:"
+    assert len(out) == 3  # the one moved number, then the verdict
+    assert out[-1] == f"  {verdict}"
+
+
 def test_jsonable_writes_arrays_as_lists():
     assert _jsonable({"a": np.array([1.0, np.nan])}) == {"a": [1.0, None]}
     assert _jsonable(np.array(2.5)) == 2.5
@@ -1135,25 +1218,10 @@ def test_fit_documents_do_not_depend_on_the_blas_thread_count(tmp_path):
         docs.append([json.loads((tmp_path / name / f).read_text())["models"]
                      for f in ("fit.json", "fit_alt.json")])
 
-    def structure(models):
-        return [(m["model"], m["n"], m["k"], [c["term"] for c in m["coefficients"]],
-                 m["dropped_columns"], m["separated"]) for m in models]
-
-    def numbers(models):
-        out = []
-        for m in models:
-            for c in m["coefficients"]:
-                if c["term"] in m["spec"]["predictors"]:
-                    out += [c["estimate"], c["se"], c["z"], c["p"]]
-            out += [m["log_likelihood"], m["aic"], m["dispersion"]["phi_hat"]]
-            for a in m["assessments"]:
-                out += [a["deviance_model"], a["deviance_baseline"], a["pseudo_r2"]]
-        return out
-
     (one, one_alt), (default, default_alt) = docs
     for single, threaded in ((one, default), (one_alt, default_alt)):
-        assert structure(single) == structure(threaded)
-        assert numbers(single) == pytest.approx(numbers(threaded), rel=1e-8, abs=1e-12)
+        assert fit_structure(single) == fit_structure(threaded)
+        assert fit_numbers(single) == pytest.approx(fit_numbers(threaded), rel=1e-8, abs=1e-12)
 
 
 def test_console_invocation_smoke(tmp_path):

@@ -32,6 +32,7 @@ from conftest import (
     block_chars,
     field_limit,
     provider_files,
+    read_cell,
     read_rows,
     traced_peak,
 )
@@ -46,6 +47,15 @@ LOADERS = {
     "allocations": load_allocations,
     "observations": load_observations,
     "abuse": load_abuse,
+}
+#: The one class of every input error each loader raises: a table's
+#: (enrichment is a provider table) or a raw file's.
+LOADER_ERRORS = {
+    load_table: LoadError,
+    load_enrichment: LoadError,
+    load_allocations: AllocationError,
+    load_observations: AllocationError,
+    load_abuse: AllocationError,
 }
 
 #: Header of a provider table holding the required columns only.
@@ -460,7 +470,7 @@ class TestLoaders:
     def test_short_row_names_file_row_and_column(self, tmp_path, loader, text, column):
         path = tmp_path / "input.csv"
         path.write_text(text)
-        with pytest.raises(AllocationError) as err:
+        with pytest.raises(LOADER_ERRORS[loader]) as err:
             loader(path)
         assert str(err.value) == f"{path}: row 3: no value in column {column!r}"
 
@@ -495,7 +505,7 @@ class TestLoaders:
         path = tmp_path / "input.csv"
         path.write_text(text)
         for chars in range(1, len(text) + 1):
-            with block_chars(chars), pytest.raises(AllocationError) as err:
+            with block_chars(chars), pytest.raises(LOADER_ERRORS[loader]) as err:
                 loader(path)
             assert str(err.value) == f"{path}: row 3: no value in column {column!r}", chars
 
@@ -628,7 +638,7 @@ class TestLoaders:
     def test_used_column_twice_in_header_rejected(self, tmp_path, loader, text, column):
         path = tmp_path / "input.csv"
         path.write_text(text)
-        with pytest.raises(AllocationError) as err:
+        with pytest.raises(LOADER_ERRORS[loader]) as err:
             loader(path)
         assert str(err.value) == f"{path}: column {column!r} appears twice in the header"
 
@@ -659,12 +669,68 @@ class TestLoaders:
 
         # a quoted, CRLF, ragged file is parsed by columns too
         monkeypatch.undo()
-        monkeypatch.setattr(ingest, "_parse_cell", refuse)
+        monkeypatch.setattr(ingest, "_check_number", refuse)
         path.write_bytes(
             b"provider_id,note,price_per_year,abuse_count,country\r\n"
             b'"a",x, 9.5 ,3,"NL"\r\n\r\n b ,"y\r\nz"\r\n'
         )
         assert enrichment_facts(load_enrichment(path)) == expected
+
+
+#: A valid header and data row of each loader's file.
+VALID_FILES = {
+    load_table: (PROVIDER_HEADER, "a,1,1,1,10,3"),
+    load_enrichment: ("provider_id,price_per_year", "a,2"),
+    load_allocations: ("provider_id,ip_start,ip_end", "a,0,9"),
+    load_observations: ("domain,ip", "a.example,7"),
+    load_abuse: ("domain,ip,timestamp", "a.example,7,t"),
+}
+
+
+def faulty_file(loader, fault):
+    """The text of a file ``loader`` reads, valid but for one ``fault``."""
+    header, row = (line.split(",") for line in VALID_FILES[loader])
+    lines = {
+        "missing-column": [header[1:], row[1:]],  # the key column is required
+        "repeated-column": [header + header[:1], row + row[:1]],
+        "empty-key": [header, row, ["", *row[1:]]],
+        "bad-number": [header, row, [row[0] + "x", "x", *row[2:]]],  # a new key, a bad cell
+        "repeated-id": [header, row, row],  # a repeated range overlaps itself
+        "csv-fault": [header, row, ['"' + "x" * 140_000 + '"', *row[1:]]],
+        "empty-file": [],
+    }[fault]
+    return "".join(",".join(cells) + "\n" for cells in lines)
+
+
+#: Each fault of ``faulty_file``, and what its error says.
+FAULTS = {
+    "missing-column": "missing required column",
+    "repeated-column": "appears twice in the header",
+    "empty-key": "no value in column",
+    "bad-number": "non-numeric value|invalid IP address",
+    "repeated-id": "duplicate provider_id|overlapping allocations",
+    "csv-fault": "field larger than field limit",
+    "empty-file": "empty file",
+}
+
+
+@pytest.mark.parametrize(
+    "loader, fault",
+    [
+        pytest.param(loader, fault, id=f"{loader.__name__}-{fault}")
+        for loader in LOADER_ERRORS
+        for fault in FAULTS
+        # a domain may repeat in observations and abuse records
+        if fault != "repeated-id" or loader not in (load_observations, load_abuse)
+    ],
+)
+def test_every_input_error_has_its_loaders_class(tmp_path, loader, fault):
+    path = tmp_path / "input.csv"
+    path.write_text(faulty_file(loader, fault))
+    with pytest.raises(ValueError) as err:
+        loader(path)
+    assert re.search(FAULTS[fault], str(err.value))
+    assert type(err.value) is LOADER_ERRORS[loader], str(err.value)
 
 
 def loaded(result):
@@ -677,14 +743,14 @@ def loaded(result):
 
 
 def enrichment_row_loop(path, delimiter):
-    """``load_enrichment`` as a csv row loop: ``read_rows``, then ``_parse_cell`` per cell.
+    """``load_enrichment`` as a csv row loop: ``read_rows``, then ``read_cell`` per cell.
 
     A cut-off cell is an empty one, and ``abuse_count`` is a float, as every
     numeric enrichment column is.
     """
     known = set(COLUMNS)
-    header, rows, lines, unread = read_rows(path, delimiter, AllocationError)
-    pid = ingest._position(header, "provider_id", path, AllocationError, True)
+    header, rows, lines, unread = read_rows(path, delimiter, LoadError)
+    pid = ingest._position(header, "provider_id", path, LoadError, True)
     out = {}
     for lineno, row in zip(lines, rows):
         if not row:
@@ -692,18 +758,18 @@ def enrichment_row_loop(path, delimiter):
         try:
             key = row[pid].strip() if pid < len(row) else ""
             if not key:
-                raise AllocationError("no value in column 'provider_id'")
+                raise ValueError("no value in column 'provider_id'")
             values = {}
             for idx, name in enumerate(header):
                 if idx == pid or idx >= len(row) or name not in known:
                     continue
-                parsed = ingest._parse_cell(name, row[idx])
+                parsed = read_cell(name, row[idx])
                 if parsed is not None:
-                    values[name] = float(parsed) if name == "abuse_count" else parsed
+                    values[name] = parsed
             if key in out:
-                raise LoadError(f"duplicate provider_id {key!r}")
+                raise ValueError(f"duplicate provider_id {key!r}")
         except ValueError as exc:
-            raise type(exc)(f"{path}: row {lineno}: {exc}") from None
+            raise LoadError(f"{path}: row {lineno}: {exc}") from None
         out[key] = values
     if unread:
         raise unread

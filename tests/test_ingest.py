@@ -30,6 +30,7 @@ from conftest import (
     field_limit,
     make_dataset,
     provider_files,
+    read_cell,
     read_rows,
     same_table,
 )
@@ -270,7 +271,7 @@ class TestLoadTable:
 
         # a quoted, CRLF, ragged file is parsed by columns too
         monkeypatch.undo()
-        monkeypatch.setattr(ingest, "_parse_cell", refuse)
+        monkeypatch.setattr(ingest, "_check_number", refuse)
         path.write_bytes(
             (HEADER + ",country,twin_id\r\n").encode()
             + b'"a",1,1,1,10,3,,t1\r\n'
@@ -313,7 +314,7 @@ class TestLoadTable:
         self, tmp_path, monkeypatch, load, last, message, cells
     ):
         # the file is opened once and read by columns; only the one
-        # failing cell is read again, by _parse_cell, to word its error
+        # failing cell is read again, by _check_number, to word its error
         n = 20_000
         path = tmp_path / "table.csv"
         path.write_text(
@@ -329,14 +330,14 @@ class TestLoadTable:
 
         def counted(*args):
             calls.append(args)
-            return parse_cell(*args)
+            return check_number(*args)
 
         def refuse(*args, **kwargs):
             raise AssertionError("file read row by row")
 
-        parse_cell = ingest._parse_cell
+        check_number = ingest._check_number
         monkeypatch.setattr(ingest, "open", counted_open, raising=False)
-        monkeypatch.setattr(ingest, "_parse_cell", counted)
+        monkeypatch.setattr(ingest, "_check_number", counted)
         monkeypatch.setattr(ingest, "_rows", refuse)
         monkeypatch.setattr(csv, "reader", refuse)
         with pytest.raises(LoadError) as err:
@@ -396,7 +397,7 @@ class TestLoadTable:
 
 
 def row_loop_oracle(path, schema=None, delimiter=","):
-    """``load_table`` as a csv row loop: ``read_rows``, then ``_parse_cell`` per cell."""
+    """``load_table`` as a csv row loop: ``read_rows``, then ``read_cell`` per cell."""
     schema = dict(schema or {})
     header, rows, lines, unread = read_rows(path, delimiter, LoadError)
     positions = {}
@@ -413,16 +414,16 @@ def row_loop_oracle(path, schema=None, delimiter=","):
             continue
         try:
             values = {
-                canonical: ingest._parse_cell(canonical, raw[idx] if idx < len(raw) else "")
+                canonical: read_cell(canonical, raw[idx] if idx < len(raw) else "")
                 for canonical, idx in positions.items()
             }
             for required in ("provider_id", "abuse_count"):
                 if values[required] is None:
-                    raise LoadError(f"missing value in required column {required!r}")
+                    raise ValueError(f"no value in column {required!r}")
             key = (values["provider_id"], values.get("twin_id"))
             if key in seen:
-                raise LoadError(f"duplicate provider_id {values['provider_id']!r}")
-        except LoadError as exc:
+                raise ValueError(f"duplicate provider_id {values['provider_id']!r}")
+        except ValueError as exc:
             raise LoadError(f"{path}: row {lineno}: {exc}") from None
         seen.add(key)
         for canonical, value in values.items():
