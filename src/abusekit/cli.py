@@ -13,7 +13,7 @@ import configparser
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, diagnostics, features, ingest, scenarios, sim, twins
@@ -200,7 +200,7 @@ def cmd_features(args) -> int:
     table, rep, _index = _build_features(args)
     manifest, out = _outputs(args)
     ingest.write_table(table, out / "providers.csv", args.delimiter, [_manifest_line(manifest)])
-    write_json_document(out / "features_report.json", asdict(rep), manifest)
+    write_json_document(out / "features_report.json", rep, manifest)
     return 0
 
 
@@ -357,17 +357,17 @@ def cmd_diagnostics(args) -> int:
 
 def cmd_scenarios(args) -> int:
     d = _load_input(args)
-    columns, _excluded = _run_fits(build_design(d, _model_spec(args)), d.source_label)
+    fit = fit_poisson(build_design(d, _model_spec(args)))
     manifest, out = _outputs(args)
-    _write_scenarios(out, columns[0].fit, d, args, manifest)
+    _write_scenarios(out, fit, d, args, manifest)
     return 0
 
 
 def cmd_rank(args) -> int:
     d = _load_input(args)
-    columns, _excluded = _run_fits(build_design(d, _model_spec(args)), d.source_label)
+    fit = fit_poisson(build_design(d, _model_spec(args)))
     manifest, out = _outputs(args)
-    _write_rankings(out, d, columns[0].fit, args, manifest)
+    _write_rankings(out, d, fit, args, manifest)
     return 0
 
 
@@ -533,6 +533,15 @@ def _add_table_args(p, with_out_dir=True):
         p.add_argument("--out-dir", required=True, help="directory for artifacts")
 
 
+def _add_raw_args(p):
+    p.add_argument("--allocations", required=True)
+    p.add_argument("--observations", required=True)
+    p.add_argument("--abuse", required=True)
+    p.add_argument("--source-label", default="abuse")
+    p.add_argument("--delimiter", type=_delimiter, default=",")
+    p.add_argument("--out-dir", required=True)
+
+
 def _add_model_args(p):
     p.add_argument("--response", default="abuse_count", help="response column")
     p.add_argument("--predictors", help="comma-separated predictor columns")
@@ -588,13 +597,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("features", help="build the provider table from raw inputs")
-    p.add_argument("--allocations", required=True)
-    p.add_argument("--observations", required=True)
-    p.add_argument("--abuse", required=True)
+    _add_raw_args(p)
     p.add_argument("--enrichment", help="optional per-provider enrichment table")
-    p.add_argument("--source-label", default="abuse")
-    p.add_argument("--delimiter", type=_delimiter, default=",")
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("twins", help="nearest-neighbor statistical twins")
@@ -637,13 +641,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pipeline", help="end-to-end run on raw inputs")
-    p.add_argument("--allocations", required=True)
-    p.add_argument("--observations", required=True)
-    p.add_argument("--abuse", required=True)
+    _add_raw_args(p)
     p.add_argument("--abuse-alt", help="alternative abuse feed for cross-validation")
     p.add_argument("--enrichment", required=True)
-    p.add_argument("--source-label", default="abuse")
-    p.add_argument("--delimiter", type=_delimiter, default=",")
     _add_matching_args(p)
     p.add_argument("--required", help="columns forcing twin-level list-wise exclusion")
     p.add_argument("--response", default="abuse_count")
@@ -652,7 +652,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-intercept", action="store_true")
     p.add_argument("--stepwise", action="store_true")
     p.add_argument("--format", choices=["md", "csv"], default="md")
-    p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -12,7 +12,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import chain, count
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -74,7 +74,7 @@ def build_manifest(
     return {
         "command": command,
         "inputs": dict(sorted(inputs.items())),
-        "options": _jsonable(dict(options)),
+        "options": _jsonable(options),
         "tool_version": __version__,
         "rng_seed": rng_seed,
     }
@@ -86,31 +86,31 @@ def _manifest_line(manifest: dict) -> str:
 
 
 def _jsonable(value):
-    """Recursively coerce a value into JSON-safe types (no NaN/inf)."""
+    """The JSON form of ``value``: a dict's keys become str, a list or tuple a list,
+    a numpy array or scalar its ``tolist()``, a dataclass instance its fields in
+    declaration order, a non-finite float None. Other values pass unchanged, and
+    ``json.dumps`` raises ``TypeError`` on any but str, int, bool and None.
+    """
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         return _jsonable(value.tolist())
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        try:
-            return _jsonable(value.item())
-        except (AttributeError, ValueError):
-            pass
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    return str(value)
+    if is_dataclass(value) and not isinstance(value, type):
+        return {name: _jsonable(getattr(value, name)) for name in _names(value)}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def json_document_text(doc: Mapping, manifest: dict) -> str:
-    payload = {"manifest": manifest, **_jsonable(dict(doc))}
+def json_document_text(doc, manifest: dict) -> str:
+    """``doc``, a dict or a result dataclass, and ``manifest`` as JSON text by
+    ``_jsonable``'s rule: a value of any other type raises ``TypeError``.
+    """
+    payload = {"manifest": manifest, **_jsonable(doc)}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_json_document(path, doc: Mapping, manifest: dict) -> None:
+def write_json_document(path, doc, manifest: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json_document_text(doc, manifest))
 
@@ -184,11 +184,11 @@ def render_describe(
 
 
 def describe_document(summaries: Sequence[ColumnSummary]) -> dict:
-    return {"columns": [asdict(s) for s in summaries]}
+    return {"columns": summaries}
 
 
 def scenarios_document(rows: Sequence[ScenarioRow]) -> dict:
-    return {"rows": [asdict(r) for r in rows]}
+    return {"rows": rows}
 
 
 @dataclass
@@ -214,8 +214,8 @@ class ModelColumn:
     def assessment_document(self) -> dict:
         """Dispersion estimate and pseudo-R2 assessments, JSON-shaped."""
         return {
-            "dispersion": None if self.dispersion is None else asdict(self.dispersion),
-            "assessments": [asdict(a) for a in self.assessments.values()],
+            "dispersion": self.dispersion,
+            "assessments": list(self.assessments.values()),
         }
 
 
@@ -314,13 +314,13 @@ def fit_document(column: ModelColumn) -> dict:
         "converged": fit.converged,
         "iterations": fit.iterations,
         "separated": fit.separated,
-        "messages": list(fit.messages),
+        "messages": fit.messages,
         "excluded_rows": fit.excluded_rows,
-        "dropped_columns": [list(item) for item in fit.dropped],
+        "dropped_columns": fit.dropped,
         "log_likelihood": fit.log_likelihood,
         "aic": fit.aic,
-        "spec": asdict(fit.spec),
-        "coefficients": [asdict(t) for t in column.tests.values()],
+        "spec": fit.spec,
+        "coefficients": list(column.tests.values()),
         "star_thresholds": STAR_THRESHOLDS,
     }
     # fit.json leaves out a missing dispersion and an empty assessment list
@@ -375,9 +375,9 @@ def simulation_summary_document(summary: SimulationSummary, res: SimulationResul
             "mean": summary.dispersion_mean,
             "q025": summary.dispersion_q025,
             "q975": summary.dispersion_q975,
-            "histogram_edges": summary.histogram_edges.tolist(),
-            "histogram_counts": summary.histogram_counts.tolist(),
+            "histogram_edges": summary.histogram_edges,
+            "histogram_counts": summary.histogram_counts,
         },
-        "coefficients": [asdict(c) for c in summary.coefficients],
-        "config": {**asdict(res.config), "link_intercept": res.config.resolved_intercept},
+        "coefficients": summary.coefficients,
+        "config": replace(res.config, link_intercept=res.config.resolved_intercept),
     }

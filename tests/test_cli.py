@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,11 @@ import pytest
 import abusekit
 from abusekit import cli, ingest, sim
 from abusekit.cli import load_sim_config, main
-from abusekit.glm import ModelSpec, build_design
-from abusekit.report import ModelColumn, _jsonable, render_fit_table
+from abusekit.diagnostics import DispersionReport, FitAssessment
+from abusekit.features import FeatureReport
+from abusekit.glm import INTERCEPT, ModelSpec, WaldTest, build_design
+from abusekit.report import ModelColumn, _jsonable, json_document_text, render_fit_table
+from abusekit.scenarios import ScenarioRow
 
 from conftest import country_table, traced_peak
 
@@ -1131,6 +1134,37 @@ def test_jsonable_writes_arrays_as_lists():
     assert _jsonable({"a": np.array([1.0, np.nan])}) == {"a": [1.0, None]}
     assert _jsonable(np.array(2.5)) == 2.5
     assert _jsonable(np.array(np.nan)) is None
+    three = _jsonable(np.int64(3))
+    assert three == 3 and type(three) is int
+    assert _jsonable(np.float64("nan")) is None
+    assert _jsonable(np.bool_(True)) is True
+    with pytest.raises(TypeError):  # no type is written as its str
+        json_document_text({"p": Path("x")}, {})
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        ModelSpec("abuse_count", ("price_per_year", "wordpress_use"), ("twin_id",), False),
+        WaldTest("price_per_year", 0.25, 0.05, 5.0, 5.7e-7, "***"),
+        WaldTest("wordpress_use", 1.5, math.inf, None, None, "", available=False),
+        DispersionReport(phi_hat=np.float64(1.75), chi_square=61.25, df=35),
+        FitAssessment(40.0, 52.5, 0.2380952380952381, "fixed_effects_only", 1.75, 3),
+        ingest.ColumnSummary("price_per_year", 48, 2, 0.0, 12.5, 10.0, 40.0, 9.75),
+        ingest.ColumnSummary("wordpress_use", 1, 0, 1.0, 1.0, 1.0, 1.0, np.nan, True),
+        FeatureReport(n_providers=48, skipped_observations=3, skipped_abuse_records=1,
+                      zero_domain_providers=0),
+        ScenarioRow("large", "price_per_year", 10.0, 1.5, 2.0, 3.0, 1.0),
+        ScenarioRow("overflow", "assigned_ips_log10", 1e6, math.inf, 2.0, math.inf, math.inf),
+        sim.SimulationConfig(n=200, noise=sim.MEASURED_NOISE, replicates=3),
+        sim.CoefficientSummary("hosted_domains_log10", 3, 0.5, 0.4, 0.6),
+        sim.CoefficientSummary(INTERCEPT, 3, -1.0, -1.2, -0.8, -1.1, -0.1),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_jsonable_writes_a_dataclass_as_asdict_did(record):
+    # dataclasses.asdict, the route every document took before, is the oracle
+    assert _jsonable(record) == _jsonable(asdict(record))
 
 
 def _child_env():
