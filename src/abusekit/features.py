@@ -17,10 +17,11 @@ read under ``load_table``'s cell rules, as a ``LoadError``. A key or IP cell
 empty after stripping, or cut off, has no value. An IP column of ASCII
 digits only is read by numpy in one call, any other through ``parse_ip``
 cell by cell. Files are held as columns: an ``AllocationIndex`` over the
-ranges and one ``DomainIps`` per observation or abuse file. Each file's
-rows are attributed to providers by one vectorised owner lookup, distinct
-counts come from sorted integer keys, and per-provider results are arrays
-in ``AllocationIndex.provider_ids`` order.
+ranges and one ``DomainIps`` per observation or abuse file, whose domains
+are coded to int64 as each block is read, so no domain text outlives the
+loader. Each file's rows are attributed to providers by one vectorised
+owner lookup, distinct counts come from sorted integer keys, and
+per-provider results are arrays in ``AllocationIndex.provider_ids`` order.
 """
 from __future__ import annotations
 
@@ -129,44 +130,45 @@ class AllocationIndex:
 
 
 class DomainIps:
-    """The (domain, ip) rows of an observation or abuse file, as two columns.
+    """The (domain, ip) rows of an observation or abuse file, as two int64 columns.
 
-    ``domains`` is an object array of str, ``ips`` an int64 array of
-    integer addresses; ``len()`` is the row count.
+    ``codes[i]`` codes row i's domain: equal domains share one code, each
+    code lies in [0, len()), and the loaders give a domain the row of its
+    first appearance. ``ips`` holds integer addresses; ``len()`` is the row
+    count.
     """
 
-    def __init__(self, domains: Sequence[str], ips):
-        self.domains = np.asarray(domains, dtype=object)
+    def __init__(self, codes, ips):
+        self.codes = np.asarray(codes, dtype=np.int64)
         self.ips = np.asarray(ips, dtype=np.int64)
-        if self.domains.shape != self.ips.shape:
-            raise ValueError("domains and ips must have equal length")
+        if self.codes.shape != self.ips.shape:
+            raise ValueError("codes and ips must have equal length")
+        if len(self.codes) and not 0 <= self.codes.min() <= self.codes.max() < len(self.codes):
+            raise ValueError("codes must lie in [0, len())")
 
     def __len__(self) -> int:
         return len(self.ips)
 
 
-def _codes(values) -> np.ndarray:
-    """Integer codes below ``len(values)``, equal values sharing one code.
-
-    A value's code is the index of its first appearance, so one C-level
-    ``map`` of ``dict.setdefault`` codes the whole column.
-    """
-    seen: dict = {}
-    return np.fromiter(map(seen.setdefault, values, count()), np.int64, len(values))
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of ``keys`` starts, as a boolean mask."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return first
 
 
 def _distinct_pairs(groups: np.ndarray, items: np.ndarray, n_items: int):
-    """The distinct (group, item) pairs as two arrays; items lie below ``n_items``.
+    """The distinct (group, item) pairs as two arrays, sorted; items lie below ``n_items``.
 
     Sorts the combined keys and keeps the first of each run: on 80k int64
     keys this took under 1 ms where ``np.unique`` (numpy 2.4, which hashes
     when no inverse is asked for) took about 20 ms.
     """
     n_items = max(n_items, 1)
-    keys = np.sort(groups * n_items + items)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
+    keys = groups * n_items
+    keys += items
+    keys.sort()
+    keys = keys[_run_starts(keys)]
     return keys // n_items, keys % n_items
 
 
@@ -204,27 +206,31 @@ def pct_shared(observations: DomainIps, index: AllocationIndex) -> SharedIpStats
     ``hosted_domains`` is 0). Observations whose IP matches no allocation
     are skipped and tallied.
     """
-    owner = index.owners(observations.ips)
-    hit = owner >= 0
-    owner = owner[hit]
-    domain = _codes(observations.domains)[hit]
-    n = len(observations)
-    # IPs are coded first, so an (ip, domain) key stays below n * n
-    distinct_ips, ip = np.unique(observations.ips[hit], return_inverse=True)
-    ip_owner = np.empty(len(distinct_ips), dtype=np.int64)
-    ip_owner[ip] = owner
+    n = max(len(observations), 1)
+    hit = index.owners(observations.ips) >= 0
+    # an IP is below 2**32 and a code below n, so an (ip, domain) key is
+    # below 2**32 * n: under 2**63 for a file of fewer than 2**31 rows
+    pair_ip, pair_domain = _distinct_pairs(observations.ips[hit], observations.codes[hit], n)
+    starts = np.flatnonzero(_run_starts(pair_ip))
+    per_ip = np.diff(starts, append=len(pair_ip))  # each distinct IP's distinct domains
+    ip_owner = index.owners(pair_ip[starts])
+    shared = classify_shared_ip(per_ip)
 
-    pair_ip, pair_domain = _distinct_pairs(ip, domain, n)
-    shared = classify_shared_ip(np.bincount(pair_ip, minlength=len(distinct_ips)))
-    on_shared = shared[pair_ip]
-    shared_owner, _ = _distinct_pairs(
-        ip_owner[pair_ip[on_shared]], pair_domain[on_shared], n
-    )
-    hosting_owner, _ = _distinct_pairs(owner, domain, n)
+    # (owner, domain, not shared): an owner is below the provider count P,
+    # at most the allocation rows, so a key is below 2 * P * n: under 2**63
+    # while the allocation and observation files each have fewer than 2**31
+    # rows. Sorted, each (owner, domain) run starts on a shared IP if it has one.
+    keys = np.repeat(ip_owner * n, per_ip)
+    keys += pair_domain
+    keys *= 2
+    keys += np.repeat(~shared, per_ip)
+    keys.sort()
+    keys = keys[_run_starts(keys >> 1)]
+    hosting_owner = keys // (2 * n)
 
     n_providers = len(index.provider_ids)
-    shared_domains = np.bincount(shared_owner, minlength=n_providers)
     hosted_domains = np.bincount(hosting_owner, minlength=n_providers)
+    shared_domains = np.bincount(hosting_owner[keys % 2 == 0], minlength=n_providers)
     values = np.divide(
         100.0 * shared_domains,
         hosted_domains,
@@ -235,7 +241,7 @@ def pct_shared(observations: DomainIps, index: AllocationIndex) -> SharedIpStats
         values=values,
         hosting_ips=np.bincount(ip_owner, minlength=n_providers),
         hosted_domains=hosted_domains,
-        skipped=int(n - hit.sum()),
+        skipped=int(len(hit) - hit.sum()),
     )
 
 
@@ -269,7 +275,9 @@ def attribute_abuse(abuse: DomainIps, index: AllocationIndex) -> tuple[np.ndarra
     """
     owner = index.owners(abuse.ips)
     hit = owner >= 0
-    providers, _ = _distinct_pairs(owner[hit], _codes(abuse.domains)[hit], len(abuse))
+    # an owner is below the provider count P and a code below the row count
+    # n, so a key is below P * n: under 2**63 while both are below 2**31
+    providers, _ = _distinct_pairs(owner[hit], abuse.codes[hit], len(abuse))
     counts = np.bincount(providers, minlength=len(index.provider_ids))
     return counts, int(len(abuse) - hit.sum())
 
@@ -369,20 +377,33 @@ def _parse_ips(cells: list[str]) -> tuple[np.ndarray, bool]:
     return ips, bool((ips >= 0).all())
 
 
-def _read_columns(path, delimiter: str, key: str, ips: Sequence[str]) -> tuple[list, list]:
+def _read_columns(
+    path, delimiter: str, key: str, ips: Sequence[str], coded: bool = False
+) -> tuple[list | np.ndarray, list]:
     """The stripped ``key`` column and the ``ips`` columns as int64 addresses.
 
+    A ``coded`` key column is read as int64 codes, a cell's code the index
+    of the data row where its text first appears; the text is dropped block
+    by block, and the last of it with the loader's dict when it returns.
     Other columns are ignored. A bad file raises the error of its first
     failing row, as a row loop reading its cells in ``key``, ``ips`` order;
     a cell empty after stripping, or cut off, has no value.
     """
+    seen, row = {}, count()  # one per file, so a code holds across blocks
 
     def parse(header, cells):
         at = [_position(header, name, path, AllocationError, True) for name in (key, *ips)]
-        keys = list(map(str.strip, cells[at[0]::len(header)]))
+        keys = map(str.strip, cells[at[0]::len(header)])
+        if coded:
+            keys = np.fromiter(map(seen.setdefault, keys, row), np.int64, len(cells) // len(header))
+            # a block holding "" fails, so a "" in seen came from this block
+            empty = keys == seen[""] if "" in seen else None
+        else:
+            keys = list(keys)
+            empty = np.equal(keys, "") if "" in keys else None
         columns, checks = {key: keys}, []
-        if "" in keys:
-            checks.append((np.equal(keys, ""), keys, partial(_no_value, key)))
+        if empty is not None:
+            checks.append((empty, keys, partial(_no_value, key)))
         for name, pos in zip(ips, at[1:]):
             column = cells[pos::len(header)]
             columns[name], ok = _parse_ips(column)
@@ -403,9 +424,9 @@ def load_allocations(path, delimiter: str = ",") -> AllocationIndex:
 
 
 def _read_domain_ips(path, delimiter: str) -> DomainIps:
-    """Columns domain and ip of a delimited file; other columns are ignored."""
-    domains, (ips,) = _read_columns(path, delimiter, "domain", ("ip",))
-    return DomainIps(domains, ips)
+    """Columns domain and ip of a delimited file, the domains coded; other columns are ignored."""
+    codes, (ips,) = _read_columns(path, delimiter, "domain", ("ip",), coded=True)
+    return DomainIps(codes, ips)
 
 
 def load_observations(path, delimiter: str = ",") -> DomainIps:

@@ -70,9 +70,25 @@ def index(*ranges):
     return AllocationIndex(ids, starts, ends)
 
 
+def codes(text):
+    """The loaders' domain codes of ``text``: each value's index of first appearance."""
+    first = {}
+    return [first.setdefault(value, i) for i, value in enumerate(text)]
+
+
 def rows(pairs):
     """DomainIps over (domain, ip) pairs."""
-    return DomainIps([d for d, _ in pairs], [ip for _, ip in pairs])
+    return DomainIps(codes([d for d, _ in pairs]), [ip for _, ip in pairs])
+
+
+def domains(path, delimiter=","):
+    """The domain text of a raw file, read uncoded as ``load_allocations`` reads ``provider_id``.
+
+    Checks first that ``load_observations`` codes that text as ``codes`` does.
+    """
+    text, _ = features._read_columns(path, delimiter, "domain", ("ip",))
+    assert load_observations(path, delimiter).codes.tolist() == codes(text)
+    return text
 
 
 def obs(domain, ip):
@@ -427,7 +443,9 @@ class TestLoaders:
             assert isinstance(loaded, DomainIps)
             assert len(loaded) == 2
             assert loaded.ips.dtype == np.int64
-        assert load_observations(observations).domains.tolist() == ["a.example", "b.example"]
+        assert domains(observations) == ["a.example", "b.example"]
+        assert domains(abuse) == ["a.example", "b.example"]
+        assert load_abuse(abuse).codes.tolist() == [0, 1]
         assert load_observations(observations).ips.tolist() == [1 << 24, 7]
         assert load_abuse(abuse).ips.tolist() == [7, 8]
 
@@ -437,7 +455,7 @@ class TestLoaders:
         path.write_text('# manifest {"command":"features"}\ndomain,ip\n"a\n#b",1\n'
                         '# "quoted" comment\nc.example,2\n')
         loaded = load_observations(path)
-        assert loaded.domains.tolist() == ["a\n#b", "c.example"]
+        assert domains(path) == ["a\n#b", "c.example"]
         assert loaded.ips.tolist() == [1, 2]
 
     def test_every_ip_cell_is_validated(self, tmp_path):
@@ -624,6 +642,8 @@ class TestLoaders:
         plain = tmp_path / "plain.csv"
         plain.write_text(text + "\n")
         assert loaded(loader(path)) == loaded(loader(plain))
+        if loader is load_observations:
+            assert domains(path) == domains(plain) == ["a.example"]
 
     @pytest.mark.parametrize(
         "loader, text, column",
@@ -817,11 +837,13 @@ class TestEnrichmentReader:
             assert loaded == enrichment_outcome(enrichment_row_loop, path, delimiter)
 
 
-def row_loop_oracle(path, delimiter, loader):
+def row_loop_oracle(path, delimiter, loader, text=False):
     """The raw loaders as a csv row loop: ``read_rows``, then ``parse_ip`` per cell.
 
     A key or IP cell empty after stripping, or cut off, has no value, and a
     cell ``parse_ip`` rejects raises its error; either names the file and row.
+    Domains are coded by ``codes``; with ``text``, the key column's text is
+    returned in place of the loader's result.
     """
     header, rows, lines, unread = read_rows(path, delimiter, AllocationError)
     names = LOADER_COLUMNS[loader]
@@ -840,11 +862,20 @@ def row_loop_oracle(path, delimiter, loader):
             raise AllocationError(f"{path}: row {lineno}: {exc}") from None
     if unread:
         raise unread
-    return (AllocationIndex if loader == "allocations" else DomainIps)(*columns)
+    if text:
+        return columns[0]
+    if loader == "allocations":
+        return AllocationIndex(*columns)
+    return DomainIps(codes(columns[0]), *columns[1:])
 
 
 def loaded_columns(result):
-    """The columns of a loader's result as Python lists, with the IP dtype."""
+    """The columns of a loader's result as Python lists, with the IP dtype.
+
+    A list, the key text of an uncoded read, is returned as it is.
+    """
+    if isinstance(result, list):
+        return result
     if isinstance(result, AllocationIndex):
         return (
             result.provider_ids.tolist(),
@@ -854,7 +885,7 @@ def loaded_columns(result):
             result._owner.tolist(),
             result._starts.dtype,
         )
-    return result.domains.tolist(), result.ips.tolist(), result.ips.dtype
+    return result.codes.tolist(), result.ips.tolist(), result.codes.dtype, result.ips.dtype
 
 
 def outcome(read, path, delimiter):
@@ -863,6 +894,16 @@ def outcome(read, path, delimiter):
         return loaded_columns(read(path, delimiter))
     except (TypeError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def key_texts(path, delimiter, loader):
+    """The key column's text by the uncoded read ``load_allocations`` uses and by the row loop.
+
+    Each is an ``outcome``: the text, or the error's type and message.
+    """
+    key, *ips = LOADER_COLUMNS[loader]
+    read = outcome(lambda p, d: features._read_columns(p, d, key, ips)[0], path, delimiter)
+    return read, outcome(lambda p, d: row_loop_oracle(p, d, loader, text=True), path, delimiter)
 
 
 #: IP cells ``parse_ip`` accepts or rejects in ways a vectorised parse must keep.
@@ -942,8 +983,10 @@ class TestRawReader:
         with field_limit(limit):
             with block_chars(chars):
                 loaded = outcome(LOADERS[loader], path, delimiter)
+                text, oracle_text = key_texts(path, delimiter, loader)
             oracle = outcome(lambda p, d: row_loop_oracle(p, d, loader), path, delimiter)
         assert loaded == oracle
+        assert text == oracle_text
 
     @pytest.mark.parametrize("delimiter", [";;", "", '"', "\n"])
     def test_delimiter_csv_rejects_or_reads_whole_lines(self, tmp_path, delimiter):
@@ -953,6 +996,8 @@ class TestRawReader:
         assert outcome(load_observations, path, delimiter) == outcome(
             lambda p, d: row_loop_oracle(p, d, "observations"), path, delimiter
         )
+        text, oracle_text = key_texts(path, delimiter, "observations")
+        assert text == oracle_text
 
     def test_plain_file_is_split_without_csv(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -966,13 +1011,14 @@ class TestRawReader:
             MANIFEST_LINE + "\ndomain,ip\na.example,7\n\n b.example ,4294967295\n"
         )
         loaded = load_observations(path)
-        assert loaded.domains.tolist() == ["a.example", "b.example"]
+        assert domains(path) == ["a.example", "b.example"]
         assert loaded.ips.tolist() == [7, 2**32 - 1]
         # blank lines with no comment line about them are dropped as well
         for text in ("domain,ip\na.example,7\n\n b.example ,4294967295\n\n",
                      "\ndomain,ip\na.example,7\n b.example ,4294967295\n"):
             path.write_text(text)
             assert loaded_columns(load_observations(path)) == loaded_columns(loaded)
+            assert domains(path) == ["a.example", "b.example"]
         # a bad last IP is named from the block that holds it, in the one read
         monkeypatch.setattr(features, "parse_ip", parse_ip)
         path.write_text("domain,ip\na.example,7\n# note\nb.example,1.2.3\n")
@@ -990,7 +1036,7 @@ class TestRawReader:
             b'"c\r\nd",0\r\n'
         )
         loaded = load_observations(path)
-        assert loaded.domains.tolist() == ["a.example", "b.example", "c\r\nd"]
+        assert domains(path) == ["a.example", "b.example", "c\r\nd"]
         assert loaded.ips.tolist() == [7, 2**32 - 1, 0]
 
     def test_peak_memory_follows_the_kept_columns(self, tmp_path):
@@ -1026,5 +1072,170 @@ class TestRawReader:
         path = tmp_path / "observations.csv"
         path.write_text('domain,ip\n"b,x.example",8\n')
         loaded = load_observations(path)
-        assert loaded.domains.tolist() == ["b,x.example"]
+        assert domains(path) == ["b,x.example"]
         assert loaded.ips.tolist() == [8]
+
+
+#: Ranges of the end-to-end tests: "b" owns two, "c" is never observed.
+RANGES = (("a", 0, 99), ("b", 100, 199), ("b", 300, 399), ("c", 500, 599))
+#: Addresses the rows draw from: two of "a", one in each range of "b",
+#: and two no range covers.
+ROW_IPS = (0, 1, 100, 300, 250, 7000)
+
+
+def allocations_file(path):
+    path.write_text(
+        "provider_id,ip_start,ip_end\n" + "".join(f"{p},{s},{e}\n" for p, s, e in RANGES)
+    )
+
+
+def domain_file(path, header, records):
+    """A raw file of (domain, ip, padded) records; a padded domain has blanks to strip."""
+    path.write_text(
+        header + "\n" + "".join(
+            f" {domain} ,{ip},t\n" if padded else f"{domain},{ip},t\n"
+            for domain, ip, padded in records
+        )
+    )
+
+
+def table_oracle(observations, abuse):
+    """``build_provider_table``'s rows and report counts from (domain, ip) rows, by dicts of sets.
+
+    Per provider: log10 of its distinct hosting IPs and of its distinct
+    hosted domains, the percent of those on an IP of more than 10 distinct
+    domains, and its distinct abused domains. Then the skipped observation
+    and abuse rows and the providers hosting no domain, which tells a count
+    of 0 from one of 1, both 0 in log10.
+    """
+
+    def provider(ip):
+        return next((p for p, start, end in RANGES if start <= ip <= end), None)
+
+    per_ip = defaultdict(set)
+    for domain, ip in observations:
+        if provider(ip):
+            per_ip[ip].add(domain)
+    ids = sorted({p for p, _, _ in RANGES})
+    hosting_ips = dict.fromkeys(ids, 0)
+    hosted, on_shared, abused = ({p: set() for p in ids} for _ in range(3))
+    for ip, on_ip in per_ip.items():
+        hosting_ips[provider(ip)] += 1
+        hosted[provider(ip)] |= on_ip
+        if len(on_ip) > 10:
+            on_shared[provider(ip)] |= on_ip
+    for domain, ip in abuse:
+        if provider(ip):
+            abused[provider(ip)].add(domain)
+    rows = {
+        p: (
+            ingest.log10_transform(hosting_ips[p]),
+            ingest.log10_transform(len(hosted[p])),
+            100.0 * len(on_shared[p]) / len(hosted[p]) if hosted[p] else 0.0,
+            len(abused[p]),
+        )
+        for p in ids
+    }
+    skipped = [sum(provider(ip) is None for _, ip in records) for records in (observations, abuse)]
+    return rows, (*skipped, sum(not hosted[p] for p in ids))
+
+
+def table_facts(table, report):
+    """A built table's rows and report counts, as ``table_oracle`` gives them."""
+    names = ("hosting_ips_log10", "hosted_domains_log10", "pct_shared", "abuse_count")
+    columns = [table.column(name).tolist() for name in names]
+    rows = {pid: tuple(values) for pid, *values in zip(table.provider_ids(), *columns)}
+    counts = (
+        report.skipped_observations, report.skipped_abuse_records, report.zero_domain_providers
+    )
+    return rows, counts
+
+
+def loaded_table(tmp_path):
+    """``build_provider_table`` of the raw files under ``tmp_path``."""
+    return build_provider_table(
+        load_allocations(tmp_path / "allocations.csv"),
+        load_observations(tmp_path / "observations.csv"),
+        load_abuse(tmp_path / "abuse.csv"),
+    )
+
+
+DOMAINS = st.integers(0, 14).map("d{}.example".format)
+
+
+@st.composite
+def records(draw):
+    """(domain, ip, padded) records of 15 domains, shuffled.
+
+    Some addresses get 9 to 15 distinct domains, around the shared
+    threshold (more than 10), so a domain recurs within and across blocks,
+    on shared and dedicated IPs.
+    """
+    rows = draw(st.lists(st.tuples(DOMAINS, st.sampled_from(ROW_IPS), st.booleans()),
+                         max_size=60))
+    for ip in draw(st.sets(st.sampled_from(ROW_IPS))):
+        rows += [(d, ip, draw(st.booleans())) for d in draw(st.sets(DOMAINS, min_size=9))]
+    return draw(st.permutations(rows))
+
+
+class TestFeaturesFromFiles:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(records(), records(), BLOCK_CHARS)
+    def test_loaded_files_match_dict_of_sets_oracle(self, tmp_path, observed, abused, chars):
+        # the loaders code each block's domains with one dict per file, so a
+        # domain gets one code in every block
+        allocations_file(tmp_path / "allocations.csv")
+        domain_file(tmp_path / "observations.csv", "domain,ip,timestamp", observed)
+        domain_file(tmp_path / "abuse.csv", "domain,ip,timestamp", abused)
+        with block_chars(chars):
+            built = table_facts(*loaded_table(tmp_path))
+        oracle = table_oracle([r[:2] for r in observed], [r[:2] for r in abused])
+        assert built == oracle
+
+    @pytest.mark.parametrize(
+        "observed, abused",
+        [([], [("d.example", 0, False)]), ([("d.example", 7000, False)], []), ([], []),
+         ([("d.example", 250, False), ("e.example", 7000, True), ("d.example", 7000, False)],
+          [("d.example", 300, False)])],
+        ids=["header-only-observations", "header-only-abuse", "header-only-both",
+             "every-ip-unallocated"],
+    )
+    def test_degenerate_raw_inputs(self, tmp_path, observed, abused):
+        # no attributed observation: every provider hosts nothing, and the
+        # skipped counts are the unattributed rows
+        allocations_file(tmp_path / "allocations.csv")
+        domain_file(tmp_path / "observations.csv", "domain,ip,timestamp", observed)
+        domain_file(tmp_path / "abuse.csv", "domain,ip,timestamp", abused)
+        table, report = loaded_table(tmp_path)
+        for column in ("hosting_ips_log10", "hosted_domains_log10", "pct_shared"):
+            assert table.column(column).tolist() == [0.0, 0.0, 0.0], column
+        assert report.zero_domain_providers == 3
+        assert report.skipped_observations == len(observed)
+        assert report.skipped_abuse_records == 0
+        expected = table_oracle([r[:2] for r in observed], [r[:2] for r in abused])
+        assert table_facts(table, report) == expected
+
+    def test_domain_text_dies_with_the_loader(self, tmp_path):
+        # the 40,000-row, 20,000-domain file of the reader's memory test, every
+        # row attributed: coded as it is read, a loaded file holds no text, so
+        # loading and counting peak at about 2.9x the file, where an object
+        # column of domains took about 5.7x
+        r = np.random.default_rng(3)
+        domains, ips = r.integers(0, 20_000, 40_000), r.integers(0, 2**32, 40_000)
+        path = tmp_path / "observations.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write("# manifest {}\ndomain,ip\n")
+            fh.writelines(f"d{d}.example.com,{ip}\n" for d, ip in zip(domains, ips))
+        starts = np.arange(0, 2**32, 2**28)
+        idx = AllocationIndex([f"p{i:02d}" for i in range(16)], starts, starts + 2**28 - 1)
+        loaded = load_observations(path)
+        assert {name: value.dtype for name, value in vars(loaded).items()} == {
+            "codes": np.int64, "ips": np.int64,
+        }
+        assert all(isinstance(value, np.ndarray) for value in vars(loaded).values())
+        peak = traced_peak(lambda: pct_shared(load_observations(path), idx))
+        assert peak < 4.5 * path.stat().st_size, peak / path.stat().st_size
