@@ -307,8 +307,7 @@ def _write_fits(out: Path, columns: list[ModelColumn], excluded: int, args, mani
 
 def _write_scenarios(out: Path, fit: FitResult, d: ingest.Dataset, args, manifest) -> None:
     """Built-in scenarios of ``fit``, with medians taken over ``d``."""
-    surviving = [p for p in fit.spec.predictors if p in fit.coefficients]
-    table = scenarios.scenario_table(fit, scenarios.builtin_scenarios(d, surviving))
+    table = scenarios.scenario_table(fit, scenarios.builtin_scenarios(d, fit.kept_predictors))
     if args.format == "json":
         write_json_document(out / "scenarios.json", scenarios_document(table), manifest)
     else:

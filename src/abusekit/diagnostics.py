@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import special
 
-from . import glm  # a module import: glm itself imports deviance from here
 from .ingest import Dataset
+
+if TYPE_CHECKING:  # annotations only: glm imports deviance from here
+    from . import glm
 
 
 class DiagnosticsError(ValueError):
@@ -126,7 +129,7 @@ def pseudo_r2(fit: glm.FitResult, baseline: glm.FitResult) -> FitAssessment:
     if kind in ("intercept_only", "self"):
         k_penalty = fit.k
     else:  # the predictors the design kept; the rest of it is intercept and dummies
-        k_penalty = sum(p in fit.coefficients for p in fit.spec.predictors)
+        k_penalty = len(fit.kept_predictors)
     phi = dispersion(fit.y, fit.fitted, fit.k, fit.has_intercept).phi_hat
     r2 = 1.0 - (d_model + k_penalty * phi) / d_base
     return FitAssessment(

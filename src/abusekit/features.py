@@ -4,13 +4,8 @@ All inputs arrive as delimited files: IP allocations (provider_id with an
 inclusive address range), hosting observations (domain, ip) and abuse
 records (domain, ip). IP addresses are accepted in dotted-quad or plain
 integer form and normalized to integers internally. Every file is read
-once and parsed by columns, one block of rows at a time
-(``ingest._read_blocks``: 64 KiB blocks split on the delimiter while the
-file is plain, that is, holds no CR, no quote outside comment lines and
-``width - 1`` delimiters on each data line; ``csv.reader`` rows from its
-first other block on). Each block's ``parse(header, cells)`` returns its
-columns and checks, whose ``fail(value)`` raises only the reason, and the
-reader names the file and row of the first rejected row. It raises every
+once, by columns, through ``ingest``'s block reader, whose docstring says
+when a block is plain and how a rejected row is named. It raises every
 input error of an allocation, observation or abuse file as an
 ``AllocationError``, and of an enrichment file, which is a provider table
 read under ``load_table``'s cell rules, as a ``LoadError``. A key or IP cell

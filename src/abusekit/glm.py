@@ -386,6 +386,11 @@ class FitResult:
     def has_intercept(self) -> bool:
         return INTERCEPT in self.coefficients
 
+    @property
+    def kept_predictors(self) -> tuple[str, ...]:
+        """The spec's predictors that have a coefficient (the design kept), in spec order."""
+        return tuple(p for p in self.spec.predictors if p in self.coefficients)
+
 
 def _solve_normal_equations(H: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The IRLS target: ``linalg.solve(H, g, assume_a="pos")``, bit for bit.
@@ -558,13 +563,9 @@ def predict(fit: FitResult, x: Mapping[str, object]) -> float:
     fixed-effect factor. Levels resolve to their dummy columns; a level
     whose dummy was dropped (or the reference level) contributes zero.
     """
-    lp = 0.0
     coefs = fit.coefficients
-    if INTERCEPT in coefs:
-        lp += coefs[INTERCEPT]
-    for name in fit.spec.predictors:
-        if name not in coefs:
-            continue  # dropped as collinear; contributes nothing
+    lp = coefs.get(INTERCEPT, 0.0)
+    for name in fit.kept_predictors:  # a dropped predictor contributes nothing
         if name not in x:
             raise PredictionError(f"missing covariate {name!r}")
         lp += coefs[name] * float(x[name])  # type: ignore[arg-type]

@@ -244,7 +244,7 @@ def render_fit_table(columns: Sequence[ModelColumn], fmt: str = "md", delimiter:
         for factor in col.fit.spec.fixed_effects:
             if factor not in factors:
                 factors.append(factor)
-    has_intercept = any(INTERCEPT in c.fit.coefficients for c in columns)
+    has_intercept = any(c.fit.has_intercept for c in columns)
 
     if fmt == "md":
         def pseudo_r2(column: ModelColumn, kind: str) -> str:

@@ -79,9 +79,7 @@ def partial_effect(fit: FitResult, variable: str, delta: float = 1.0) -> float:
 
 def _resolve_baseline(fit: FitResult, scenario: ScenarioSpec) -> dict:
     resolved: dict = {}
-    for name in fit.spec.predictors:
-        if name not in fit.coefficients:
-            continue
+    for name in fit.kept_predictors:
         if name not in scenario.baseline:
             raise ScenarioError(
                 f"scenario {scenario.name!r} misses a baseline value for {name!r}"
@@ -111,9 +109,7 @@ def scenario_table(fit: FitResult, scenarios: Sequence[ScenarioSpec]) -> list[Sc
         baseline = _resolve_baseline(fit, scenario)
         base_lambda = predict(fit, baseline)
         deltas = scenario.deltas or {}
-        for variable in fit.spec.predictors:
-            if variable not in fit.coefficients:
-                continue
+        for variable in fit.kept_predictors:
             delta = float(deltas.get(variable, 1.0))
             mult = partial_effect(fit, variable, delta)
             incremented = base_lambda * mult

@@ -545,6 +545,18 @@ class TestPredict:
         fit = manual_fit({INTERCEPT: 0.0, "pct_shared": 0.0}, spec)
         assert predict(fit, {"pct_shared": 123.0}) == 1.0
 
+    def test_dropped_predictor_contributes_nothing(self):
+        # the design drops an all-zero wordpress_use, so a value for it changes nothing
+        rows = [{"pct_shared": float(i), "wordpress_use": 0.0, "abuse_count": i % 4 + i // 3}
+                for i in range(12)]
+        spec = ModelSpec("abuse_count", ("pct_shared", "wordpress_use"))
+        fit = fit_poisson(build_design(make_dataset(rows), spec))
+        assert fit.dropped == [("wordpress_use", "all-zero column")]
+        assert fit.kept_predictors == ("pct_shared",)
+        lam = np.exp(fit.coefficients[INTERCEPT] + 5.0 * fit.coefficients["pct_shared"])
+        assert predict(fit, {"pct_shared": 5.0}) == lam
+        assert predict(fit, {"pct_shared": 5.0, "wordpress_use": 0.3}) == lam
+
     def test_unknown_level_and_missing_covariate(self):
         spec = ModelSpec("abuse_count", ("pct_shared",), ("country",))
         fit = manual_fit(
